@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .errors import IndexRangeError, WordSyntaxError
 from .generators import BraidGen
+from .words import parse_uint
 
 
 @dataclass(frozen=True)
@@ -138,15 +139,6 @@ def relation_instances(n: int, *, family3_inverted: bool = False) -> list[Relati
 # ---------------------------------------------------------------------------
 
 
-def _parse_uint(text: str, i: int) -> tuple[int, int]:
-    j = i
-    while j < len(text) and text[j].isdigit():
-        j += 1
-    if j == i:
-        raise WordSyntaxError("expected an integer", i)
-    return int(text[i:j]), j
-
-
 def parse_braid(text: str, n: int) -> BraidWord:
     letters = []
     i = 0
@@ -158,10 +150,10 @@ def parse_braid(text: str, n: int) -> BraidWord:
         start = i
         if not text.startswith("b(", i):
             raise WordSyntaxError("expected 'b('", i)
-        a, i = _parse_uint(text, i + 2)
+        a, i = parse_uint(text, i + 2)
         if i >= len(text) or text[i] != ",":
             raise WordSyntaxError("expected ','", i)
-        b, i = _parse_uint(text, i + 1)
+        b, i = parse_uint(text, i + 1)
         if i >= len(text) or text[i] != ")":
             raise WordSyntaxError("expected ')'", i)
         i += 1
@@ -172,7 +164,7 @@ def parse_braid(text: str, n: int) -> BraidWord:
             if i < len(text) and text[i] == "-":
                 sign = -1
                 i += 1
-            mag, i = _parse_uint(text, i)
+            mag, i = parse_uint(text, i)
             exponent = sign * mag
             if exponent == 0:
                 raise WordSyntaxError("exponent must be nonzero", start)

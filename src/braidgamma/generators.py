@@ -9,6 +9,12 @@ canonical orbit representative chosen by the rule
     second entry = the smaller of its two cycle neighbours.
 
 Equality of canonical forms then decides equality of generators.
+
+Letters are interned: `GammaGen(...)` and `GGen(...)` validate and
+canonicalize their argument, then return the one object that exists per
+distinct letter, so words, cached images and column tables share letters
+instead of copying them.  The tables live as long as the process and hold at
+most 3*C(n,4) cyclic and C(n,4) order-free letters for the largest n used.
 """
 
 from __future__ import annotations
@@ -36,17 +42,45 @@ def _canonical_cycle(cycle: tuple[int, int, int, int]) -> tuple[int, int, int, i
     return tuple(cycle[(k + step * t) % 4] for t in range(4))
 
 
-@dataclass(frozen=True, order=True)
+def _check_quad(idxs, what: str) -> tuple[int, int, int, int]:
+    idxs = _check_indices(idxs)
+    if len(idxs) != 4:
+        raise IndexRangeError(f"{what} needs 4 indices, got {len(idxs)}")
+    return idxs
+
+
+_GAMMA_GENS: dict = {}
+_G_GENS: dict = {}
+
+
+def _intern(cls, table: dict, field: str, key: tuple[int, int, int, int]):
+    """The one instance of `cls` whose `field` is `key`, built on first use."""
+    self = table.get(key)
+    if self is None:
+        self = table[key] = object.__new__(cls)
+        object.__setattr__(self, field, key)
+    return self
+
+
+@dataclass(frozen=True, order=True, init=False)
 class GammaGen:
     """A cyclic-quadruple generator, stored canonically (see module docstring)."""
 
     cycle: tuple[int, int, int, int]
 
-    def __post_init__(self):
-        cycle = _check_indices(self.cycle)
-        if len(cycle) != 4:
-            raise IndexRangeError(f"a cyclic quadruple needs 4 indices, got {len(cycle)}")
-        object.__setattr__(self, "cycle", _canonical_cycle(cycle))
+    def __new__(cls, cycle):
+        cycle = _canonical_cycle(_check_quad(cycle, "a cyclic quadruple"))
+        return _intern(cls, _GAMMA_GENS, "cycle", cycle)
+
+    def __init__(self, cycle):
+        pass  # set once, by __new__
+
+    def __getnewargs__(self):
+        return (self.cycle,)
+
+    # interning makes equal letters one object, so identity is equality
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def subset(self) -> tuple[int, int, int, int]:
@@ -56,17 +90,25 @@ class GammaGen:
         return "d(%d,%d,%d,%d)" % self.cycle
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class GGen:
     """An order-free generator on a 4-subset of strand indices."""
 
     members: tuple[int, int, int, int]
 
-    def __post_init__(self):
-        members = _check_indices(self.members)
-        if len(members) != 4:
-            raise IndexRangeError(f"a 4-subset generator needs 4 indices, got {len(members)}")
-        object.__setattr__(self, "members", tuple(sorted(members)))
+    def __new__(cls, members):
+        members = tuple(sorted(_check_quad(members, "a 4-subset generator")))
+        return _intern(cls, _G_GENS, "members", members)
+
+    def __init__(self, members):
+        pass  # set once, by __new__
+
+    def __getnewargs__(self):
+        return (self.members,)
+
+    # interning makes equal letters one object, so identity is equality
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __str__(self):
         return "a{%d,%d,%d,%d}" % self.members

@@ -160,7 +160,9 @@ class Choreography:
     def configs(self) -> list[tuple[Pt2, ...]]:
         out = [self.start]
         cur = list(self.start)
-        for m in self.moves:
+        for seg, m in enumerate(self.moves):
+            if not 1 <= m.point <= self.n:
+                raise ValidationError(f"move {seg} names point {m.point} outside 1..{self.n}")
             cur[m.point - 1] = m.to
             out.append(tuple(cur))
         return out
@@ -195,8 +197,6 @@ class Choreography:
             if len(set(cfg)) != self.n:
                 raise ValidationError(f"coincident points at waypoint {which}")
         for seg, m in enumerate(self.moves):
-            if not 1 <= m.point <= self.n:
-                raise ValidationError(f"move {seg} names point {m.point} outside 1..{self.n}")
             p0 = configs[seg][m.point - 1]
             dx, dy = m.to.x - p0.x, m.to.y - p0.y
             if dx == 0 and dy == 0:

@@ -89,7 +89,9 @@ class Choreo3:
     def configs(self) -> list[tuple[Pt3, ...]]:
         out = [self.start]
         cur = list(self.start)
-        for m in self.moves:
+        for seg, m in enumerate(self.moves):
+            if not 1 <= m.point <= self.n:
+                raise ValidationError(f"move {seg} names point {m.point} outside 1..{self.n}")
             cur[m.point - 1] = m.to
             out.append(tuple(cur))
         return out
@@ -111,8 +113,6 @@ class Choreo3:
                         f"points {tuple(k + 1 for k in t)} collinear at waypoint {which}"
                     )
         for seg, m in enumerate(self.moves):
-            if not 1 <= m.point <= self.n:
-                raise ValidationError(f"move {seg} names point {m.point} outside 1..{self.n}")
             p0 = configs[seg][m.point - 1]
             d = _sub(m.to, p0)
             if d == (0, 0, 0):

@@ -23,6 +23,11 @@ places and are both exposed:
 
 The 4-subset target always uses "doubled" (its only printed form); the
 cyclic-quadruple targets default to "flip".
+
+Passage words and generator images are memoised for the life of the process,
+keyed by (HomConfig, i, j).  Words and letters are immutable, so every caller
+shares the cached objects.  The cache holds at most C(n,2) generator images
+and n(n-1) passage words per distinct HomConfig in use.
 """
 
 from __future__ import annotations
@@ -117,6 +122,7 @@ def _passage_pairs(n: int, mover: int, anchor: int):
                 yield (n - p, n - q)
 
 
+@functools.lru_cache(maxsize=None)
 def passage_g(cfg: HomConfig, i: int, j: int) -> GWord:
     """Image word of one passage of strand i over strand j, 4-subset letters."""
     return GWord(
@@ -124,6 +130,7 @@ def passage_g(cfg: HomConfig, i: int, j: int) -> GWord:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def passage_gamma(cfg: HomConfig, mover: int, anchor: int) -> GammaWord:
     """Image word of one passage, cyclic-quadruple letters."""
     return GammaWord(
@@ -134,6 +141,7 @@ def passage_gamma(cfg: HomConfig, mover: int, anchor: int) -> GammaWord:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def passage_gamma_r(cfg: HomConfig, mover: int, anchor: int) -> MultiWord:
     """Image word of one passage with slot tags for the r-fold target."""
     return MultiWord(
@@ -145,23 +153,19 @@ def passage_gamma_r(cfg: HomConfig, mover: int, anchor: int) -> MultiWord:
     )
 
 
-def _empty_word(cfg: HomConfig):
+def _word(cfg: HomConfig, letters):
+    """The target word of `cfg` on `letters`, built (and slot-checked) once."""
+    letters = tuple(letters)
     if cfg.target == "g":
-        return GWord()
+        return GWord(letters)
     if cfg.target == "gamma":
-        return GammaWord()
-    return MultiWord(cfg.r)
+        return GammaWord(letters)
+    return MultiWord(cfg.r, letters)
 
 
-def _concat(words):
-    out = None
-    for w in words:
-        out = w if out is None else out * w
-    return out
-
-
+@functools.lru_cache(maxsize=None)
 def generator_image(cfg: HomConfig, i: int, j: int):
-    """Image of the braid letter b(i,j), unreduced."""
+    """Image of the braid letter b(i,j), unreduced (cached; see module docstring)."""
     if not 1 <= i < j <= cfg.n:
         raise IndexRangeError(f"need 1 <= i < j <= n, got ({i},{j}) with n={cfg.n}")
     if cfg.formula_mode == "traced":
@@ -183,7 +187,7 @@ def generator_image(cfg: HomConfig, i: int, j: int):
     else:
         middle = [passage(j, i)]
         tail = [invert(passage(k, i)) for k in range(j - 1, i, -1)]
-    return _concat(head + middle + tail)
+    return _word(cfg, (letter for part in head + middle + tail for letter in part.letters))
 
 
 def _traced_generator_image(cfg: HomConfig, i: int, j: int):
@@ -201,14 +205,18 @@ def _traced_events(n: int, i: int, j: int):
 
 
 def map_braid(cfg: HomConfig, w: BraidWord, *, reduced: bool = True):
-    """Image of a braid word: letterwise substitution, inverses by reversal."""
+    """Image of a braid word: letterwise substitution, inverses by reversal.
+
+    The letters of all images are gathered first and the word is built once,
+    so the cost is linear in the length of the image.
+    """
     if w.n > cfg.n:
         raise IndexRangeError(f"braid word has n={w.n} but config has n={cfg.n}")
-    out = _empty_word(cfg)
+    letters = []
     for g in w.letters:
         img = generator_image(cfg, g.i, g.j)
         if g.exponent < 0:
             img = invert(img)
-        for _ in range(abs(g.exponent)):
-            out = out * img
+        letters.extend(img.letters * abs(g.exponent))
+    out = _word(cfg, letters)
     return free_reduce(out) if reduced else out

@@ -235,20 +235,24 @@ def pentagon_faces(order: tuple[int, int, int, int, int]) -> tuple[GammaGen, ...
 def pentagon_rows(n: int) -> tuple[int, ...]:
     """Deduplicated GF(2) rows of all pentagon relation instances on n indices.
 
-    One row per distinct 5-letter indicator vector over `gamma_columns(n)`,
-    taken over *all* ordered 5-tuples of distinct indices (the cyclic order
-    enters through canonicalization; the dihedral symmetry of the 5-tuple
-    collapses each orbit to a single row).
+    One row per distinct 5-letter indicator vector over `gamma_columns(n)`.
+    A row depends only on the cyclic order of its 5-tuple (canonicalization
+    absorbs the dihedral symmetry), so one tuple per cyclic order of each
+    5-subset gives the same rows as all ordered 5-tuples.
     """
     if n < 5:
         return ()
     index = _gamma_column_index(n)
     rows = set()
-    for order in itertools.permutations(range(1, n + 1), 5):
-        row = 0
-        for face in pentagon_faces(order):
-            row |= 1 << index[face]
-        rows.add(row)
+    for first, *rest in itertools.combinations(range(1, n + 1), 5):
+        # one tuple per dihedral orbit: the smallest index first, and the
+        # second entry below the last
+        for perm in itertools.permutations(rest):
+            if perm[0] < perm[-1]:
+                row = 0
+                for face in pentagon_faces((first, *perm)):
+                    row |= 1 << index[face]
+                rows.add(row)
     return tuple(sorted(rows))
 
 
@@ -319,7 +323,15 @@ class InvariantClass:
 
 def invariant(w: Word, n: int) -> InvariantClass:
     """Occurrence-parity vector of w, reduced modulo the relation row space."""
-    _check_word_indices(w, n)
+    try:
+        return _invariant(w, n)
+    except KeyError:
+        # a letter outside the columns of n: name the first one
+        _check_word_indices(w, n)
+        raise
+
+
+def _invariant(w: Word, n: int) -> InvariantClass:
     if isinstance(w, GWord):
         index = _g_column_index(n)
         bits = 0
@@ -372,9 +384,14 @@ def invariant_equal(w1: Word, w2: Word, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _parse_uint(text: str, i: int) -> tuple[int, int]:
+def parse_uint(text: str, i: int) -> tuple[int, int]:
+    """The unsigned decimal integer at text[i:] and the offset just past it.
+
+    Only ASCII digits count: `str.isdigit` also accepts characters such as
+    superscripts that `int` rejects.
+    """
     j = i
-    while j < len(text) and text[j].isdigit():
+    while j < len(text) and "0" <= text[j] <= "9":
         j += 1
     if j == i:
         raise WordSyntaxError("expected an integer", i)
@@ -384,7 +401,7 @@ def _parse_uint(text: str, i: int) -> tuple[int, int]:
 def _parse_quad(text: str, i: int, close: str) -> tuple[tuple[int, int, int, int], int]:
     vals = []
     for k in range(4):
-        v, i = _parse_uint(text, i)
+        v, i = parse_uint(text, i)
         vals.append(v)
         want = "," if k < 3 else close
         if i >= len(text) or text[i] != want:
@@ -415,7 +432,7 @@ def _scan_word(text: str):
             quad, i = _parse_quad(text, i + 2, ")")
             out.append(("d", quad, start))
         elif ch == "[":
-            slot, i = _parse_uint(text, i + 1)
+            slot, i = parse_uint(text, i + 1)
             if i >= len(text) or text[i] != "]":
                 raise WordSyntaxError("expected ']'", i)
             i += 1

@@ -34,6 +34,10 @@ def test_parse_braid_errors():
     assert err.value.position == 7
     with pytest.raises(WordSyntaxError):
         parse_braid("b(1,3)^0", 4)
+    # str.isdigit accepts a superscript two, which int() rejects
+    with pytest.raises(WordSyntaxError) as err:
+        parse_braid("b(1,\u00b2)", 4)
+    assert err.value.position == 4
 
 
 def test_roundtrip_corpus():

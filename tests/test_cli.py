@@ -93,6 +93,18 @@ def test_trace_3d(capsys, choreo3_path):
     assert len(forgetful["word"].split()) == len(forgetful["events"])
 
 
+@pytest.mark.parametrize("point", [0, 7])
+def test_trace_rejects_move_of_missing_point(tmp_path, capsys, choreo_path, choreo3_path, point):
+    for path in (choreo_path, choreo3_path):
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["moves"][0]["point"] = point
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["trace", str(bad)]) == 3
+        assert f"move 0 names point {point} outside 1..{data['n']}" in capsys.readouterr().err
+
+
 def test_check_passes(capsys):
     code, data = run_json(capsys, ["check", "-n", "4", "--format", "json"])
     assert code == 0

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -122,3 +124,20 @@ def test_gamma_gen_str_and_order():
     g = GammaGen((2, 3, 4, 1))
     assert str(g) == "d(1,2,3,4)"
     assert GammaGen((1, 2, 3, 4)) < GammaGen((1, 2, 4, 3)) < GammaGen((1, 3, 2, 4))
+
+
+def test_equal_letters_are_one_object():
+    g = GammaGen((2, 3, 4, 1))
+    assert GammaGen((1, 4, 3, 2)) is g
+    assert canonicalize_quad([3, 4, 1, 2]) is g
+    assert select_quad(1, 2, 3, 4) is GammaGen((1, 2, 3, 4))
+    assert GGen((4, 1, 3, 2)) is GGen([1, 2, 3, 4])
+    for letter in (g, GGen((1, 2, 3, 4))):
+        assert copy.copy(letter) is letter
+        assert copy.deepcopy(letter) is letter
+        assert pickle.loads(pickle.dumps(letter)) is letter
+    # validation still runs before any lookup: True == 1 as a dict key
+    with pytest.raises(IndexRangeError):
+        GammaGen((True, 2, 3, 4))
+    with pytest.raises(IndexRangeError):
+        GGen((True, 2, 3, 4))

@@ -133,6 +133,44 @@ def test_phi_doubles_the_last_passage():
     assert img == c12 * c12
 
 
+def test_map_braid_is_the_concatenation_of_letter_images():
+    rng = random.Random(53)
+    for n in range(2, 8):
+        for target, r in (("g", 1), ("gamma", 1), ("gammar", 3)):
+            for assembly in ("flip", "doubled"):
+                cfg = HomConfig(n, target=target, r=r, assembly=assembly)
+                for _ in range(4):
+                    letters = []
+                    for _ in range(rng.randrange(1, 7)):
+                        i, j = sorted(rng.sample(range(1, n + 1), 2))
+                        letters.append(BraidGen(i, j, rng.choice([-3, -2, -1, 1, 2, 3])))
+                    w = BraidWord(n, tuple(letters))
+                    expected = ()
+                    for g in w.letters:
+                        img = generator_image(cfg, g.i, g.j).letters
+                        if g.exponent < 0:
+                            img = img[::-1]
+                        for _ in range(abs(g.exponent)):
+                            expected = expected + img
+                    got = map_braid(cfg, w, reduced=False)
+                    assert type(got) is type(generator_image(cfg, 1, 2))
+                    assert got.letters == expected
+                    assert map_braid(cfg, w) == free_reduce(got)
+                    if target == "gammar":
+                        assert got.r == r
+
+
+def test_cached_images_share_letters():
+    for target, r in (("g", 1), ("gamma", 1), ("gammar", 2)):
+        cfg = HomConfig(7, target=target, r=r)
+        assert generator_image(cfg, 2, 5) is generator_image(HomConfig(7, target=target, r=r), 2, 5)
+        seen = {}
+        for i, j in itertools.combinations(range(1, 8), 2):
+            for letter in generator_image(cfg, i, j).letters:
+                gen = letter[1] if target == "gammar" else letter
+                assert seen.setdefault(gen, gen) is gen
+
+
 def test_image_of_inverse_is_inverse_of_image():
     rng = random.Random(41)
     for target, r in (("g", 1), ("gamma", 1), ("gammar", 3)):

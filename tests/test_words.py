@@ -116,9 +116,29 @@ def test_invariant_examples():
     assert not gf2.in_rowspan(unit, gf2.echelon(pentagon_rows(5)))
 
 
+def test_pentagon_rows_match_all_ordered_tuples():
+    for n in range(5, 9):
+        index = {g: k for k, g in enumerate(gamma_columns(n))}
+        rows = set()
+        for order in itertools.permutations(range(1, n + 1), 5):
+            row = 0
+            for face in pentagon_faces(order):
+                row |= 1 << index[face]
+            rows.add(row)
+        assert pentagon_rows(n) == tuple(sorted(rows))
+
+
 def test_invariant_rejects_out_of_range():
-    with pytest.raises(IndexRangeError):
+    message = r"^letter d\(1,2,3,7\) uses index 7 > n=5$"
+    with pytest.raises(IndexRangeError, match=message):
         invariant(GammaWord((D(1, 2, 3, 7),)), 5)
+    # the first offending letter is named, wherever it sits
+    with pytest.raises(IndexRangeError, match=message):
+        invariant(GammaWord((D(1, 2, 3, 4), D(1, 2, 3, 7), D(1, 2, 3, 9))), 5)
+    with pytest.raises(IndexRangeError, match=message):
+        invariant(MultiWord(2, ((0, D(1, 2, 3, 4)), (1, D(1, 2, 3, 7)))), 5)
+    with pytest.raises(IndexRangeError, match=r"^letter a\{2,3,4,6\} uses index 6 > n=5$"):
+        invariant(GWord((A(1, 2, 3, 4), A(2, 3, 4, 6))), 5)
 
 
 def test_invariant_additivity_and_symmetries():
