@@ -38,17 +38,11 @@ from .geom2d import (
     trace,
 )
 from .geom3d import (
-    Choreo3,
     Event3,
-    Move3,
     Pt3,
-    choreo3_from_json,
-    choreo3_to_json,
-    concat3,
     loop_word,
     orient3d_sign,
     pt3,
-    reverse3,
     trace3,
 )
 from .homs import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import geom2d, geom3d
 from .braids import BraidWord, parse_braid, print_braid, relation_instances
-from .errors import BraidGammaError, UnstableWarning
+from .errors import BraidGammaError, UnstableWarning, WordSyntaxError
 from .exact import rat_from_str, rat_to_str
 from .generators import BraidGen
 from .homs import HomConfig, map_braid
@@ -27,6 +27,7 @@ from .words import (
     free_reduce,
     invariant,
     invariant_equal,
+    parse_uint,
     parse_word,
     word_to_text,
 )
@@ -204,7 +205,7 @@ def _time_payload(root) -> dict:
 
 def _cmd_trace(rc: RunConfig, args) -> int:
     ch = geom2d.load_choreography(args.choreo)
-    dim3 = isinstance(ch, geom3d.Choreo3)
+    dim3 = ch.dim == 3
     if ch.n > _max_n():
         raise BraidGammaError(f"choreography has n={ch.n} above the cap {_max_n()}")
     if dim3 and rc.target == "gammar":
@@ -248,7 +249,7 @@ def _cmd_trace(rc: RunConfig, args) -> int:
     cls = invariant(red, ch.n)
     payload = {
         "n": ch.n,
-        "dim": 3 if dim3 else 2,
+        "dim": ch.dim,
         "loop": ch.loop,
         "target": rc.target,
         "events": ev_payload,
@@ -376,16 +377,23 @@ def _cmd_canon(rc: RunConfig, args) -> int:
     return 0
 
 
+def _parse_circle(text: str) -> tuple[int, ...]:
+    """The point indices of --circle "j,p,q": three runs of ASCII digits."""
+    parts = text.split(",")
+    try:
+        parsed = [parse_uint(part, 0) for part in parts]
+    except WordSyntaxError:
+        parsed = []
+    if len(parsed) != 3 or any(end != len(part) for part, (_, end) in zip(parts, parsed)):
+        raise BraidGammaError('--circle wants three comma-separated indices "j,p,q"')
+    return tuple(value for value, _ in parsed)
+
+
 def _cmd_render(rc: RunConfig, args) -> int:
     ch = geom2d.load_choreography(args.choreo)
     from .svg import render_frame
 
-    circle = None
-    if args.circle:
-        parts = args.circle.split(",")
-        if len(parts) != 3:
-            raise BraidGammaError('--circle wants three comma-separated indices "j,p,q"')
-        circle = tuple(int(v) for v in parts)
+    circle = _parse_circle(args.circle) if args.circle else None
     data = render_frame(ch, rat_from_str(args.t), circle)
     if not rc.out:
         raise BraidGammaError("render needs --out FILE")

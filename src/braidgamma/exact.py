@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, WordSyntaxError
+from .words import parse_uint
 
 
 def sign(x) -> int:
@@ -12,16 +13,23 @@ def sign(x) -> int:
 
 
 def rat_from_str(text: str) -> Fraction:
-    """Parse "p/q" (or a bare integer string) into a Fraction."""
+    """Parse "p/q" or a bare integer "p": ASCII digits, an optional leading
+    "-", and a positive denominator; nothing else (no spaces, "+" or "_")."""
+    if not isinstance(text, str):
+        raise ValidationError(f"bad rational literal {text!r}: expected a string")
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            f = Fraction(int(num), int(den))
-        else:
-            f = Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        start = 1 if text.startswith("-") else 0
+        num, i = parse_uint(text, start)
+        den = 1
+        if i < len(text) and text[i] == "/":
+            den, i = parse_uint(text, i + 1)
+        if i != len(text):
+            raise WordSyntaxError("unexpected character", i)
+    except WordSyntaxError as exc:
         raise ValidationError(f"bad rational literal {text!r}: {exc}") from None
-    return f
+    if den == 0:
+        raise ValidationError(f"bad rational literal {text!r}: zero denominator")
+    return Fraction(-num if start else num, den)
 
 
 def rat_to_str(x: Fraction) -> str:

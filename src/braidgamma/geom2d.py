@@ -25,6 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateError,
@@ -36,6 +37,9 @@ from .exact import rat_from_str, rat_to_str, sign
 from .generators import GammaGen, GGen
 from .roots import AlgebraicRoot, ConstantZero, EndpointZero, isolate_unit_roots
 from .words import GammaWord, GWord, MultiWord
+
+if TYPE_CHECKING:
+    from .geom3d import Pt3
 
 
 @dataclass(frozen=True)
@@ -142,22 +146,47 @@ def _base_config_ok(pts) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def lerp(p, q, t):
+    """The point p + t (q - p), of the same type as p (Pt2 or Pt3)."""
+    return type(p)(*(a + t * (b - a) for a, b in zip(p, q)))
+
+
+def _hits_inside(p0, p1, s) -> bool:
+    """Whether the segment p0 -> p1 passes through s strictly between its
+    ends, component by component, so in any dimension."""
+    ts = set()
+    for a, b, c in zip(p0, p1, s):
+        if b != a:
+            ts.add(Fraction(c - a, b - a))
+        elif c != a:
+            return False
+    return len(ts) == 1 and 0 < ts.pop() < 1
+
+
 @dataclass(frozen=True)
 class Move:
     point: int
-    to: Pt2
+    to: Pt2 | Pt3
 
 
 @dataclass(frozen=True)
 class Choreography:
-    """A motion plan: one point interpolates linearly per unit time segment."""
+    """A motion plan: one point interpolates linearly per unit time segment.
+
+    The points are all Pt2 (planar, traced by `trace`) or all Pt3 (spatial,
+    traced by `geom3d.trace3`); `dim` reads which from the start points.
+    """
 
     n: int
-    start: tuple[Pt2, ...]
+    start: tuple[Pt2 | Pt3, ...]
     moves: tuple[Move, ...] = ()
     loop: bool = False
 
-    def configs(self) -> list[tuple[Pt2, ...]]:
+    @property
+    def dim(self) -> int:
+        return len(tuple(self.start[0])) if self.start else 2
+
+    def configs(self) -> list[tuple[Pt2 | Pt3, ...]]:
         out = [self.start]
         cur = list(self.start)
         for seg, m in enumerate(self.moves):
@@ -168,52 +197,41 @@ class Choreography:
         return out
 
     @property
-    def end(self) -> tuple[Pt2, ...]:
+    def end(self) -> tuple[Pt2 | Pt3, ...]:
         return self.configs()[-1]
 
-    def position(self, t: Fraction) -> tuple[Pt2, ...]:
+    def position(self, t: Fraction) -> tuple[Pt2 | Pt3, ...]:
         """Configuration at global time t in [0, len(moves)]."""
         t = Fraction(t)
         if not 0 <= t <= len(self.moves):
             raise ValidationError(f"time {t} outside [0, {len(self.moves)}]")
         configs = self.configs()
-        seg = min(int(t), len(self.moves) - 1) if self.moves else 0
         if not self.moves or t == len(self.moves):
             return configs[-1]
-        local = t - seg
+        seg = int(t)
         cur = list(configs[seg])
         m = self.moves[seg]
-        p0 = cur[m.point - 1]
-        cur[m.point - 1] = Pt2(
-            p0.x + local * (m.to.x - p0.x), p0.y + local * (m.to.y - p0.y)
-        )
+        cur[m.point - 1] = lerp(cur[m.point - 1], m.to, t - seg)
         return tuple(cur)
 
     def validate(self) -> None:
         if self.n < 1 or len(self.start) != self.n:
             raise ValidationError(f"expected {self.n} start points, got {len(self.start)}")
+        kind = type(self.start[0])
+        if any(type(p) is not kind for p in self.start + tuple(m.to for m in self.moves)):
+            raise ValidationError("points of one choreography must all be Pt2 or all Pt3")
         configs = self.configs()
         for which, cfg in enumerate(configs):
             if len(set(cfg)) != self.n:
                 raise ValidationError(f"coincident points at waypoint {which}")
+            if self.dim == 3:
+                from .geom3d import require_no_collinear_triple
+
+                require_no_collinear_triple(cfg, f"at waypoint {which}")
         for seg, m in enumerate(self.moves):
             p0 = configs[seg][m.point - 1]
-            dx, dy = m.to.x - p0.x, m.to.y - p0.y
-            if dx == 0 and dy == 0:
-                continue
             for k, s in enumerate(configs[seg], start=1):
-                if k == m.point:
-                    continue
-                # does p0 + t*(dx,dy) hit s for 0 < t < 1?
-                if dx != 0:
-                    t = (s.x - p0.x) / dx
-                    hit = p0.y + t * dy == s.y
-                else:
-                    if s.x != p0.x:
-                        continue
-                    t = (s.y - p0.y) / dy
-                    hit = True
-                if hit and 0 < t < 1:
+                if k != m.point and _hits_inside(p0, m.to, s):
                     raise ValidationError(
                         f"point {m.point} collides with point {k} inside segment {seg}"
                     )
@@ -244,11 +262,8 @@ def subdivide(ch: Choreography, seg: int, at: Fraction = Fraction(1, 2)) -> Chor
     """Split segment `seg` at local parameter `at` (event words are unchanged)."""
     if not 0 < Fraction(at) < 1:
         raise ValidationError("subdivision parameter must be strictly inside (0,1)")
-    configs = ch.configs()
     m = ch.moves[seg]
-    p0 = configs[seg][m.point - 1]
-    at = Fraction(at)
-    mid = Pt2(p0.x + at * (m.to.x - p0.x), p0.y + at * (m.to.y - p0.y))
+    mid = lerp(ch.configs()[seg][m.point - 1], m.to, Fraction(at))
     moves = ch.moves[:seg] + (Move(m.point, mid), m) + ch.moves[seg + 1 :]
     return Choreography(ch.n, ch.start, moves, loop=ch.loop)
 
@@ -276,10 +291,8 @@ def _incircle_coeffs(a, b, c, m0, m1):
     Only the mover's row of the lifted determinant depends on t, so the true
     degree is at most two and interpolation at t = 0, 1/2, 1 is exact.
     """
-    half = Fraction(1, 2)
-    mid = Pt2(m0.x + half * (m1.x - m0.x), m0.y + half * (m1.y - m0.y))
     p0 = _incircle_raw(a, b, c, m0)
-    ph = _incircle_raw(a, b, c, mid)
+    ph = _incircle_raw(a, b, c, lerp(m0, m1, Fraction(1, 2)))
     p1 = _incircle_raw(a, b, c, m1)
     c2 = 2 * (p1 + p0 - 2 * ph)
     c1 = p1 - p0 - c2
@@ -333,7 +346,9 @@ def _angular_cycle(root: AlgebraicRoot, center: Pt2, points) -> tuple[int, ...]:
 
 
 def trace(ch: Choreography) -> list[Event]:
-    """All wall crossings of a valid choreography, ordered by (segment, time)."""
+    """All wall crossings of a valid planar choreography, ordered by (segment, time)."""
+    if ch.dim != 2:
+        raise ValidationError("trace needs a planar choreography; use geom3d.trace3")
     ch.validate()
     configs = ch.configs()
     events: list[Event] = []
@@ -503,12 +518,9 @@ def _build_event(n, seg, cfg, mover, m0, m1, root, triple, t_left, t_right):
             )
         side[k] = s
 
-    def mover_at(t):
-        return Pt2(m0.x + t * (m1.x - m0.x), m0.y + t * (m1.y - m0.y))
-
     counts = []
     for t in (t_left, t_right):
-        ms = orient2d(a, b, mover_at(t))
+        ms = orient2d(a, b, lerp(m0, m1, t))
         assert ms != 0
         counts.append(sum(1 for k in bystanders if side[k] == -ms))
     if counts[0] != counts[1]:
@@ -600,40 +612,58 @@ def braid_choreography(w) -> Choreography:
 def choreography_to_json(ch: Choreography) -> dict:
     return {
         "n": ch.n,
-        "dim": 2,
-        "points": [[rat_to_str(p.x), rat_to_str(p.y)] for p in ch.start],
-        "moves": [
-            {"point": m.point, "to": [rat_to_str(m.to.x), rat_to_str(m.to.y)]}
-            for m in ch.moves
-        ],
+        "dim": ch.dim,
+        "points": [[rat_to_str(v) for v in p] for p in ch.start],
+        "moves": [{"point": m.point, "to": [rat_to_str(v) for v in m.to]} for m in ch.moves],
         "loop": ch.loop,
     }
 
 
-def choreography_from_json(data: dict):
-    """Build a 2D or 3D choreography from the documented JSON schema."""
+def _json_typed(value, kind: type, what: str):
+    """value, if its type is exactly kind: true is not an int, nor 1 a bool."""
+    if type(value) is not kind:
+        raise ValidationError(
+            f"malformed choreography JSON: {what} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def choreography_from_json(data: dict) -> Choreography:
+    """Build a 2D or 3D choreography from the documented JSON schema.
+
+    `n`, `dim` and each move's `point` must be JSON integers, `loop` a JSON
+    boolean, and every coordinate list must hold exactly `dim` rationals.
+    """
     if not isinstance(data, dict) or "dim" not in data:
         raise ValidationError("choreography JSON must be an object with a 'dim' field")
-    dim = data["dim"]
-    if dim == 3:
-        from . import geom3d
-
-        return geom3d.choreo3_from_json(data)
-    if dim != 2:
+    dim = _json_typed(data["dim"], int, "dim")
+    if dim == 2:
+        kind = Pt2
+    elif dim == 3:
+        from .geom3d import Pt3 as kind
+    else:
         raise ValidationError(f"unsupported dim {dim!r}")
+
+    def point(coords):
+        if not isinstance(coords, list) or len(coords) != dim:
+            raise ValidationError(
+                f"malformed choreography JSON: expected {dim} coordinates, got {coords!r}"
+            )
+        return kind(*map(rat_from_str, coords))
+
     try:
-        n = int(data["n"])
-        start = tuple(Pt2(rat_from_str(x), rat_from_str(y)) for x, y in data["points"])
+        n = _json_typed(data["n"], int, "n")
+        start = tuple(point(p) for p in data["points"])
         moves = tuple(
-            Move(int(m["point"]), Pt2(rat_from_str(m["to"][0]), rat_from_str(m["to"][1])))
+            Move(_json_typed(m["point"], int, "point"), point(m["to"]))
             for m in data.get("moves", ())
         )
-        loop = bool(data.get("loop", False))
-    except (KeyError, TypeError, ValueError) as exc:
+        loop = _json_typed(data.get("loop", False), bool, "loop")
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed choreography JSON: {exc}") from None
     return Choreography(n, start, moves, loop=loop)
 
 
-def load_choreography(path: str):
+def load_choreography(path: str) -> Choreography:
     with open(path, "r", encoding="utf-8") as fh:
         return choreography_from_json(json.load(fh))

@@ -1,7 +1,7 @@
 """Exact spatial event tracer for loops of points in 3-space.
 
-Paths live in the restricted configuration space where no three points are
-ever collinear.  With one point moving per unit segment, the coplanarity
+Paths are `geom2d.Choreography` plans whose points are `Pt3`.  They live in
+the restricted configuration space where no three points are ever collinear.  With one point moving per unit segment, the coplanarity
 determinant of any 4-tuple is linear in time, so every event time is an
 exact rational.  An event is *special* when the four coplanar points form a
 convex quadrilateral and all remaining points lie strictly on one side of
@@ -15,18 +15,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    CollinearTripleError,
-    DegenerateError,
-    EndpointMismatchError,
-    ValidationError,
-)
-from .exact import rat_from_str, rat_to_str, sign
+from .errors import CollinearTripleError, DegenerateError, ValidationError
+from .exact import sign
 from .generators import GammaGen, GGen
+from .geom2d import Choreography, lerp
 from .words import GammaWord
 
 
@@ -71,87 +66,11 @@ def _collinear(a: Pt3, b: Pt3, c: Pt3) -> bool:
     return _cross(_sub(b, a), _sub(c, a)) == (0, 0, 0)
 
 
-@dataclass(frozen=True)
-class Move3:
-    point: int
-    to: Pt3
-
-
-@dataclass(frozen=True)
-class Choreo3:
-    """Spatial motion plan; same one-point-per-segment model as the planar one."""
-
-    n: int
-    start: tuple[Pt3, ...]
-    moves: tuple[Move3, ...] = ()
-    loop: bool = False
-
-    def configs(self) -> list[tuple[Pt3, ...]]:
-        out = [self.start]
-        cur = list(self.start)
-        for seg, m in enumerate(self.moves):
-            if not 1 <= m.point <= self.n:
-                raise ValidationError(f"move {seg} names point {m.point} outside 1..{self.n}")
-            cur[m.point - 1] = m.to
-            out.append(tuple(cur))
-        return out
-
-    @property
-    def end(self) -> tuple[Pt3, ...]:
-        return self.configs()[-1]
-
-    def validate(self) -> None:
-        if self.n < 1 or len(self.start) != self.n:
-            raise ValidationError(f"expected {self.n} start points, got {len(self.start)}")
-        configs = self.configs()
-        for which, cfg in enumerate(configs):
-            if len(set(cfg)) != self.n:
-                raise ValidationError(f"coincident points at waypoint {which}")
-            for t in itertools.combinations(range(self.n), 3):
-                if _collinear(cfg[t[0]], cfg[t[1]], cfg[t[2]]):
-                    raise CollinearTripleError(
-                        f"points {tuple(k + 1 for k in t)} collinear at waypoint {which}"
-                    )
-        for seg, m in enumerate(self.moves):
-            p0 = configs[seg][m.point - 1]
-            d = _sub(m.to, p0)
-            if d == (0, 0, 0):
-                continue
-            for k, s in enumerate(configs[seg], start=1):
-                if k == m.point:
-                    continue
-                ts = []
-                for comp, delta in zip(_sub(s, p0), d):
-                    if delta != 0:
-                        ts.append(Fraction(comp, 1) / delta)
-                    elif comp != 0:
-                        ts.append(None)
-                ts = set(ts)
-                if len(ts) == 1 and None not in ts:
-                    (t,) = ts
-                    if 0 < t < 1:
-                        raise ValidationError(
-                            f"point {m.point} collides with point {k} inside segment {seg}"
-                        )
-        if self.loop and configs[-1] != self.start:
-            raise ValidationError("loop flag set but final configuration differs from start")
-
-
-def reverse3(ch: Choreo3) -> Choreo3:
-    configs = ch.configs()
-    moves = tuple(
-        Move3(ch.moves[k].point, configs[k][ch.moves[k].point - 1])
-        for k in range(len(ch.moves) - 1, -1, -1)
-    )
-    return Choreo3(ch.n, configs[-1], moves, loop=ch.loop)
-
-
-def concat3(ch1: Choreo3, ch2: Choreo3) -> Choreo3:
-    if ch1.n != ch2.n:
-        raise EndpointMismatchError("choreographies have different n")
-    if ch1.end != ch2.start:
-        raise EndpointMismatchError("second choreography does not start where the first ends")
-    return Choreo3(ch1.n, ch1.start, ch1.moves + ch2.moves, loop=ch1.start == ch2.end)
+def require_no_collinear_triple(cfg: tuple[Pt3, ...], where: str) -> None:
+    """Raise CollinearTripleError naming the first collinear triple of cfg."""
+    for t in itertools.combinations(range(1, len(cfg) + 1), 3):
+        if _collinear(cfg[t[0] - 1], cfg[t[1] - 1], cfg[t[2] - 1]):
+            raise CollinearTripleError(f"points {t} collinear {where}")
 
 
 @dataclass(frozen=True)
@@ -232,8 +151,10 @@ def _convex_cycle(pts3: dict[int, Pt3]):
     return True, tuple(sorted(ids, key=functools.cmp_to_key(cmp)))
 
 
-def trace3(ch: Choreo3) -> list[Event3]:
+def trace3(ch: Choreography) -> list[Event3]:
     """All coplanarity events of a valid spatial choreography, in time order."""
+    if ch.dim != 3:
+        raise ValidationError("trace3 needs a spatial choreography; use geom2d.trace")
     ch.validate()
     configs = ch.configs()
     events: list[Event3] = []
@@ -281,12 +202,8 @@ def trace3(ch: Choreo3) -> list[Event3]:
                         segment=seg,
                         subsets=[t1 + (mover,), t2 + (mover,)],
                     )
-            at = _config_at(cfg, mover, m0, m1, tau)
-            for t in itertools.combinations(range(1, ch.n + 1), 3):
-                if _collinear(at[t[0] - 1], at[t[1] - 1], at[t[2] - 1]):
-                    raise CollinearTripleError(
-                        f"points {t} collinear at event time t={tau} of segment {seg}"
-                    )
+            at = cfg[: mover - 1] + (lerp(m0, m1, tau),) + cfg[mover:]
+            require_no_collinear_triple(at, f"at event time t={tau} of segment {seg}")
             for _, triple in sorted(group, key=lambda h: h[1]):
                 events.append(_build_event3(ch.n, seg, at, mover, triple, tau))
     return events
@@ -299,16 +216,6 @@ def _orient3d_value(a, b, c, d) -> Fraction:
         - u[1] * (v[0] * w[2] - v[2] * w[0])
         + u[2] * (v[0] * w[1] - v[1] * w[0])
     )
-
-
-def _config_at(cfg, mover, m0, m1, tau):
-    at = list(cfg)
-    at[mover - 1] = Pt3(
-        m0.x + tau * (m1.x - m0.x),
-        m0.y + tau * (m1.y - m0.y),
-        m0.z + tau * (m1.z - m0.z),
-    )
-    return tuple(at)
 
 
 def _build_event3(n, seg, at, mover, triple, tau) -> Event3:
@@ -342,58 +249,8 @@ def _build_event3(n, seg, at, mover, triple, tau) -> Event3:
     )
 
 
-def loop_word(ch: Choreo3) -> GammaWord:
+def loop_word(ch: Choreography) -> GammaWord:
     """Letters of the special events of a loop, in time order."""
     if not ch.loop:
         raise ValidationError("loop_word needs a loop choreography (loop flag set)")
     return GammaWord(tuple(e.quad for e in trace3(ch) if e.special))
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange (dim 3)
-# ---------------------------------------------------------------------------
-
-
-def choreo3_to_json(ch: Choreo3) -> dict:
-    return {
-        "n": ch.n,
-        "dim": 3,
-        "points": [[rat_to_str(p.x), rat_to_str(p.y), rat_to_str(p.z)] for p in ch.start],
-        "moves": [
-            {
-                "point": m.point,
-                "to": [rat_to_str(m.to.x), rat_to_str(m.to.y), rat_to_str(m.to.z)],
-            }
-            for m in ch.moves
-        ],
-        "loop": ch.loop,
-    }
-
-
-def choreo3_from_json(data: dict) -> Choreo3:
-    try:
-        n = int(data["n"])
-        start = tuple(
-            Pt3(rat_from_str(x), rat_from_str(y), rat_from_str(z))
-            for x, y, z in data["points"]
-        )
-        moves = tuple(
-            Move3(
-                int(m["point"]),
-                Pt3(
-                    rat_from_str(m["to"][0]),
-                    rat_from_str(m["to"][1]),
-                    rat_from_str(m["to"][2]),
-                ),
-            )
-            for m in data.get("moves", ())
-        )
-        loop = bool(data.get("loop", False))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed choreography JSON: {exc}") from None
-    return Choreo3(n, start, moves, loop=loop)
-
-
-def load_choreo3(path: str) -> Choreo3:
-    with open(path, "r", encoding="utf-8") as fh:
-        return choreo3_from_json(json.load(fh))

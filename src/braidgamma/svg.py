@@ -24,7 +24,7 @@ def _fmt(v: float) -> str:
 
 def render_frame(ch: Choreography, t, circle: tuple[int, int, int] | None = None) -> bytes:
     """One frame at global rational time t, optionally with a circumcircle."""
-    if not isinstance(ch, Choreography):
+    if not isinstance(ch, Choreography) or ch.dim != 2:
         raise ValidationError("rendering is only defined for planar choreographies")
     pts = ch.position(Fraction(t))
     xs = [float(p.x) for p in pts]

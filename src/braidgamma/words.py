@@ -395,7 +395,10 @@ def parse_uint(text: str, i: int) -> tuple[int, int]:
         j += 1
     if j == i:
         raise WordSyntaxError("expected an integer", i)
-    return int(text[i:j]), j
+    try:
+        return int(text[i:j]), j
+    except ValueError:  # more digits than int() converts
+        raise WordSyntaxError("integer too long", i) from None
 
 
 def _parse_quad(text: str, i: int, close: str) -> tuple[tuple[int, int, int, int], int]:

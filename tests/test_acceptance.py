@@ -29,17 +29,10 @@ from braidgamma.geom2d import (
     incircle_sign,
     orient2d,
     pt2,
+    reverse,
     trace,
 )
-from braidgamma.geom3d import (
-    Choreo3,
-    Move3,
-    loop_word,
-    orient3d_sign,
-    pt3,
-    reverse3,
-    trace3,
-)
+from braidgamma.geom3d import loop_word, orient3d_sign, pt3, trace3
 from braidgamma.homs import HomConfig, inside_count, letter_slot, map_braid
 from braidgamma.words import (
     GammaWord,
@@ -270,7 +263,7 @@ def _segments_cross(a, b, c, d):
     return o(a, b, c) * o(a, b, d) < 0 and o(c, d, a) * o(c, d, b) < 0
 
 
-def _oracle_events(ch: Choreo3):
+def _oracle_events(ch: Choreography):
     """Brute-force event finder: dense sign sampling per tuple (the
     determinant is linear in t, so any grid brackets every root), exact root
     by linear interpolation, convexity by the crossing-diagonals rule."""
@@ -353,7 +346,7 @@ def _oracle_events(ch: Choreo3):
     return out
 
 
-def _corpus_choreography(k: int) -> Choreo3:
+def _corpus_choreography(k: int) -> Choreography:
     """50 varied crossings: convex/non-convex quadrilateral, one/two-sided
     bystanders, jiggled by k to stay generic."""
     d1 = Fraction(k % 7, 13)
@@ -374,8 +367,8 @@ def _corpus_choreography(k: int) -> Choreo3:
     E2 = pt3(6, 2 + d1, e2z)
     lo = pt3(cross_xy[0], cross_xy[1], -4 - d2)
     hi = pt3(cross_xy[0], cross_xy[1], 6 + d1)
-    return Choreo3(
-        6, (A, B, C, E1, E2, lo), (Move3(6, hi), Move3(6, lo)), loop=True
+    return Choreography(
+        6, (A, B, C, E1, E2, lo), (Move(6, hi), Move(6, lo)), loop=True
     )
 
 
@@ -395,7 +388,7 @@ def test_criterion_08_spatial_special_filter():
         assert got == oracle, f"corpus item {k}"
         checked_special += sum(1 for e in events if e.special)
         word = loop_word(ch)
-        assert loop_word(reverse3(ch)) == invert(word)
+        assert loop_word(reverse(ch)) == invert(word)
     assert checked_special > 0
     report(8, f"50 spatial choreographies match the sampling oracle "
               f"({checked_special} special events)")

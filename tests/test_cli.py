@@ -4,10 +4,12 @@ import pytest
 
 from braidgamma.cli import main
 from braidgamma.geom2d import (
+    Choreography,
+    Move,
     choreography_to_json,
     generator_choreography,
 )
-from braidgamma.geom3d import Choreo3, Move3, choreo3_to_json, pt3
+from braidgamma.geom3d import pt3
 
 
 @pytest.fixture()
@@ -20,14 +22,14 @@ def choreo_path(tmp_path):
 @pytest.fixture()
 def choreo3_path(tmp_path):
     A, B, C = pt3(0, 0, 0), pt3(10, 1, 0), pt3(3, 9, 0)
-    ch = Choreo3(
+    ch = Choreography(
         6,
         (A, B, C, pt3(2, 3, 7), pt3(6, 2, 5), pt3(11, 9, -4)),
-        (Move3(6, pt3(11, 9, 6)), Move3(6, pt3(11, 9, -4))),
+        (Move(6, pt3(11, 9, 6)), Move(6, pt3(11, 9, -4))),
         loop=True,
     )
     path = tmp_path / "space.json"
-    path.write_text(json.dumps(choreo3_to_json(ch)))
+    path.write_text(json.dumps(choreography_to_json(ch)))
     return str(path)
 
 
@@ -103,6 +105,40 @@ def test_trace_rejects_move_of_missing_point(tmp_path, capsys, choreo_path, chor
         bad.write_text(json.dumps(data))
         assert main(["trace", str(bad)]) == 3
         assert f"move 0 names point {point} outside 1..{data['n']}" in capsys.readouterr().err
+
+
+# Each entry edits a decoded choreography into JSON that must be refused.
+LOOSE_JSON = {
+    "point 1.9": lambda d: d["moves"][0].update(point=1.9),
+    "point true": lambda d: d["moves"][0].update(point=True),
+    "n 4.7": lambda d: d.update(n=d["n"] + 0.7),
+    "n true": lambda d: d.update(n=True),
+    "loop 'no'": lambda d: d.update(loop="no"),
+    "loop 1": lambda d: d.update(loop=1),
+    "dim 2.0": lambda d: d.update(dim=float(d["dim"])),
+    "move with dim+1 coordinates": lambda d: d["moves"][0]["to"].append("0/1"),
+    "move with dim-1 coordinates": lambda d: d["moves"][0]["to"].pop(),
+    "point with dim+1 coordinates": lambda d: d["points"][0].append("0/1"),
+    "coordinate 1_0": lambda d: d["points"][0].__setitem__(0, "1_0"),
+    "coordinate ' 7 '": lambda d: d["points"][0].__setitem__(0, " 7 "),
+    "coordinate arabic-indic 3": lambda d: d["points"][0].__setitem__(0, "\u0663"),
+    "coordinate +3": lambda d: d["points"][0].__setitem__(0, "+3"),
+    "negative denominator": lambda d: d["points"][0].__setitem__(0, "1/-2"),
+    "JSON number coordinate": lambda d: d["points"][0].__setitem__(0, 3),
+}
+
+
+@pytest.mark.parametrize("edit", LOOSE_JSON.values(), ids=LOOSE_JSON.keys())
+def test_trace_rejects_loose_json(tmp_path, capsys, choreo_path, choreo3_path, edit):
+    for path in (choreo_path, choreo3_path):
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["trace", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert "malformed choreography JSON" in err or "bad rational literal" in err
 
 
 def test_check_passes(capsys):
@@ -184,6 +220,28 @@ def test_map_traced_mode(capsys):
 def test_render_rejects_spatial_input(tmp_path, choreo3_path):
     out = tmp_path / "frame.svg"
     assert main(["render", choreo3_path, "--t", "1/2", "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize(
+    "circle", ["1,2,x", "1, 2,\u0663", "1,2,\u0663", "1,2", "1,2,3,4", "1,,3", "1,2,3 "]
+)
+def test_render_rejects_bad_circle(tmp_path, capsys, choreo_path, circle):
+    out = tmp_path / "frame.svg"
+    assert main(["render", choreo_path, "--t", "1/2", "--circle", circle, "--out", str(out)]) == 3
+    assert "--circle wants three comma-separated indices" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t", ["1_0", " 1 ", "\u0663", "1.5"])
+def test_render_rejects_non_ascii_rational_time(tmp_path, capsys, choreo_path, t):
+    out = tmp_path / "frame.svg"
+    assert main(["render", choreo_path, "--t", t, "--out", str(out)]) == 3
+    assert "bad rational literal" in capsys.readouterr().err
+
+
+def test_overlong_integer_is_a_syntax_error(capsys):
+    assert main(["map", "-n", "4", "b(1," + "9" * 5000 + ")"]) == 3
+    assert "integer too long" in capsys.readouterr().err
 
 
 def test_map_from_file(tmp_path, capsys):

@@ -11,6 +11,7 @@ from braidgamma.errors import (
     UnstableWarning,
     ValidationError,
 )
+from braidgamma.exact import rat_from_str
 from braidgamma.generators import GammaGen
 from braidgamma.geom2d import (
     Choreography,
@@ -31,6 +32,7 @@ from braidgamma.geom2d import (
     subdivide,
     trace,
 )
+from braidgamma.geom3d import loop_word, pt3, trace3
 from braidgamma.homs import inside_count
 from braidgamma.words import (
     GammaWord,
@@ -109,16 +111,62 @@ def test_base_config_properties():
 # ---------------------------------------------------------------------------
 
 
-def test_validation_catches_collisions():
-    ch = Choreography(2, (pt2(0, 0), pt2(2, 0)), (Move(1, pt2(4, 0)),))
+# the plane itself, and an injective affine lift of it into space: every
+# planar collision test below must come out the same in both
+LIFTS = {2: pt2, 3: lambda x, y: pt3(x, y, x - 2 * y)}
+
+
+def spatial_loop():
+    """A loop whose mover crosses the plane of points 1, 2, 3 and comes back."""
+    lo, hi = pt3(11, 9, -4), pt3(11, 9, 6)
+    start = (pt3(0, 0, 0), pt3(10, 1, 0), pt3(3, 9, 0), pt3(2, 3, 7), pt3(6, 2, 5), lo)
+    return Choreography(6, start, (Move(6, hi), Move(6, lo)), loop=True)
+
+
+# one loop per dimension, with the word its tracer reads off it
+LOOPS = {
+    2: (lambda: generator_choreography(4, 1, 3), lambda ch: events_to_word(trace(ch), "gamma")),
+    3: (spatial_loop, loop_word),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_validation_catches_collisions(dim):
+    p = LIFTS[dim]
+    ch = Choreography(2, (p(0, 0), p(2, 0)), (Move(1, p(4, 0)),))
     with pytest.raises(ValidationError):
         ch.validate()  # point 1 passes through point 2
-    ok = Choreography(2, (pt2(0, 0), pt2(2, 0)), (Move(1, pt2(1, 0)),))
+    ok = Choreography(2, (p(0, 0), p(2, 0)), (Move(1, p(1, 0)),))
     ok.validate()
     with pytest.raises(ValidationError):
-        Choreography(2, (pt2(0, 0), pt2(0, 0))).validate()
+        Choreography(2, (p(0, 0), p(0, 0))).validate()
     with pytest.raises(ValidationError):
-        Choreography(2, (pt2(0, 0), pt2(2, 0)), (Move(1, pt2(1, 1)),), loop=True).validate()
+        Choreography(2, (p(0, 0), p(2, 0)), (Move(1, p(1, 1)),), loop=True).validate()
+
+
+def test_dimension_is_read_from_the_points():
+    planar, spatial = LOOPS[2][0](), LOOPS[3][0]()
+    assert (planar.dim, spatial.dim) == (2, 3)
+    mixed = Choreography(2, (pt2(0, 0), pt2(2, 0)), (Move(1, pt3(1, 1, 1)),))
+    with pytest.raises(ValidationError):
+        mixed.validate()
+    with pytest.raises(ValidationError):
+        trace(spatial)
+    with pytest.raises(ValidationError):
+        trace3(planar)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_reverse_subdivide_and_position(dim):
+    make, word_of = LOOPS[dim]
+    ch = make()
+    assert reverse(reverse(ch)) == ch
+    word = word_of(ch)
+    for seg in range(len(ch.moves)):
+        assert word_of(subdivide(ch, seg, Fraction(1, 3))) == word
+    configs = ch.configs()
+    assert [ch.position(k) for k in range(len(configs))] == configs
+    assert ch.position(Fraction(4, 3)) == subdivide(ch, 1, Fraction(1, 3)).configs()[2]
 
 
 def test_concat_endpoint_check():
@@ -129,13 +177,22 @@ def test_concat_endpoint_check():
     assert both.loop
 
 
-def test_json_roundtrip():
-    ch = generator_choreography(4, 1, 3)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_json_roundtrip(dim):
+    ch = LOOPS[dim][0]()
     data = choreography_to_json(ch)
-    assert data["dim"] == 2 and data["loop"] is True
+    assert data["dim"] == dim and data["loop"] is True
     assert choreography_from_json(data) == ch
     with pytest.raises(ValidationError):
         choreography_from_json({"n": 2, "dim": 5})
+
+
+def test_rat_from_str_accepts_ascii_rationals_only():
+    for text, value in (("3", 3), ("-3", -3), ("6/8", Fraction(3, 4)), ("-0/5", 0)):
+        assert rat_from_str(text) == value
+    for text in ("1_0", " 7 ", "\u0663", "+3", "3/-4", "3/0", "", "-", "3/", "1.5", "1/2/3", 7):
+        with pytest.raises(ValidationError):
+            rat_from_str(text)
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,15 @@ from braidgamma.errors import (
     ValidationError,
 )
 from braidgamma.generators import GammaGen
-from braidgamma.geom3d import (
-    Choreo3,
-    Move3,
-    choreo3_from_json,
-    choreo3_to_json,
-    concat3,
-    loop_word,
-    orient3d_sign,
-    pt3,
-    reverse3,
-    trace3,
+from braidgamma.geom2d import (
+    Choreography,
+    Move,
+    choreography_from_json,
+    choreography_to_json,
+    concat,
+    reverse,
 )
+from braidgamma.geom3d import loop_word, orient3d_sign, pt3, trace3
 from braidgamma.words import GammaWord, free_reduce, invariant_equal, invert
 
 
@@ -76,8 +73,8 @@ def crossing(n_extra, cross_at, extras, there_and_back=False):
     m1 = pt3(cross_at[0], cross_at[1], 6)
     pts = (A, B, C) + tuple(extras) + (m0,)
     n = 4 + n_extra
-    moves = (Move3(n, m1), Move3(n, m0)) if there_and_back else (Move3(n, m1),)
-    return Choreo3(n, pts, moves, loop=there_and_back)
+    moves = (Move(n, m1), Move(n, m0)) if there_and_back else (Move(n, m1),)
+    return Choreography(n, pts, moves, loop=there_and_back)
 
 
 def test_convex_one_sided_crossing_is_special():
@@ -89,7 +86,7 @@ def test_convex_one_sided_crossing_is_special():
         assert e.convex and e.one_sided and e.special and e.side != 0
     word = loop_word(ch)
     assert free_reduce(word) == GammaWord()
-    assert loop_word(reverse3(ch)) == invert(word)
+    assert loop_word(reverse(ch)) == invert(word)
 
 
 def test_nonconvex_crossing_is_not_special():
@@ -121,7 +118,7 @@ def test_quad_letter_ignores_viewing_side():
 
 def test_static_coplanar_quadruple_is_degenerate():
     pts = (A, B, C, pt3(7, 7, 0), pt3(1, 1, 5))
-    ch = Choreo3(5, pts, (Move3(5, pt3(1, 1, 6)),))
+    ch = Choreography(5, pts, (Move(5, pt3(1, 1, 6)),))
     with pytest.raises(DegenerateError):
         trace3(ch)
 
@@ -135,19 +132,19 @@ def test_fifth_point_on_event_plane_is_degenerate():
 
 def test_endpoint_wall_contact_is_degenerate():
     pts = (A, B, C, pt3(11, 9, 0))
-    ch = Choreo3(4, pts, (Move3(4, pt3(11, 9, 5)),))
+    ch = Choreography(4, pts, (Move(4, pt3(11, 9, 5)),))
     with pytest.raises(DegenerateError):
         trace3(ch)
 
 
 def test_collinear_triples_are_rejected():
     with pytest.raises(CollinearTripleError):
-        Choreo3(4, (A, B, pt3(20, 2, 0), pt3(1, 1, 1))).validate()
+        Choreography(4, (A, B, pt3(20, 2, 0), pt3(1, 1, 1))).validate()
     # collinearity hit exactly at an event time
-    ch = Choreo3(
+    ch = Choreography(
         4,
         (A, B, pt3(3, 9, 2), pt3(20, 2, -1)),
-        (Move3(4, pt3(20, 2, 1)),),
+        (Move(4, pt3(20, 2, 1)),),
     )
     with pytest.raises(CollinearTripleError):
         trace3(ch)
@@ -164,14 +161,14 @@ def test_disjoint_quads_commute_at_invariant_level():
     m2_lo, m2_hi = pt3(far + 15, 8, 50 - q), pt3(far + 15, 8, 50 + q)
     pts = D1 + D2 + (m1_lo, m2_lo)
 
-    first_then_second = Choreo3(
+    first_then_second = Choreography(
         8, pts,
-        (Move3(7, m1_hi), Move3(7, m1_lo), Move3(8, m2_hi), Move3(8, m2_lo)),
+        (Move(7, m1_hi), Move(7, m1_lo), Move(8, m2_hi), Move(8, m2_lo)),
         loop=True,
     )
-    second_then_first = Choreo3(
+    second_then_first = Choreography(
         8, pts,
-        (Move3(8, m2_hi), Move3(8, m2_lo), Move3(7, m1_hi), Move3(7, m1_lo)),
+        (Move(8, m2_hi), Move(8, m2_lo), Move(7, m1_hi), Move(7, m1_lo)),
         loop=True,
     )
     w1 = loop_word(first_then_second)
@@ -190,17 +187,15 @@ def test_loop_word_requires_loop():
 
 
 def test_static_choreography_is_empty():
-    ch = Choreo3(4, (A, B, C, pt3(1, 1, 5)), (), loop=True)
+    ch = Choreography(4, (A, B, C, pt3(1, 1, 5)), (), loop=True)
     assert trace3(ch) == [] and loop_word(ch) == GammaWord()
 
 
 def test_json_roundtrip_and_concat():
     ch = crossing(2, (11, 9), (pt3(2, 3, 7), pt3(6, 2, 5)), there_and_back=True)
-    data = choreo3_to_json(ch)
+    data = choreography_to_json(ch)
     assert data["dim"] == 3
-    assert choreo3_from_json(data) == ch
-    both = concat3(ch, ch)
+    assert choreography_from_json(data) == ch
+    both = concat(ch, ch)
     assert both.loop and len(both.moves) == 4
-    from braidgamma.geom2d import choreography_from_json
-
     assert choreography_from_json(data) == ch  # dim dispatch
