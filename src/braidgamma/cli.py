@@ -417,7 +417,7 @@ def run(argv=None) -> int:
     rc = RunConfig(
         subcommand=args.subcommand,
         n=args.n,
-        r=args.r if args.target == "gammar" else 1,
+        r=args.r,
         target=args.target,
         formula_mode=args.mode,
         assembly=args.assembly,

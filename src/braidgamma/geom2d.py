@@ -14,6 +14,10 @@ circle.  Tangential touches (double roots) cross nothing, emit nothing, and
 raise UnstableWarning; genuinely degenerate contacts (five concyclic,
 wall contact at a waypoint, a tuple riding a wall for a whole segment) raise
 DegenerateError.
+
+The segment loop, `wall_crossings`, serves the spatial tracer too: each
+dimension passes its wall determinant, its coefficient function and its
+event builder.
 """
 
 from __future__ import annotations
@@ -286,7 +290,7 @@ class Event:
 
 
 def _incircle_coeffs(a, b, c, m0, m1):
-    """Integer coefficients of det(t) = incircle(a, b, c, M(t)), degree <= 2.
+    """Coefficients of det(t) = incircle(a, b, c, M(t)), degree <= 2.
 
     Only the mover's row of the lifted determinant depends on t, so the true
     degree is at most two and interpolation at t = 0, 1/2, 1 is exact.
@@ -295,10 +299,7 @@ def _incircle_coeffs(a, b, c, m0, m1):
     ph = _incircle_raw(a, b, c, lerp(m0, m1, Fraction(1, 2)))
     p1 = _incircle_raw(a, b, c, m1)
     c2 = 2 * (p1 + p0 - 2 * ph)
-    c1 = p1 - p0 - c2
-    c0 = p0
-    den = math.lcm(c0.denominator, c1.denominator, c2.denominator)
-    return (int(c0 * den), int(c1 * den), int(c2 * den))
+    return (p0, p1 - p0 - c2, c2)
 
 
 # linear forms (alpha, beta) standing for alpha + beta * t
@@ -345,24 +346,28 @@ def _angular_cycle(root: AlgebraicRoot, center: Pt2, points) -> tuple[int, ...]:
     return tuple(sorted(vecs, key=functools.cmp_to_key(cmp)))
 
 
-def trace(ch: Choreography) -> list[Event]:
-    """All wall crossings of a valid planar choreography, ordered by (segment, time)."""
-    if ch.dim != 2:
-        raise ValidationError("trace needs a planar choreography; use geom3d.trace3")
+def wall_crossings(ch: Choreography, raw, coeffs, nouns, build) -> list:
+    """The one wall-crossing loop of both tracers, segment by segment.
+
+    raw(a, b, c, d) is the wall determinant of four points and coeffs(a, b,
+    c, m0, m1) the Fraction coefficients of raw(a, b, c, M(t)) in t (degree
+    at most two).  nouns = (how four static points sit on a wall, the wall)
+    word the errors.  build(seg, cfg, mover, m0, m1, groups) makes the events
+    of a segment from its crossings, grouped by equal time and ordered by time,
+    each group a list of (root, static triple) ordered by triple.
+    """
+    static_wall, wall = nouns
     ch.validate()
     configs = ch.configs()
-    events: list[Event] = []
+    events = []
     for seg, move in enumerate(ch.moves):
         cfg = configs[seg]
         mover = move.point
         others = [k for k in range(1, ch.n + 1) if k != mover]
         for quad in itertools.combinations(others, 4):
-            pts = [cfg[k - 1] for k in quad]
-            if incircle_sign(*pts) == 0:
+            if raw(*(cfg[k - 1] for k in quad)) == 0:
                 raise DegenerateError(
-                    "four static points are concyclic or collinear",
-                    segment=seg,
-                    subsets=[quad],
+                    f"four static points are {static_wall}", segment=seg, subsets=[quad]
                 )
         m0, m1 = cfg[mover - 1], move.to
         if m0 == m1:
@@ -370,13 +375,14 @@ def trace(ch: Choreography) -> list[Event]:
         found: list[tuple[AlgebraicRoot, tuple[int, int, int]]] = []
         for triple in itertools.combinations(others, 3):
             a, b, c = (cfg[k - 1] for k in triple)
-            coeffs = _incircle_coeffs(a, b, c, m0, m1)
+            cs = coeffs(a, b, c, m0, m1)
+            den = math.lcm(*(v.denominator for v in cs))
             subset = tuple(sorted(triple + (mover,)))
             try:
-                roots, tangencies = isolate_unit_roots(coeffs)
+                roots, tangencies = isolate_unit_roots([int(v * den) for v in cs])
             except ConstantZero:
                 raise DegenerateError(
-                    "tuple rides a common circle for a whole segment",
+                    f"tuple rides a common {wall} for a whole segment",
                     segment=seg,
                     subsets=[subset],
                 ) from None
@@ -397,13 +403,12 @@ def trace(ch: Choreography) -> list[Event]:
                     )
                 )
             found.extend((root, triple) for root in roots)
-        if not found:
-            continue
-        events.extend(_segment_events(ch.n, seg, cfg, mover, m0, m1, found))
+        if found:
+            events.extend(build(seg, cfg, mover, m0, m1, _group_by_time(found)))
     return events
 
 
-def _segment_events(n, seg, cfg, mover, m0, m1, found):
+def _group_by_time(found):
     found.sort(key=functools.cmp_to_key(lambda u, v: u[0].compare(v[0])))
     groups: list[list[tuple[AlgebraicRoot, tuple]]] = []
     for item in found:
@@ -412,27 +417,26 @@ def _segment_events(n, seg, cfg, mover, m0, m1, found):
         else:
             groups.append([item])
     for group in groups:
-        if len(group) == 1:
-            continue
-        for (_, t1), (_, t2) in itertools.combinations(group, 2):
-            if len(set(t1) & set(t2)) >= 2:  # plus the shared mover: >= 3 indices
-                raise DegenerateError(
-                    "five or more points on one circle (simultaneous events share 3 indices)",
-                    segment=seg,
-                    subsets=[t1 + (mover,), t2 + (mover,)],
-                )
         group.sort(key=lambda item: item[1])
+    return groups
 
-    samples = _sample_times([g[0][0] for g in groups])
-    out = []
-    for k, group in enumerate(groups):
-        for root, triple in group:
-            out.append(
-                _build_event(
-                    n, seg, cfg, mover, m0, m1, root, triple, samples[k], samples[k + 1]
-                )
-            )
-    return out
+
+def trace(ch: Choreography) -> list[Event]:
+    """All wall crossings of a valid planar choreography, ordered by (segment, time)."""
+    if ch.dim != 2:
+        raise ValidationError("trace needs a planar choreography; use geom3d.trace3")
+
+    def build(seg, cfg, mover, m0, m1, groups):
+        samples = _sample_times([g[0][0] for g in groups])
+        return [
+            _build_event(ch.n, seg, cfg, mover, m0, m1, root, triple, samples[k], samples[k + 1])
+            for k, group in enumerate(groups)
+            for root, triple in group
+        ]
+
+    return wall_crossings(
+        ch, _incircle_raw, _incircle_coeffs, ("concyclic or collinear", "circle"), build
+    )
 
 
 def _separate_roots(a, b) -> None:

@@ -1,11 +1,21 @@
 """Exact spatial event tracer for loops of points in 3-space.
 
 Paths are `geom2d.Choreography` plans whose points are `Pt3`.  They live in
-the restricted configuration space where no three points are ever collinear.  With one point moving per unit segment, the coplanarity
+the restricted configuration space where no three points are ever
+collinear.  With one point moving per unit segment, the coplanarity
 determinant of any 4-tuple is linear in time, so every event time is an
-exact rational.  An event is *special* when the four coplanar points form a
-convex quadrilateral and all remaining points lie strictly on one side of
-the plane; only special events contribute letters (the cyclic order of the
+exact rational.
+
+The segment loop (static degeneracy scan, root isolation, grouping by time)
+is `geom2d.wall_crossings`, shared with the planar tracer; this module
+supplies its wall, the orient3d determinant, and the event builder with the
+special-moment filter.  A mover that crosses the line through two other
+points leaves the restricted space there and is reported as a collinear
+triple through the mover.
+
+An event is *special* when the four coplanar points form a convex
+quadrilateral and all remaining points lie strictly on one side of the
+plane; only special events contribute letters (the cyclic order of the
 convex quadrilateral, which the dihedral canonicalization makes independent
 of the side from which the plane is viewed).  Non-special events are kept in
 the trace with their classification for inspection, but emit nothing.
@@ -21,7 +31,7 @@ from fractions import Fraction
 from .errors import CollinearTripleError, DegenerateError, ValidationError
 from .exact import sign
 from .generators import GammaGen, GGen
-from .geom2d import Choreography, lerp
+from .geom2d import Choreography, Pt2, lerp, orient2d, wall_crossings
 from .words import GammaWord
 
 
@@ -51,26 +61,39 @@ def _sub(a: Pt3, b: Pt3):
     return (a.x - b.x, a.y - b.y, a.z - b.z)
 
 
-def orient3d_sign(a: Pt3, b: Pt3, c: Pt3, d: Pt3) -> int:
-    """Sign of det with rows (x, y, z, 1); zero iff the points are coplanar."""
+def _orient3d_raw(a: Pt3, b: Pt3, c: Pt3, d: Pt3) -> Fraction:
     u, v, w = _sub(a, d), _sub(b, d), _sub(c, d)
-    det = (
+    return (
         u[0] * (v[1] * w[2] - v[2] * w[1])
         - u[1] * (v[0] * w[2] - v[2] * w[0])
         + u[2] * (v[0] * w[1] - v[1] * w[0])
     )
-    return sign(det)
+
+
+def orient3d_sign(a: Pt3, b: Pt3, c: Pt3, d: Pt3) -> int:
+    """Sign of det with rows (x, y, z, 1); zero iff the points are coplanar."""
+    return sign(_orient3d_raw(a, b, c, d))
+
+
+def _orient3d_coeffs(a, b, c, m0, m1):
+    """Coefficients of orient3d(a, b, c, M(t)), which is linear in t."""
+    p0 = _orient3d_raw(a, b, c, m0)
+    return (p0, _orient3d_raw(a, b, c, m1) - p0, Fraction(0))
 
 
 def _collinear(a: Pt3, b: Pt3, c: Pt3) -> bool:
     return _cross(_sub(b, a), _sub(c, a)) == (0, 0, 0)
 
 
-def require_no_collinear_triple(cfg: tuple[Pt3, ...], where: str) -> None:
-    """Raise CollinearTripleError naming the first collinear triple of cfg."""
-    for t in itertools.combinations(range(1, len(cfg) + 1), 3):
+def _require_not_collinear(cfg, triples, where: str) -> None:
+    for t in triples:
         if _collinear(cfg[t[0] - 1], cfg[t[1] - 1], cfg[t[2] - 1]):
             raise CollinearTripleError(f"points {t} collinear {where}")
+
+
+def require_no_collinear_triple(cfg: tuple[Pt3, ...], where: str) -> None:
+    """Raise CollinearTripleError naming the first collinear triple of cfg."""
+    _require_not_collinear(cfg, itertools.combinations(range(1, len(cfg) + 1), 3), where)
 
 
 @dataclass(frozen=True)
@@ -96,10 +119,6 @@ def _project_axis(normal) -> int:
     return max(range(3), key=lambda k: abs(normal[k]))
 
 
-def _orient2(a, b, c) -> int:
-    return sign((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-
-
 def _convex_cycle(pts3: dict[int, Pt3]):
     """(convex, cycle) for four coplanar points keyed by index.
 
@@ -112,28 +131,26 @@ def _convex_cycle(pts3: dict[int, Pt3]):
     normal = _cross(_sub(b, a), _sub(c, a))
     axis = _project_axis(normal)
     keep = [k for k in range(3) if k != axis]
-    flat = {
-        i: (tuple(p)[keep[0]], tuple(p)[keep[1]]) for i, p in pts3.items()
-    }
+    flat = {i: Pt2(*(tuple(p)[k] for k in keep)) for i, p in pts3.items()}
     for t in itertools.combinations(ids, 3):
-        if _orient2(flat[t[0]], flat[t[1]], flat[t[2]]) == 0:
+        if orient2d(flat[t[0]], flat[t[1]], flat[t[2]]) == 0:
             raise CollinearTripleError(f"points {t} collinear inside the event plane")
     inside = 0
     for i in ids:
         rest = [flat[j] for j in ids if j != i]
-        s1 = _orient2(rest[0], rest[1], flat[i])
-        s2 = _orient2(rest[1], rest[2], flat[i])
-        s3 = _orient2(rest[2], rest[0], flat[i])
+        s1 = orient2d(rest[0], rest[1], flat[i])
+        s2 = orient2d(rest[1], rest[2], flat[i])
+        s3 = orient2d(rest[2], rest[0], flat[i])
         if s1 == s2 == s3:
             inside += 1
     if inside:
         return False, None
 
-    cx = sum(flat[i][0] for i in ids) / 4
-    cy = sum(flat[i][1] for i in ids) / 4
+    cx = sum(flat[i].x for i in ids) / 4
+    cy = sum(flat[i].y for i in ids) / 4
 
     def half(i):
-        vx, vy = flat[i][0] - cx, flat[i][1] - cy
+        vx, vy = flat[i].x - cx, flat[i].y - cy
         if vy != 0:
             return 0 if vy > 0 else 1
         return 0 if vx > 0 else 1
@@ -142,8 +159,8 @@ def _convex_cycle(pts3: dict[int, Pt3]):
         hi, hj = half(i), half(j)
         if hi != hj:
             return -1 if hi < hj else 1
-        ui = (flat[i][0] - cx, flat[i][1] - cy)
-        uj = (flat[j][0] - cx, flat[j][1] - cy)
+        ui = (flat[i].x - cx, flat[i].y - cy)
+        uj = (flat[j].x - cx, flat[j].y - cy)
         s = sign(ui[0] * uj[1] - ui[1] * uj[0])
         assert s != 0, "two vertices on one ray from the centroid"
         return -1 if s > 0 else 1
@@ -155,67 +172,20 @@ def trace3(ch: Choreography) -> list[Event3]:
     """All coplanarity events of a valid spatial choreography, in time order."""
     if ch.dim != 3:
         raise ValidationError("trace3 needs a spatial choreography; use geom2d.trace")
-    ch.validate()
-    configs = ch.configs()
-    events: list[Event3] = []
-    for seg, move in enumerate(ch.moves):
-        cfg = configs[seg]
-        mover = move.point
-        others = [k for k in range(1, ch.n + 1) if k != mover]
-        for quad in itertools.combinations(others, 4):
-            if orient3d_sign(*(cfg[k - 1] for k in quad)) == 0:
-                raise DegenerateError(
-                    "four static points are coplanar", segment=seg, subsets=[quad]
-                )
-        m0, m1 = cfg[mover - 1], move.to
-        if m0 == m1:
-            continue
-        hits: list[tuple[Fraction, tuple[int, int, int]]] = []
-        for triple in itertools.combinations(others, 3):
-            a, b, c = (cfg[k - 1] for k in triple)
-            p0 = _orient3d_value(a, b, c, m0)
-            p1 = _orient3d_value(a, b, c, m1)
-            subset = tuple(sorted(triple + (mover,)))
-            if p0 == 0 and p1 == 0:
-                raise DegenerateError(
-                    "tuple rides a common plane for a whole segment",
-                    segment=seg,
-                    subsets=[subset],
-                )
-            if p0 == 0 or p1 == 0:
-                raise DegenerateError(
-                    "wall contact exactly at a waypoint",
-                    segment=seg,
-                    subsets=[subset],
-                    window=f"t={0 if p0 == 0 else 1}",
-                )
-            if sign(p0) == sign(p1):
-                continue
-            hits.append((Fraction(-p0, p1 - p0), triple))
-        hits.sort()
-        for tau, group in itertools.groupby(hits, key=lambda h: h[0]):
-            group = list(group)
-            for (_, t1), (_, t2) in itertools.combinations(group, 2):
-                if len(set(t1) & set(t2)) >= 2:
-                    raise DegenerateError(
-                        "five or more points on one plane (simultaneous events share 3 indices)",
-                        segment=seg,
-                        subsets=[t1 + (mover,), t2 + (mover,)],
-                    )
+
+    def build(seg, cfg, mover, m0, m1, groups):
+        events = []
+        for group in groups:
+            tau = group[0][0].exact
             at = cfg[: mover - 1] + (lerp(m0, m1, tau),) + cfg[mover:]
-            require_no_collinear_triple(at, f"at event time t={tau} of segment {seg}")
-            for _, triple in sorted(group, key=lambda h: h[1]):
-                events.append(_build_event3(ch.n, seg, at, mover, triple, tau))
-    return events
+            # the start waypoint passed validate, so only triples through the
+            # mover can have become collinear
+            through = (t for t in itertools.combinations(range(1, ch.n + 1), 3) if mover in t)
+            _require_not_collinear(at, through, f"at event time t={tau} of segment {seg}")
+            events.extend(_build_event3(ch.n, seg, at, mover, triple, tau) for _, triple in group)
+        return events
 
-
-def _orient3d_value(a, b, c, d) -> Fraction:
-    u, v, w = _sub(a, d), _sub(b, d), _sub(c, d)
-    return (
-        u[0] * (v[1] * w[2] - v[2] * w[1])
-        - u[1] * (v[0] * w[2] - v[2] * w[0])
-        + u[2] * (v[0] * w[1] - v[1] * w[0])
-    )
+    return wall_crossings(ch, _orient3d_raw, _orient3d_coeffs, ("coplanar", "plane"), build)
 
 
 def _build_event3(n, seg, at, mover, triple, tau) -> Event3:

@@ -61,6 +61,15 @@ def test_map_parse_error_has_position(capsys):
     assert "position 7" in err
 
 
+@pytest.mark.parametrize(
+    "target, r, message",
+    [("gamma", "3", "--r above 1 needs --target gammar"), ("g", "0", "need --r >= 1, got 0")],
+)
+def test_r_is_checked_for_every_target(capsys, target, r, message):
+    assert main(["map", "-n", "5", "--target", target, "--r", r, "b(1,2)"]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_map_respects_max_n(capsys, monkeypatch):
     monkeypatch.setenv("BRAIDGAMMA_MAX_N", "6")
     assert main(["map", "-n", "7", "b(1,2)"]) == 3

@@ -243,21 +243,21 @@ def test_tangency_warns_and_emits_nothing():
 def test_static_concyclic_quadruple_is_degenerate():
     pts = (pt2(0, 0), pt2(4, 0), pt2(4, 4), pt2(0, 4), pt2(9, 1))
     ch = Choreography(5, pts, (Move(5, pt2(10, 1)),))
-    with pytest.raises(DegenerateError):
+    with pytest.raises(DegenerateError, match="four static points are concyclic or collinear"):
         trace(ch)
 
 
 def test_wall_contact_at_waypoint_is_degenerate():
     pts = SQUARE + (pt2(4, 4),)  # mover starts exactly on the circumcircle
     ch = Choreography(4, pts, (Move(4, pt2(6, 6)),))
-    with pytest.raises(DegenerateError):
+    with pytest.raises(DegenerateError, match=r"wall contact exactly at a waypoint .*\[t in t=0\]"):
         trace(ch)
 
 
 def test_riding_a_wall_is_degenerate():
     pts = (pt2(0, 0), pt2(1, 0), pt2(2, 0), pt2(5, 0))
     ch = Choreography(4, pts, (Move(4, pt2(3, 0)),))
-    with pytest.raises(DegenerateError):
+    with pytest.raises(DegenerateError, match="tuple rides a common circle for a whole segment"):
         trace(ch)
 
 
@@ -273,7 +273,7 @@ def test_collinear_wall_events():
     assert events[0].inside == 0
 
     unbalanced = Choreography(5, pts + (pt2(10, 5),), (Move(4, pt2(2, 1)),))
-    with pytest.raises(DegenerateError):
+    with pytest.raises(DegenerateError, match="inside count disagrees on the two sides"):
         trace(unbalanced)
 
     balanced = Choreography(

@@ -119,26 +119,28 @@ def test_quad_letter_ignores_viewing_side():
 def test_static_coplanar_quadruple_is_degenerate():
     pts = (A, B, C, pt3(7, 7, 0), pt3(1, 1, 5))
     ch = Choreography(5, pts, (Move(5, pt3(1, 1, 6)),))
-    with pytest.raises(DegenerateError):
+    with pytest.raises(DegenerateError, match="four static points are coplanar"):
         trace3(ch)
 
 
 def test_fifth_point_on_event_plane_is_degenerate():
-    # the bystander sits exactly in the z=0 plane the mover crosses
+    # the bystander sits exactly in the z=0 plane the mover crosses; with the
+    # three points spanning that plane it is a static coplanar quadruple,
+    # which the scan at the start of the segment names
     ch = crossing(1, (11, 9), (pt3(-6, 4, 0),))
-    with pytest.raises(DegenerateError):
+    with pytest.raises(DegenerateError, match=r"four static points are coplanar .*\[1, 2, 3, 4\]"):
         trace3(ch)
 
 
 def test_endpoint_wall_contact_is_degenerate():
     pts = (A, B, C, pt3(11, 9, 0))
     ch = Choreography(4, pts, (Move(4, pt3(11, 9, 5)),))
-    with pytest.raises(DegenerateError):
+    with pytest.raises(DegenerateError, match=r"wall contact exactly at a waypoint .*\[t in t=0\]"):
         trace3(ch)
 
 
 def test_collinear_triples_are_rejected():
-    with pytest.raises(CollinearTripleError):
+    with pytest.raises(CollinearTripleError, match=r"points \(1, 2, 3\) collinear at waypoint 0"):
         Choreography(4, (A, B, pt3(20, 2, 0), pt3(1, 1, 1))).validate()
     # collinearity hit exactly at an event time
     ch = Choreography(
@@ -146,7 +148,33 @@ def test_collinear_triples_are_rejected():
         (A, B, pt3(3, 9, 2), pt3(20, 2, -1)),
         (Move(4, pt3(20, 2, 1)),),
     )
-    with pytest.raises(CollinearTripleError):
+    with pytest.raises(
+        CollinearTripleError, match=r"points \(1, 2, 4\) collinear at event time t=1/2 of segment 0"
+    ):
+        trace3(ch)
+
+
+def test_mover_crossing_a_line_is_a_collinear_triple():
+    # at t=1/2 the mover passes through the line AB, so it crosses the planes
+    # (A, B, 3) and (A, B, 4) at once; that moment is a collinear triple
+    # through the mover, not five points on one plane
+    ch = Choreography(
+        5,
+        (A, B, pt3(3, 9, 2), pt3(2, 3, 7), pt3(20, 2, -1)),
+        (Move(5, pt3(20, 2, 1)),),
+    )
+    with pytest.raises(
+        CollinearTripleError, match=r"points \(1, 2, 5\) collinear at event time t=1/2 of segment 0"
+    ):
+        trace3(ch)
+
+
+def test_riding_a_plane_is_degenerate():
+    # the mover slides inside the plane of A, B, C for the whole segment
+    ch = Choreography(4, (A, B, C, pt3(11, 9, 0)), (Move(4, pt3(12, -5, 0)),))
+    with pytest.raises(
+        DegenerateError, match=r"tuple rides a common plane for a whole segment .*\[1, 2, 3, 4\]"
+    ):
         trace3(ch)
 
 
