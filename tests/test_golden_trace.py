@@ -1,9 +1,11 @@
 """Golden gate for `braidgamma trace`: exit code and output digest per plan.
 
-Every planar `generator_choreography` with n = 4..6 and 100 seeded
+Every planar `generator_choreography` with n = 4..6, 100 seeded
 small-integer plans (half planar, half spatial; about a third of them are
-rejected with exit code 3, so error messages are pinned too) are traced
-through `cli.main` with targets g and gamma.  The SHA-256 of stdout followed
+rejected with exit code 3, so error messages are pinned too) and 40 seeded
+plans whose coordinates have denominators 1..7 (half planar, half spatial;
+the tracers rescale each segment onto one integer grid, and these rows pin
+that rescaling) are traced through `cli.main` with targets g and gamma.  The SHA-256 of stdout followed
 by stderr, and the exit code, must match the stored table.
 
 An irrational event time prints with its isolating interval, which holds
@@ -24,6 +26,7 @@ import json
 import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from braidgamma import cli
@@ -56,6 +59,32 @@ def small_plan(rng, dim):
     return {"n": n, "dim": dim, "points": pts, "moves": moves, "loop": False}
 
 
+def rational_plan(rng, dim):
+    """n = 4..6 distinct points and 1..3 moves, each coordinate a rational
+    with its own denominator 1..7 in a box like small_plan's."""
+    n = rng.randrange(4, 7)
+    span = 4 if dim == 2 else 3
+
+    def coord():
+        q = rng.randrange(1, 8)
+        x = Fraction(rng.randrange(-span * q, span * q + 1), q)
+        return f"{x.numerator}/{x.denominator}"
+
+    def point():
+        return [coord() for _ in range(dim)]
+
+    pts = []
+    while len(pts) < n:
+        p = point()
+        if p not in pts:
+            pts.append(p)
+    moves = [
+        {"point": rng.randrange(1, n + 1), "to": point()}
+        for _ in range(rng.randrange(1, 4))
+    ]
+    return {"n": n, "dim": dim, "points": pts, "moves": moves, "loop": False}
+
+
 def plans():
     for n in range(4, 7):
         for i, j in itertools.combinations(range(1, n + 1), 2):
@@ -64,6 +93,10 @@ def plans():
     for k in range(100):
         dim = 2 if k % 2 == 0 else 3
         yield f"small{dim}d-{k:03d}", small_plan(rng, dim)
+    rng = random.Random(2026)
+    for k in range(40):
+        dim = 2 if k % 2 == 0 else 3
+        yield f"rational{dim}d-{k:03d}", rational_plan(rng, dim)
 
 
 def digests(workdir: Path) -> dict:
