@@ -280,7 +280,9 @@ def _cmd_check(rc: RunConfig, args) -> int:
         for inst in relation_instances(rc.n, family3_inverted=inverted):
             if inverted and inst.family != "3inv":
                 continue
-            ok = invariant_equal(map_braid(cfg, inst.lhs), map_braid(cfg, inst.rhs), rc.n)
+            # cancelling a pair of equal letters keeps every parity: no free_reduce
+            lhs, rhs = (map_braid(cfg, w, reduced=False) for w in (inst.lhs, inst.rhs))
+            ok = invariant_equal(lhs, rhs, rc.n)
             results.append(
                 {
                     "family": inst.family,

@@ -61,13 +61,16 @@ def pt2(x, y) -> Pt2:
 
 def orient2d(a: Pt2, b: Pt2, c: Pt2) -> int:
     """Sign of the signed area of (a, b, c): +1 counterclockwise."""
-    return sign((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x))
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    return sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
 
 
-def _incircle_raw(a: Pt2, b: Pt2, c: Pt2, p: Pt2) -> Fraction:
-    adx, ady = a.x - p.x, a.y - p.y
-    bdx, bdy = b.x - p.x, b.y - p.y
-    cdx, cdy = c.x - p.x, c.y - p.y
+def _incircle_raw(a, b, c, p):
+    """The incircle determinant of four Pt2 or integer grid points."""
+    (ax, ay), (bx, by), (cx, cy), (px, py) = a, b, c, p
+    adx, ady = ax - px, ay - py
+    bdx, bdy = bx - px, by - py
+    cdx, cdy = cx - px, cy - py
     ad2 = adx * adx + ady * ady
     bd2 = bdx * bdx + bdy * bdy
     cd2 = cdx * cdx + cdy * cdy
@@ -91,15 +94,20 @@ def incircle_sign(a: Pt2, b: Pt2, c: Pt2, p: Pt2) -> int:
     return s if o >= 0 else -s
 
 
+def _circumcenter_h(a, b, c):
+    """(ux, uy, d): the circumcenter is (ux/d, uy/d); d = 0 iff collinear."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    d = 2 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    b2 = bx * bx + by * by - ax * ax - ay * ay
+    c2 = cx * cx + cy * cy - ax * ax - ay * ay
+    return (cy - ay) * b2 - (by - ay) * c2, (bx - ax) * c2 - (cx - ax) * b2, d
+
+
 def circumcenter(a: Pt2, b: Pt2, c: Pt2) -> Pt2:
     """Exact circumcenter of a non-degenerate triangle."""
-    d = 2 * ((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x))
+    ux, uy, d = _circumcenter_h(a, b, c)
     if d == 0:
         raise ValidationError("circumcenter of collinear points")
-    b2 = b.x * b.x + b.y * b.y - a.x * a.x - a.y * a.y
-    c2 = c.x * c.x + c.y * c.y - a.x * a.x - a.y * a.y
-    ux = (c.y - a.y) * b2 - (b.y - a.y) * c2
-    uy = (b.x - a.x) * c2 - (c.x - a.x) * b2
     return Pt2(ux / d, uy / d)
 
 
@@ -231,7 +239,9 @@ class Choreography:
             if self.dim == 3:
                 from .geom3d import require_no_collinear_triple
 
-                require_no_collinear_triple(cfg, f"at waypoint {which}")
+                # only triples through the last mover can have become collinear
+                mover = self.moves[which - 1].point if which else None
+                require_no_collinear_triple(_on_grid(cfg), f"at waypoint {which}", mover)
         for seg, m in enumerate(self.moves):
             p0 = configs[seg][m.point - 1]
             for k, s in enumerate(configs[seg], start=1):
@@ -289,35 +299,31 @@ class Event:
     collinear_wall: bool = False
 
 
+def _on_grid(points) -> list[tuple[int, ...]]:
+    """Rational points scaled by 2 * lcm of all their coordinate denominators,
+    as int tuples.  The coordinates are even, so midpoints stay on the grid."""
+    den = 2 * math.lcm(*(v.denominator for p in points for v in p))
+    return [tuple(v.numerator * (den // v.denominator) for v in p) for p in points]
+
+
 def _incircle_coeffs(a, b, c, m0, m1):
-    """Coefficients of det(t) = incircle(a, b, c, M(t)), degree <= 2.
+    """Integer coefficients of det(t) = incircle(a, b, c, M(t)), degree <= 2.
 
     Only the mover's row of the lifted determinant depends on t, so the true
-    degree is at most two and interpolation at t = 0, 1/2, 1 is exact.
+    degree is at most two and interpolation at t = 0, 1/2, 1 is exact; the
+    midpoint of two grid points is a grid point.
     """
     p0 = _incircle_raw(a, b, c, m0)
-    ph = _incircle_raw(a, b, c, lerp(m0, m1, Fraction(1, 2)))
+    ph = _incircle_raw(a, b, c, ((m0[0] + m1[0]) // 2, (m0[1] + m1[1]) // 2))
     p1 = _incircle_raw(a, b, c, m1)
     c2 = 2 * (p1 + p0 - 2 * ph)
     return (p0, p1 - p0 - c2, c2)
 
 
-# linear forms (alpha, beta) standing for alpha + beta * t
-def _lf_const(v: Fraction):
-    return (Fraction(v), Fraction(0))
-
-
-def _lf_sub(u, v):
-    return (u[0] - v[0], u[1] - v[1])
-
-
-def _lf_mul(u, v):
-    assert u[1] == 0 or v[1] == 0, "product of two non-constant forms"
-    return (u[0] * v[0], u[0] * v[1] + u[1] * v[0])
-
-
-def _angular_cycle(root: AlgebraicRoot, center: Pt2, points) -> tuple[int, ...]:
-    """Indices of `points` (index, x-form, y-form) in circular order around center."""
+def _angular_cycle(root: AlgebraicRoot, vecs) -> tuple[int, ...]:
+    """Keys of `vecs` in circular order around the origin.  Each vector is a
+    pair of linear forms (alpha, beta), standing for alpha + beta * root, and
+    at most one of them is not constant."""
 
     def half(v):
         sy = root.linear_sign(*v[1])
@@ -327,19 +333,16 @@ def _angular_cycle(root: AlgebraicRoot, center: Pt2, points) -> tuple[int, ...]:
         assert sx != 0, "point coincides with the circumcenter"
         return 0 if sx > 0 else 1
 
-    vecs = {
-        idx: (_lf_sub(fx, _lf_const(center.x)), _lf_sub(fy, _lf_const(center.y)))
-        for idx, fx, fy in points
-    }
-
     def cmp(i, j):
         hi, hj = half(vecs[i]), half(vecs[j])
         if hi != hj:
             return -1 if hi < hj else 1
-        cx = _lf_sub(
-            _lf_mul(vecs[i][0], vecs[j][1]), _lf_mul(vecs[i][1], vecs[j][0])
+        (xi, yi), (xj, yj) = vecs[i], vecs[j]
+        # the cross product, linear in t as one of the two is constant
+        s = root.linear_sign(
+            xi[0] * yj[0] - yi[0] * xj[0],
+            xi[0] * yj[1] + xi[1] * yj[0] - yi[0] * xj[1] - yi[1] * xj[0],
         )
-        s = root.linear_sign(*cx)
         assert s != 0, "two event points on one ray from the circumcenter"
         return -1 if s > 0 else 1
 
@@ -349,37 +352,38 @@ def _angular_cycle(root: AlgebraicRoot, center: Pt2, points) -> tuple[int, ...]:
 def wall_crossings(ch: Choreography, raw, coeffs, nouns, build) -> list:
     """The one wall-crossing loop of both tracers, segment by segment.
 
+    Each segment runs on one integer grid (`_on_grid` of its configuration
+    and the mover's target), so every determinant is taken on ints.
     raw(a, b, c, d) is the wall determinant of four points and coeffs(a, b,
-    c, m0, m1) the Fraction coefficients of raw(a, b, c, M(t)) in t (degree
-    at most two).  nouns = (how four static points sit on a wall, the wall)
-    word the errors.  build(seg, cfg, mover, m0, m1, groups) makes the events
-    of a segment from its crossings, grouped by equal time and ordered by time,
-    each group a list of (root, static triple) ordered by triple.
+    c, m0, m1) the integer coefficients of raw(a, b, c, M(t)) in t (degree at
+    most two).  nouns = (how four static points sit on a wall, the wall) word
+    the errors.  build(seg, grid, mover, g0, g1, groups) makes the events of a
+    segment from its crossings, grouped by equal time and ordered by time,
+    each group a list of (root, static triple) ordered by triple; g0 and g1
+    are the mover's start and target on the grid.
     """
     static_wall, wall = nouns
     ch.validate()
     configs = ch.configs()
     events = []
     for seg, move in enumerate(ch.moves):
-        cfg = configs[seg]
+        *grid, g1 = _on_grid(configs[seg] + (move.to,))
         mover = move.point
         others = [k for k in range(1, ch.n + 1) if k != mover]
         for quad in itertools.combinations(others, 4):
-            if raw(*(cfg[k - 1] for k in quad)) == 0:
+            if raw(*(grid[k - 1] for k in quad)) == 0:
                 raise DegenerateError(
                     f"four static points are {static_wall}", segment=seg, subsets=[quad]
                 )
-        m0, m1 = cfg[mover - 1], move.to
-        if m0 == m1:
+        g0 = grid[mover - 1]
+        if g0 == g1:
             continue
         found: list[tuple[AlgebraicRoot, tuple[int, int, int]]] = []
         for triple in itertools.combinations(others, 3):
-            a, b, c = (cfg[k - 1] for k in triple)
-            cs = coeffs(a, b, c, m0, m1)
-            den = math.lcm(*(v.denominator for v in cs))
+            a, b, c = (grid[k - 1] for k in triple)
             subset = tuple(sorted(triple + (mover,)))
             try:
-                roots, tangencies = isolate_unit_roots([int(v * den) for v in cs])
+                roots, tangencies = isolate_unit_roots(coeffs(a, b, c, g0, g1))
             except ConstantZero:
                 raise DegenerateError(
                     f"tuple rides a common {wall} for a whole segment",
@@ -404,7 +408,7 @@ def wall_crossings(ch: Choreography, raw, coeffs, nouns, build) -> list:
                 )
             found.extend((root, triple) for root in roots)
         if found:
-            events.extend(build(seg, cfg, mover, m0, m1, _group_by_time(found)))
+            events.extend(build(seg, grid, mover, g0, g1, _group_by_time(found)))
     return events
 
 
@@ -426,10 +430,10 @@ def trace(ch: Choreography) -> list[Event]:
     if ch.dim != 2:
         raise ValidationError("trace needs a planar choreography; use geom3d.trace3")
 
-    def build(seg, cfg, mover, m0, m1, groups):
+    def build(seg, grid, mover, g0, g1, groups):
         samples = _sample_times([g[0][0] for g in groups])
         return [
-            _build_event(ch.n, seg, cfg, mover, m0, m1, root, triple, samples[k], samples[k + 1])
+            _build_event(ch.n, seg, grid, mover, g0, g1, root, triple, samples[k], samples[k + 1])
             for k, group in enumerate(groups)
             for root, triple in group
         ]
@@ -471,60 +475,53 @@ def _sample_times(roots) -> list[Fraction]:
     return [(bounds[2 * k] + bounds[2 * k + 1]) / 2 for k in range(len(roots) + 1)]
 
 
-def _build_event(n, seg, cfg, mover, m0, m1, root, triple, t_left, t_right):
-    a, b, c = (cfg[k - 1] for k in triple)
+def _build_event(n, seg, grid, mover, g0, g1, root, triple, t_left, t_right):
+    # No bystander lies on the event circle or line: with the three static
+    # points of the event it would make four static points concyclic or
+    # collinear, which the static scan of wall_crossings rejects first.
+    a, b, c = (grid[k - 1] for k in triple)
     subset = tuple(sorted(triple + (mover,)))
     bystanders = [k for k in range(1, n + 1) if k not in subset]
-    mx = (m0.x, m1.x - m0.x)
-    my = (m0.y, m1.y - m0.y)
-    if orient2d(a, b, c) != 0:
-        center = circumcenter(a, b, c)
-        points = [(k, _lf_const(cfg[k - 1].x), _lf_const(cfg[k - 1].y)) for k in triple]
-        points.append((mover, mx, my))
-        cycle = _angular_cycle(root, center, points)
-        inside = 0
-        for k in bystanders:
-            s = incircle_sign(a, b, c, cfg[k - 1])
-            if s == 0:
-                raise DegenerateError(
-                    "a fifth point lies exactly on the event circle",
-                    segment=seg,
-                    subsets=[subset + (k,)],
-                )
-            inside += s > 0
+    velocity = tuple(w - u for u, w in zip(g0, g1))
+    ux, uy, d = _circumcenter_h(a, b, c)
+    if d != 0:
+        sd = sign(d)
+
+        def vec(p, v):
+            # |d| (p + t v - circumcenter), as two linear forms in t
+            return tuple(
+                (sd * (d * pc - uc), sd * d * vc) for pc, vc, uc in zip(p, v, (ux, uy))
+            )
+
+        vecs = {k: vec(grid[k - 1], (0, 0)) for k in triple}
+        vecs[mover] = vec(g0, velocity)
+        cycle = _angular_cycle(root, vecs)
+        inside = sum(1 for k in bystanders if sign(_incircle_raw(a, b, c, grid[k - 1])) == sd)
         return Event(seg, root, GammaGen(cycle), GGen(subset), inside)
 
     # collinear wall: order along the line, closed up projectively
-    d = (b.x - a.x, b.y - a.y)
-    coord = {}
-    for k in triple:
-        p = cfg[k - 1]
-        coord[k] = _lf_const((p.x - a.x) * d[0] + (p.y - a.y) * d[1])
-    coord[mover] = (
-        (mx[0] - a.x) * d[0] + (my[0] - a.y) * d[1],
-        mx[1] * d[0] + my[1] * d[1],
-    )
+    dx, dy = b[0] - a[0], b[1] - a[1]
+
+    def along(p, v):
+        # (p + t v - a) . (b - a), as a linear form in t
+        return ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy, v[0] * dx + v[1] * dy)
+
+    coord = {k: along(grid[k - 1], (0, 0)) for k in triple}
+    coord[mover] = along(g0, velocity)
 
     def cmp(i, j):
-        s = root.linear_sign(*_lf_sub(coord[i], coord[j]))
+        s = root.linear_sign(coord[i][0] - coord[j][0], coord[i][1] - coord[j][1])
         assert s != 0, "distinct points share a coordinate on the wall line"
         return s
 
     cycle = tuple(sorted(coord, key=functools.cmp_to_key(cmp)))
-    side = {}
-    for k in bystanders:
-        s = orient2d(a, b, cfg[k - 1])
-        if s == 0:
-            raise DegenerateError(
-                "a fifth point lies exactly on the event line",
-                segment=seg,
-                subsets=[subset + (k,)],
-            )
-        side[k] = s
-
+    side = {k: orient2d(a, b, grid[k - 1]) for k in bystanders}
+    # orient2d(a, b, M(t)) * |denominator of t|, for the mover at t
+    o0 = dx * (g0[1] - a[1]) - dy * (g0[0] - a[0])
+    ov = dx * velocity[1] - dy * velocity[0]
     counts = []
     for t in (t_left, t_right):
-        ms = orient2d(a, b, lerp(m0, m1, t))
+        ms = sign(o0 * t.denominator + ov * t.numerator)
         assert ms != 0
         counts.append(sum(1 for k in bystanders if side[k] == -ms))
     if counts[0] != counts[1]:

@@ -28,10 +28,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CollinearTripleError, DegenerateError, ValidationError
+from .errors import CollinearTripleError, ValidationError
 from .exact import sign
 from .generators import GammaGen, GGen
-from .geom2d import Choreography, Pt2, lerp, orient2d, wall_crossings
+from .geom2d import Choreography, orient2d, wall_crossings
 from .words import GammaWord
 
 
@@ -57,11 +57,13 @@ def _cross(u, v):
     )
 
 
-def _sub(a: Pt3, b: Pt3):
-    return (a.x - b.x, a.y - b.y, a.z - b.z)
+def _sub(a, b):
+    (ax, ay, az), (bx, by, bz) = a, b
+    return (ax - bx, ay - by, az - bz)
 
 
-def _orient3d_raw(a: Pt3, b: Pt3, c: Pt3, d: Pt3) -> Fraction:
+def _orient3d_raw(a, b, c, d):
+    """The orient3d determinant of four Pt3 or integer grid points."""
     u, v, w = _sub(a, d), _sub(b, d), _sub(c, d)
     return (
         u[0] * (v[1] * w[2] - v[2] * w[1])
@@ -76,24 +78,22 @@ def orient3d_sign(a: Pt3, b: Pt3, c: Pt3, d: Pt3) -> int:
 
 
 def _orient3d_coeffs(a, b, c, m0, m1):
-    """Coefficients of orient3d(a, b, c, M(t)), which is linear in t."""
+    """Integer coefficients of orient3d(a, b, c, M(t)), which is linear in t."""
     p0 = _orient3d_raw(a, b, c, m0)
-    return (p0, _orient3d_raw(a, b, c, m1) - p0, Fraction(0))
+    return (p0, _orient3d_raw(a, b, c, m1) - p0, 0)
 
 
-def _collinear(a: Pt3, b: Pt3, c: Pt3) -> bool:
+def _collinear(a, b, c) -> bool:
     return _cross(_sub(b, a), _sub(c, a)) == (0, 0, 0)
 
 
-def _require_not_collinear(cfg, triples, where: str) -> None:
-    for t in triples:
-        if _collinear(cfg[t[0] - 1], cfg[t[1] - 1], cfg[t[2] - 1]):
+def require_no_collinear_triple(cfg, where: str, mover: int | None = None) -> None:
+    """Raise CollinearTripleError naming the first collinear triple of cfg
+    (Pt3 points or integer grid tuples); with `mover`, of the triples
+    through that point only."""
+    for t in itertools.combinations(range(1, len(cfg) + 1), 3):
+        if (mover is None or mover in t) and _collinear(*(cfg[k - 1] for k in t)):
             raise CollinearTripleError(f"points {t} collinear {where}")
-
-
-def require_no_collinear_triple(cfg: tuple[Pt3, ...], where: str) -> None:
-    """Raise CollinearTripleError naming the first collinear triple of cfg."""
-    _require_not_collinear(cfg, itertools.combinations(range(1, len(cfg) + 1), 3), where)
 
 
 @dataclass(frozen=True)
@@ -119,22 +119,21 @@ def _project_axis(normal) -> int:
     return max(range(3), key=lambda k: abs(normal[k]))
 
 
-def _convex_cycle(pts3: dict[int, Pt3]):
-    """(convex, cycle) for four coplanar points keyed by index.
+def _convex_cycle(pts3: dict[int, tuple[int, int, int]]):
+    """(convex, cycle) for four coplanar grid points keyed by index.
 
-    Projects out the dominant normal coordinate, rejects in-plane collinear
-    triples, and reads the cyclic order by exact angular sort around the
-    centroid (interior for convex position).
+    Projects out the dominant normal coordinate and reads the cyclic order by
+    exact angular sort around the centroid (interior for convex position),
+    on the vectors 4 p - (sum of the four), which stay integers.  No three of
+    the points are collinear: `validate` checked the static triple, and
+    trace3 the triples through the mover.
     """
     ids = sorted(pts3)
     a, b, c, d = (pts3[k] for k in ids)
     normal = _cross(_sub(b, a), _sub(c, a))
     axis = _project_axis(normal)
     keep = [k for k in range(3) if k != axis]
-    flat = {i: Pt2(*(tuple(p)[k] for k in keep)) for i, p in pts3.items()}
-    for t in itertools.combinations(ids, 3):
-        if orient2d(flat[t[0]], flat[t[1]], flat[t[2]]) == 0:
-            raise CollinearTripleError(f"points {t} collinear inside the event plane")
+    flat = {i: tuple(p[k] for k in keep) for i, p in pts3.items()}
     inside = 0
     for i in ids:
         rest = [flat[j] for j in ids if j != i]
@@ -146,11 +145,12 @@ def _convex_cycle(pts3: dict[int, Pt3]):
     if inside:
         return False, None
 
-    cx = sum(flat[i].x for i in ids) / 4
-    cy = sum(flat[i].y for i in ids) / 4
+    sx = sum(flat[i][0] for i in ids)
+    sy = sum(flat[i][1] for i in ids)
+    vec = {i: (4 * flat[i][0] - sx, 4 * flat[i][1] - sy) for i in ids}
 
     def half(i):
-        vx, vy = flat[i].x - cx, flat[i].y - cy
+        vx, vy = vec[i]
         if vy != 0:
             return 0 if vy > 0 else 1
         return 0 if vx > 0 else 1
@@ -159,8 +159,7 @@ def _convex_cycle(pts3: dict[int, Pt3]):
         hi, hj = half(i), half(j)
         if hi != hj:
             return -1 if hi < hj else 1
-        ui = (flat[i].x - cx, flat[i].y - cy)
-        uj = (flat[j].x - cx, flat[j].y - cy)
+        ui, uj = vec[i], vec[j]
         s = sign(ui[0] * uj[1] - ui[1] * uj[0])
         assert s != 0, "two vertices on one ray from the centroid"
         return -1 if s > 0 else 1
@@ -173,15 +172,17 @@ def trace3(ch: Choreography) -> list[Event3]:
     if ch.dim != 3:
         raise ValidationError("trace3 needs a spatial choreography; use geom2d.trace")
 
-    def build(seg, cfg, mover, m0, m1, groups):
+    def build(seg, grid, mover, g0, g1, groups):
         events = []
         for group in groups:
             tau = group[0][0].exact
-            at = cfg[: mover - 1] + (lerp(m0, m1, tau),) + cfg[mover:]
+            # the grid scaled by tau's denominator holds the mover at tau too
+            p, q = tau.numerator, tau.denominator
+            at = [tuple(q * v for v in pt) for pt in grid]
+            at[mover - 1] = tuple(q * u + p * (w - u) for u, w in zip(g0, g1))
             # the start waypoint passed validate, so only triples through the
             # mover can have become collinear
-            through = (t for t in itertools.combinations(range(1, ch.n + 1), 3) if mover in t)
-            _require_not_collinear(at, through, f"at event time t={tau} of segment {seg}")
+            require_no_collinear_triple(at, f"at event time t={tau} of segment {seg}", mover)
             events.extend(_build_event3(ch.n, seg, at, mover, triple, tau) for _, triple in group)
         return events
 
@@ -190,22 +191,13 @@ def trace3(ch: Choreography) -> list[Event3]:
 
 def _build_event3(n, seg, at, mover, triple, tau) -> Event3:
     subset = tuple(sorted(triple + (mover,)))
-    quad_pts = {k: at[k - 1] for k in subset}
-    convex, cycle = _convex_cycle(quad_pts)
+    convex, cycle = _convex_cycle({k: at[k - 1] for k in subset})
     a, b, c = (at[k - 1] for k in triple)
-    side_signs = set()
-    for k in range(1, n + 1):
-        if k in subset:
-            continue
-        s = orient3d_sign(a, b, c, at[k - 1])
-        if s == 0:
-            raise DegenerateError(
-                "a fifth point lies exactly on the event plane",
-                segment=seg,
-                subsets=[subset + (k,)],
-                window=f"t={tau}",
-            )
-        side_signs.add(s)
+    # no bystander lies on the event plane: with a, b, c it would make four
+    # static coplanar points, which wall_crossings rejects first
+    side_signs = {
+        sign(_orient3d_raw(a, b, c, at[k - 1])) for k in range(1, n + 1) if k not in subset
+    }
     one_sided = len(side_signs) == 1
     side = side_signs.pop() if one_sided else 0
     return Event3(

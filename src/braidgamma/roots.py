@@ -56,10 +56,14 @@ class AlgebraicRoot:
         value = Fraction(value)
         return cls(poly, exact=value, lo=value, hi=value)
 
-    def _eval(self, t: Fraction) -> Fraction:
-        acc = Fraction(0)
+    def _eval(self, t: Fraction) -> int:
+        """q^d * poly(t) for t = p/q and d = len(poly) - 1: an integer with
+        the sign of poly(t)."""
+        p, q = t.numerator, t.denominator
+        acc, qk = 0, 1
         for c in reversed(self.poly):
-            acc = acc * t + c
+            acc = acc * p + c * qk
+            qk *= q
         return acc
 
     def is_rational(self) -> bool:

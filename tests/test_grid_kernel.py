@@ -1,0 +1,133 @@
+"""Property tests for the integer grid the tracers compute on.
+
+Both tracers scale each segment onto one integer grid (`geom2d._on_grid`)
+and take every wall determinant there; `AlgebraicRoot._eval` evaluates the
+homogenised polynomial on integers.  These tests hold the integer results to
+the Fraction predicates on random rational input, and check the consequence
+the tracers rely on: scaling a plan by a positive rational changes no byte of
+`trace` output.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from braidgamma import cli
+from braidgamma.exact import sign
+from braidgamma.geom2d import (
+    Choreography,
+    Move,
+    Pt2,
+    _incircle_coeffs,
+    _incircle_raw,
+    _on_grid,
+    choreography_to_json,
+    incircle_sign,
+    lerp,
+    orient2d,
+)
+from braidgamma.geom3d import Pt3, _orient3d_raw, orient3d_sign
+from braidgamma.roots import AlgebraicRoot
+
+SEEDED = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+COORD = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=50)
+
+
+def points(kind, count):
+    dim = 2 if kind is Pt2 else 3
+    return st.lists(st.tuples(*[COORD] * dim), min_size=count, max_size=count).map(
+        lambda ps: [kind(*p) for p in ps]
+    )
+
+
+@SEEDED
+@given(points(Pt2, 5), UNIT)
+def test_grid_incircle_signs_match_incircle_sign(pts, t):
+    grid = _on_grid(pts)
+    assert all(type(v) is int and v % 2 == 0 for p in grid for v in p)
+    a, b, c, m0, m1 = grid
+    s = sign(_incircle_raw(a, b, c, m0))
+    assert (s if orient2d(a, b, c) >= 0 else -s) == incircle_sign(*pts[:4])
+    # the coefficients in t, interpolated through the grid midpoint
+    c0, c1, c2 = _incircle_coeffs(a, b, c, m0, m1)
+    moved = lerp(pts[3], pts[4], t)
+    assert sign(c0 + c1 * t + c2 * t * t) == sign(_incircle_raw(*pts[:3], moved))
+
+
+@SEEDED
+@given(points(Pt3, 5), UNIT)
+def test_grid_orient3d_signs_match_orient3d_sign(pts, t):
+    grid = _on_grid(pts)
+    assert sign(_orient3d_raw(*grid[:4])) == orient3d_sign(*pts[:4])
+    # trace3's event-time grid: scale by t's denominator, move the mover
+    p, q = t.numerator, t.denominator
+    a, b, c = (tuple(q * v for v in g) for g in grid[:3])
+    mover = tuple(q * u + p * (w - u) for u, w in zip(grid[3], grid[4]))
+    assert sign(_orient3d_raw(a, b, c, mover)) == orient3d_sign(
+        *pts[:3], lerp(pts[3], pts[4], t)
+    )
+
+
+@SEEDED
+@given(
+    st.lists(st.integers(-60, 60), min_size=2, max_size=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=1000),
+)
+def test_eval_has_the_sign_of_the_polynomial(poly, t):
+    root = AlgebraicRoot.rational(0, poly)
+    value = sum(c * t**i for i, c in enumerate(root.poly))
+    assert type(root._eval(t)) is int
+    assert sign(root._eval(t)) == sign(value)
+
+
+@st.composite
+def plans(draw, kind):
+    n = draw(st.integers(4, 5))
+    pt = points(kind, 1).map(lambda ps: ps[0])
+    start = draw(st.lists(pt, min_size=n, max_size=n, unique=True))
+    moves = draw(st.lists(st.builds(Move, st.integers(1, n), pt), min_size=1, max_size=2))
+    return Choreography(n, tuple(start), tuple(moves))
+
+
+def scaled(ch, lam):
+    def move(p):
+        return type(p)(*(lam * v for v in p))
+
+    return Choreography(
+        ch.n, tuple(map(move, ch.start)), tuple(Move(m.point, move(m.to)) for m in ch.moves)
+    )
+
+
+def trace_output(ch, target):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "plan.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(choreography_to_json(ch), fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["trace", "--format", "json", "--target", target, path])
+    return code, out.getvalue(), err.getvalue()
+
+
+SCALE = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+
+
+@settings(SEEDED, max_examples=30)
+@given(plans(Pt2), SCALE)
+def test_scaling_a_planar_plan_keeps_trace_output(ch, lam):
+    for target in ("g", "gamma"):
+        assert trace_output(scaled(ch, lam), target) == trace_output(ch, target)
+
+
+@settings(SEEDED, max_examples=30)
+@given(plans(Pt3), SCALE)
+def test_scaling_a_spatial_plan_keeps_trace_output(ch, lam):
+    for target in ("g", "gamma"):
+        assert trace_output(scaled(ch, lam), target) == trace_output(ch, target)

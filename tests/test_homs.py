@@ -21,6 +21,7 @@ from braidgamma.words import (
     MultiWord,
     forget_to_g,
     free_reduce,
+    invariant,
     invariant_equal,
     invert,
     word_to_text,
@@ -279,3 +280,17 @@ def test_hom_config_validation():
         HomConfig(5, formula_mode="guessed")
     with pytest.raises(IndexRangeError):
         generator_image(HomConfig(4), 3, 2)
+
+
+@pytest.mark.parametrize("assembly", ["flip", "doubled"])
+@pytest.mark.parametrize("target", ["g", "gamma", "gammar"])
+def test_check_parity_needs_no_free_reduce(target, assembly):
+    # `check` compares the parity invariants of unreduced images: cancelling
+    # a pair of equal letters keeps every parity
+    cfg = HomConfig(6, target=target, r=3 if target == "gammar" else 1, assembly=assembly)
+    for inverted in (False, True):
+        for inst in relation_instances(6, family3_inverted=inverted):
+            for w in (inst.lhs, inst.rhs):
+                raw = map_braid(cfg, w, reduced=False)
+                assert invariant(raw, 6) == invariant(free_reduce(raw), 6)
+                assert free_reduce(raw) == map_braid(cfg, w)
