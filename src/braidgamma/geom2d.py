@@ -11,13 +11,21 @@ Each event records the four points in their circular order (canonicalized as
 a cyclic-quadruple generator, so orientation and starting point are
 irrelevant) plus the number of other points strictly inside the event
 circle.  Tangential touches (double roots) cross nothing, emit nothing, and
-raise UnstableWarning; genuinely degenerate contacts (five concyclic,
-wall contact at a waypoint, a tuple riding a wall for a whole segment) raise
-DegenerateError.
+raise UnstableWarning; genuinely degenerate contacts (four static points
+concyclic, wall contact at a waypoint, a tuple riding a wall for a whole
+segment) raise DegenerateError.
 
 The segment loop, `wall_crossings`, serves the spatial tracer too: each
 dimension passes its wall determinant, its coefficient function and its
-event builder.
+event builder.  Plans hold rationals, but each segment is traced on one
+integer grid: its configuration and the mover's target scaled by twice the
+lcm of all their coordinate denominators (`_on_grid`; the factor 2 puts the
+midpoint sample of `_incircle_coeffs` on the grid).  Every determinant is
+homogeneous, so the positive scale keeps its sign; `AlgebraicRoot` divides
+the content out of each polynomial, so roots and their printed isolating
+intervals are those of the rational plan; and `linear_sign` compares a root
+with -alpha/beta, which the scale does not change either.  Fractions remain
+in root bisection, the JSON codec and `validate`'s collision test.
 """
 
 from __future__ import annotations

@@ -6,12 +6,16 @@ collinear.  With one point moving per unit segment, the coplanarity
 determinant of any 4-tuple is linear in time, so every event time is an
 exact rational.
 
-The segment loop (static degeneracy scan, root isolation, grouping by time)
-is `geom2d.wall_crossings`, shared with the planar tracer; this module
-supplies its wall, the orient3d determinant, and the event builder with the
-special-moment filter.  A mover that crosses the line through two other
-points leaves the restricted space there and is reported as a collinear
-triple through the mover.
+The segment loop (integer grid, static degeneracy scan, root isolation,
+grouping by time) is `geom2d.wall_crossings`, shared with the planar tracer;
+this module supplies its wall, the orient3d determinant, and the event
+builder with the special-moment filter.  At an event time t = p/q the
+builder scales the segment's grid by q, which puts the mover, q g0 +
+p (g1 - g0), on it too; orient3d is homogeneous and collinearity and convex
+position are invariant under a positive scale, so every test runs on ints
+and decides as it would on the rational plan.  A mover that crosses the
+line through two other points leaves the restricted space there and is
+reported as a collinear triple through the mover.
 
 An event is *special* when the four coplanar points form a convex
 quadrilateral and all remaining points lie strictly on one side of the
