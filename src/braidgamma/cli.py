@@ -16,6 +16,7 @@ import random
 import sys
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import geom2d, geom3d
 from .braids import BraidWord, parse_braid, print_braid, relation_instances
@@ -23,6 +24,7 @@ from .errors import BraidGammaError, UnstableWarning, WordSyntaxError
 from .exact import rat_from_str, rat_to_str
 from .generators import BraidGen
 from .homs import HomConfig, map_braid
+from .roots import dyadic_level
 from .words import (
     free_reduce,
     invariant,
@@ -193,12 +195,14 @@ def _cmd_map(rc: RunConfig, args) -> int:
     return 0
 
 
-def _time_payload(root) -> dict:
+def _time_payload(root, k: int) -> dict:
+    """An exact time, or an irrational one with its dyadic cell of width 2^-k."""
     if root.is_rational():
         return {"exact": rat_to_str(root.exact)}
+    m = root.floor_scaled(k)
     return {
         "poly": list(root.poly),
-        "interval": [rat_to_str(root.lo), rat_to_str(root.hi)],
+        "interval": [rat_to_str(Fraction(m, 1 << k)), rat_to_str(Fraction(m + 1, 1 << k))],
         "branch": root.sigma,
     }
 
@@ -234,10 +238,15 @@ def _cmd_trace(rc: RunConfig, args) -> int:
         else:
             events = geom2d.trace(ch)
             word = geom2d.events_to_word(events, rc.target, rc.r)
+            # one cell width per segment, fixed by its distinct times alone
+            level = {
+                seg: dyadic_level([e.time for e in group])
+                for seg, group in itertools.groupby(events, key=lambda e: e.segment)
+            }
             ev_payload = [
                 {
                     "segment": e.segment,
-                    "time": _time_payload(e.time),
+                    "time": _time_payload(e.time, level[e.segment]),
                     "quad": str(e.quad),
                     "subset": str(e.subset),
                     "inside": e.inside,

@@ -537,7 +537,7 @@ def _build_event(n, seg, grid, mover, g0, g1, root, triple, t_left, t_right):
             "inside count disagrees on the two sides of a collinear wall",
             segment=seg,
             subsets=[subset],
-            window=f"({t_left}, {t_right})",
+            window=f"{{{root.exact}}}",
         )
     return Event(seg, root, GammaGen(cycle), GGen(subset), counts[0], collinear_wall=True)
 

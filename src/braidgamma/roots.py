@@ -126,6 +126,16 @@ class AlgebraicRoot:
             return sign(alpha)
         return sign(beta) * self.compare_rational(Fraction(-alpha, beta))
 
+    def floor_scaled(self, k: int) -> int:
+        """floor(2^k * root)."""
+        if self.exact is not None:
+            return (self.exact.numerator << k) // self.exact.denominator
+        c0, c1, c2 = self.poly
+        # 2^k root = (-c1 2^k + sigma sqrt(D 4^k)) / (2 c2) with sqrt(D 4^k)
+        # irrational, so the floor of the numerator decides
+        s = math.isqrt((c1 * c1 - 4 * c0 * c2) << (2 * k))
+        return ((-c1 << k) + (s if self.sigma > 0 else -s - 1)) // (2 * c2)
+
     def approx(self) -> float:
         if self.exact is not None:
             return float(self.exact)
@@ -137,6 +147,32 @@ class AlgebraicRoot:
         if self.exact is not None:
             return f"AlgebraicRoot({self.exact})"
         return f"AlgebraicRoot({self.poly}, ({self.lo}, {self.hi}), sigma={self.sigma:+d})"
+
+
+def _separated(times, k: int) -> bool:
+    cells = []
+    for t in times:
+        if t.exact is not None:
+            x = t.exact * (1 << k)
+            cells.append((x, x))
+            continue
+        m = t.floor_scaled(k)
+        if sign(t._eval(Fraction(m, 1 << k))) == sign(t._eval(Fraction(m + 1, 1 << k))):
+            return False
+        cells.append((m, m + 1))
+    return all(u[1] <= v[0] for u, v in zip(cells, cells[1:]))
+
+
+def dyadic_level(times) -> int:
+    """The least k >= 1 at which the dyadic cells [m/2^k, (m+1)/2^k], with
+    m = floor(2^k t), isolate each irrational root of `times` (roots in (0, 1),
+    sorted) and keep consecutive distinct times apart: their open cells, a
+    rational taken as a point, are disjoint."""
+    distinct = [t for i, t in enumerate(times) if i == 0 or times[i - 1].compare(t)]
+    k = 1
+    while not _separated(distinct, k):
+        k += 1
+    return k
 
 
 class ConstantZero(Exception):

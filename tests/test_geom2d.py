@@ -283,6 +283,17 @@ def test_collinear_wall_events():
     assert len(line_events) == 1 and line_events[0].inside == 1
 
 
+def test_collinear_wall_error_names_its_crossing_time():
+    # the mover crosses the line y = 0 of points 1, 2, 3 at t = 1/3, where
+    # incircle is linear in the mover, so the crossing time is rational
+    pts = (pt2(0, 0), pt2(1, 0), pt2(3, 0), pt2(2, -1), pt2(10, 5))
+    ch = Choreography(5, pts, (Move(4, pt2(2, 2)),))
+    with pytest.raises(DegenerateError, match=r"\[t in \{1/3\}\]") as info:
+        trace(ch)
+    assert info.value.window == "{1/3}"
+    assert info.value.segment == 0 and info.value.subsets == ((1, 2, 3, 4),)
+
+
 def test_event_quad_absorbs_orientation():
     # reading the circle clockwise instead of counterclockwise reverses the
     # cycle, which the dihedral canonicalization absorbs

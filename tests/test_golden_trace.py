@@ -5,17 +5,14 @@ small-integer plans (half planar, half spatial; about a third of them are
 rejected with exit code 3, so error messages are pinned too) and 40 seeded
 plans whose coordinates have denominators 1..7 (half planar, half spatial;
 the tracers rescale each segment onto one integer grid, and these rows pin
-that rescaling) are traced through `cli.main` with targets g and gamma.  The SHA-256 of stdout followed
-by stderr, and the exit code, must match the stored table.
-
-An irrational event time prints with its isolating interval, which holds
-whatever refinement the comparisons made while sorting.  `list.sort` makes a
-different sequence of comparisons from CPython 3.13 on, so some intervals
-print differently there; 3.13 and later have their own table.
+that rescaling) are traced through `cli.main` with targets g and gamma.
+The SHA-256 of stdout followed by stderr, and the exit code, must match the
+stored table.  An irrational event time prints its canonical dyadic cell,
+which depends on the root alone, so one table serves every supported Python.
 
 After an intended change of output, rewrite the digests with
-`PYTHONPATH=src python tests/test_golden_trace.py` (once per table, with a
-Python on each side of 3.13) and review the changed rows.
+`PYTHONPATH=src python tests/test_golden_trace.py` and review the changed
+rows.
 """
 
 import contextlib
@@ -29,12 +26,12 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from braidgamma import cli
 from braidgamma.geom2d import choreography_to_json, generator_choreography
 
-GOLDEN = Path(__file__).with_name("data") / (
-    "golden_trace_py313.json" if sys.version_info >= (3, 13) else "golden_trace.json"
-)
+GOLDEN = Path(__file__).with_name("data") / "golden_trace.json"
 TARGETS = ("g", "gamma")
 
 
@@ -99,7 +96,8 @@ def plans():
         yield f"rational{dim}d-{k:03d}", rational_plan(rng, dim)
 
 
-def digests(workdir: Path) -> dict:
+def outputs(workdir: Path) -> dict:
+    """Exit code and stdout followed by stderr of every golden call."""
     out = {}
     for name, data in plans():
         path = workdir / f"{name}.json"
@@ -108,14 +106,25 @@ def digests(workdir: Path) -> dict:
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = cli.main(["trace", "--format", "json", "--target", target, str(path)])
-            text = stdout.getvalue() + stderr.getvalue()
-            out[f"{name}/{target}"] = [code, hashlib.sha256(text.encode()).hexdigest()]
+            out[f"{name}/{target}"] = (code, stdout.getvalue() + stderr.getvalue())
     return out
 
 
-def test_trace_output_matches_golden_digests(tmp_path):
+def digests(outs: dict) -> dict:
+    return {
+        key: [code, hashlib.sha256(text.encode()).hexdigest()]
+        for key, (code, text) in outs.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def golden_outputs(tmp_path_factory):
+    return outputs(tmp_path_factory.mktemp("plans"))
+
+
+def test_trace_output_matches_golden_digests(golden_outputs):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = digests(tmp_path)
+    got = digests(golden_outputs)
     assert sorted(got) == sorted(expected)
     changed = [key for key in expected if got[key] != expected[key]]
     assert not changed, f"{len(changed)} trace outputs differ: {changed[:10]}"
@@ -123,8 +132,67 @@ def test_trace_output_matches_golden_digests(tmp_path):
     assert 0.2 < codes.count(3) / len(codes) < 0.5  # errors stay covered
 
 
+def _poly_sign(poly, t: Fraction) -> int:
+    v = sum(c * t**i for i, c in enumerate(poly))
+    return (v > 0) - (v < 0)
+
+
+def _cells_ok(times, halve: bool) -> bool:
+    """Whether the printed cells of one segment's times (dicts as printed,
+    in order), or with `halve` their parent cells of twice the width,
+    isolate their roots and keep consecutive distinct times apart."""
+    spans = []
+    for time in times:
+        if "exact" in time:
+            t = Fraction(time["exact"])
+            spans.append((t, t))
+            continue
+        lo, hi = (Fraction(v) for v in time["interval"])
+        if halve:
+            w = 2 * (hi - lo)
+            lo = (lo // w) * w
+            hi = lo + w
+        # c2 > 0: the polynomial falls through the left root, rises through the right
+        branch = time["branch"]
+        if (_poly_sign(time["poly"], lo), _poly_sign(time["poly"], hi)) != (-branch, branch):
+            return False
+        spans.append((lo, hi))
+    return all(u[1] <= v[0] for u, v in zip(spans, spans[1:]))
+
+
+def test_printed_cells_isolate_and_separate(golden_outputs):
+    """Per planar segment, every irrational time prints a dyadic cell of one
+    width 2^-k that holds its root and no other root of its polynomial;
+    consecutive distinct times do not overlap; and k is the least k >= 1 for
+    which both hold."""
+    irrational = 0
+    for key, (code, text) in golden_outputs.items():
+        payload = json.loads(text) if code == 0 else None
+        if payload is None or payload["dim"] != 2:
+            continue
+        by_segment: dict = {}
+        for e in payload["events"]:
+            times = by_segment.setdefault(e["segment"], [])
+            if not times or times[-1] != e["time"]:
+                times.append(e["time"])
+        for seg, times in by_segment.items():
+            cells = [t for t in times if "interval" in t]
+            if not cells:
+                continue
+            irrational += len(cells)
+            widths = {Fraction(t["interval"][1]) - Fraction(t["interval"][0]) for t in cells}
+            assert len(widths) == 1, (key, seg)
+            (width,) = widths
+            assert width.numerator == 1 and width.denominator.bit_count() == 1, (key, seg)
+            assert all(Fraction(t["interval"][0]) % width == 0 for t in cells), (key, seg)
+            assert all(t["poly"][2] > 0 for t in cells), (key, seg)
+            assert _cells_ok(times, halve=False), (key, seg)
+            assert width == Fraction(1, 2) or not _cells_ok(times, halve=True), (key, seg)
+    assert irrational > 100
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        table = digests(Path(tmp))
+        table = digests(outputs(Path(tmp)))
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(table)} digests to {GOLDEN}", file=sys.stderr)
