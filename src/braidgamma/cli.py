@@ -1,9 +1,11 @@
 """Command-line surface: map, trace, check, invariant, canon, render.
 
 Exact event times never print as floats: a rational root prints as "p/q",
-an irrational one as its integer polynomial plus an isolating interval and
-branch, so logs are reproducible and order-certifying.  Set BRAIDGAMMA_MAX_N
-to lift or lower the strand-count cap (default 10).
+an irrational one as its integer polynomial, its branch and a dyadic cell
+[m/2^k, (m+1)/2^k].  Per planar segment, k is the least k >= 1 at which every
+cell isolates its root and consecutive distinct times do not overlap, so the
+printout depends on the roots alone and certifies their order.  Set
+BRAIDGAMMA_MAX_N to lift or lower the strand-count cap (default 10).
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def _time_payload(root, k: int) -> dict:
     """An exact time, or an irrational one with its dyadic cell of width 2^-k."""
     if root.is_rational():
         return {"exact": rat_to_str(root.exact)}
-    m = root.floor_scaled(k)
+    m = root.refine(k)
     return {
         "poly": list(root.poly),
         "interval": [rat_to_str(Fraction(m, 1 << k)), rat_to_str(Fraction(m + 1, 1 << k))],

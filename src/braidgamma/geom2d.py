@@ -22,10 +22,15 @@ integer grid: its configuration and the mover's target scaled by twice the
 lcm of all their coordinate denominators (`_on_grid`; the factor 2 puts the
 midpoint sample of `_incircle_coeffs` on the grid).  Every determinant is
 homogeneous, so the positive scale keeps its sign; `AlgebraicRoot` divides
-the content out of each polynomial, so roots and their printed isolating
-intervals are those of the rational plan; and `linear_sign` compares a root
-with -alpha/beta, which the scale does not change either.  Fractions remain
-in root bisection, the JSON codec and `validate`'s collision test.
+the content out of each polynomial, so roots and their printed dyadic cells
+are those of the rational plan; and the sign of alpha + beta * t at a root
+does not change when alpha and beta are scaled alike.  Fractions remain in
+the JSON codec and `validate`'s collision test.
+
+On a collinear wall (three static points on one line) the incircle
+determinant is linear in the mover, so the event time is rational and the
+mover's side of the line flips there: the inside count is the number of
+bystanders on one side of the line, and must equal the number on the other.
 """
 
 from __future__ import annotations
@@ -337,9 +342,8 @@ def _angular_cycle(root: AlgebraicRoot, vecs) -> tuple[int, ...]:
         sy = root.linear_sign(*v[1])
         if sy != 0:
             return 0 if sy > 0 else 1
-        sx = root.linear_sign(*v[0])
-        assert sx != 0, "point coincides with the circumcenter"
-        return 0 if sx > 0 else 1
+        # nonzero: every event point lies on the circle, none at its centre
+        return 0 if root.linear_sign(*v[0]) > 0 else 1
 
     def cmp(i, j):
         hi, hj = half(vecs[i]), half(vecs[j])
@@ -351,7 +355,8 @@ def _angular_cycle(root: AlgebraicRoot, vecs) -> tuple[int, ...]:
             xi[0] * yj[0] - yi[0] * xj[0],
             xi[0] * yj[1] + xi[1] * yj[0] - yi[0] * xj[1] - yi[1] * xj[0],
         )
-        assert s != 0, "two event points on one ray from the circumcenter"
+        # nonzero: two points on one ray and one circle coincide, a collision
+        # that validate rejects
         return -1 if s > 0 else 1
 
     return tuple(sorted(vecs, key=functools.cmp_to_key(cmp)))
@@ -439,10 +444,9 @@ def trace(ch: Choreography) -> list[Event]:
         raise ValidationError("trace needs a planar choreography; use geom3d.trace3")
 
     def build(seg, grid, mover, g0, g1, groups):
-        samples = _sample_times([g[0][0] for g in groups])
         return [
-            _build_event(ch.n, seg, grid, mover, g0, g1, root, triple, samples[k], samples[k + 1])
-            for k, group in enumerate(groups)
+            _build_event(ch.n, seg, grid, mover, g0, g1, root, triple)
+            for group in groups
             for root, triple in group
         ]
 
@@ -451,39 +455,7 @@ def trace(ch: Choreography) -> list[Event]:
     )
 
 
-def _separate_roots(a, b) -> None:
-    """Shrink isolating intervals until a's upper bound is at most b's lower
-    bound, strictly past any rational root (a < b is already known)."""
-    if a.is_rational():
-        b.refine_below(a.exact)
-        return
-    if b.is_rational():
-        a.refine_above(b.exact)
-        return
-    while a.hi > b.lo:
-        a.refine()
-        b.refine()
-
-
-def _sample_times(roots) -> list[Fraction]:
-    """Rationals interleaving the sorted distinct roots, clear of all of them."""
-    for a, b in zip(roots, roots[1:]):
-        _separate_roots(a, b)
-    if not roots[0].is_rational():
-        roots[0].refine_below(Fraction(0))
-    if not roots[-1].is_rational():
-        roots[-1].refine_above(Fraction(1))
-    bounds = [Fraction(0)]
-    for r in roots:
-        lo = r.exact if r.is_rational() else r.lo
-        hi = r.exact if r.is_rational() else r.hi
-        bounds.append(lo)
-        bounds.append(hi)
-    bounds.append(Fraction(1))
-    return [(bounds[2 * k] + bounds[2 * k + 1]) / 2 for k in range(len(roots) + 1)]
-
-
-def _build_event(n, seg, grid, mover, g0, g1, root, triple, t_left, t_right):
+def _build_event(n, seg, grid, mover, g0, g1, root, triple):
     # No bystander lies on the event circle or line: with the three static
     # points of the event it would make four static points concyclic or
     # collinear, which the static scan of wall_crossings rejects first.
@@ -507,7 +479,9 @@ def _build_event(n, seg, grid, mover, g0, g1, root, triple, t_left, t_right):
         inside = sum(1 for k in bystanders if sign(_incircle_raw(a, b, c, grid[k - 1])) == sd)
         return Event(seg, root, GammaGen(cycle), GGen(subset), inside)
 
-    # collinear wall: order along the line, closed up projectively
+    # Collinear wall: a, b, c collinear make incircle linear in the mover,
+    # so the root is rational and the mover crosses the line ab there.
+    # Order along the line, closed up projectively.
     dx, dy = b[0] - a[0], b[1] - a[1]
 
     def along(p, v):
@@ -518,28 +492,23 @@ def _build_event(n, seg, grid, mover, g0, g1, root, triple, t_left, t_right):
     coord[mover] = along(g0, velocity)
 
     def cmp(i, j):
-        s = root.linear_sign(coord[i][0] - coord[j][0], coord[i][1] - coord[j][1])
-        assert s != 0, "distinct points share a coordinate on the wall line"
-        return s
+        # nonzero: distinct points on one line, as validate rejects a collision
+        return root.linear_sign(coord[i][0] - coord[j][0], coord[i][1] - coord[j][1])
 
     cycle = tuple(sorted(coord, key=functools.cmp_to_key(cmp)))
-    side = {k: orient2d(a, b, grid[k - 1]) for k in bystanders}
-    # orient2d(a, b, M(t)) * |denominator of t|, for the mover at t
-    o0 = dx * (g0[1] - a[1]) - dy * (g0[0] - a[0])
-    ov = dx * velocity[1] - dy * velocity[0]
-    counts = []
-    for t in (t_left, t_right):
-        ms = sign(o0 * t.denominator + ov * t.numerator)
-        assert ms != 0
-        counts.append(sum(1 for k in bystanders if side[k] == -ms))
-    if counts[0] != counts[1]:
+    # The mover's side of the line ab flips at the root: on one side of the
+    # wall the bystanders inside are those left of ab, on the other those
+    # right of it, and the two counts must agree.
+    sides = [orient2d(a, b, grid[k - 1]) for k in bystanders]
+    inside = sides.count(1)
+    if inside != sides.count(-1):
         raise DegenerateError(
             "inside count disagrees on the two sides of a collinear wall",
             segment=seg,
             subsets=[subset],
             window=f"{{{root.exact}}}",
         )
-    return Event(seg, root, GammaGen(cycle), GGen(subset), counts[0], collinear_wall=True)
+    return Event(seg, root, GammaGen(cycle), GGen(subset), inside, collinear_wall=True)
 
 
 def events_to_word(events, target: str, r: int = 1):
@@ -593,9 +562,8 @@ def generator_choreography(n: int, i: int, j: int) -> Choreography:
         Move(j, Pt2(xj, yj + eps)),
         Move(j, Pt2(xj, yj)),
     )
-    ch = Choreography(n, pts, moves, loop=True)
-    ch.validate()
-    return ch
+    # valid by construction; tracing validates it
+    return Choreography(n, pts, moves, loop=True)
 
 
 def braid_choreography(w) -> Choreography:

@@ -164,9 +164,9 @@ def _convex_cycle(pts3: dict[int, tuple[int, int, int]]):
         if hi != hj:
             return -1 if hi < hj else 1
         ui, uj = vec[i], vec[j]
-        s = sign(ui[0] * uj[1] - ui[1] * uj[0])
-        assert s != 0, "two vertices on one ray from the centroid"
-        return -1 if s > 0 else 1
+        # nonzero: the centroid is interior, so a vertex on another's ray
+        # would lie inside the quadrilateral
+        return -1 if ui[0] * uj[1] - ui[1] * uj[0] > 0 else 1
 
     return True, tuple(sorted(ids, key=functools.cmp_to_key(cmp)))
 

@@ -30,10 +30,3 @@ def reduce(vec: int, basis) -> int:
             vec ^= row
     return vec
 
-
-def rank(rows) -> int:
-    return len(echelon(rows))
-
-
-def in_rowspan(vec: int, basis) -> bool:
-    return reduce(vec, basis) == 0

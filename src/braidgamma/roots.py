@@ -1,22 +1,25 @@
 """Exact roots of integer polynomials of degree <= 2 on the open unit interval.
 
-Every root is either an explicit rational or a quadratic irrational carried as
-(integer polynomial, isolating interval, branch).  This is enough for a total
-order with decidable equality:
+Every root is either an explicit rational or a quadratic irrational
 
-  * rational vs rational         — compare values;
-  * rational vs irrational       — bisect the interval away from the rational
-                                   (they can never be equal);
-  * irrational vs irrational     — two quadratic irrationals are equal iff
-                                   their content-free polynomials coincide and
-                                   they are the same branch (a shared
-                                   irrational root forces proportionality);
-                                   otherwise bisect until the intervals are
-                                   disjoint.
+    (-c1 + sigma sqrt(D)) / (2 c2),    D = c1^2 - 4 c0 c2 not a square,
 
-Branches are tagged by sigma in {-1, +1}: the root left or right of the
-vertex.  Isolating intervals always contain exactly one root and carry
-opposite nonzero polynomial signs at their endpoints.
+carried as its content-free polynomial (c0, c1, c2), with c2 > 0, and its
+branch sigma in {-1, +1}: the root left or right of the vertex.  A root is
+immutable, and every operation on it is exact:
+
+  * the sign of alpha + beta * root is that of a + b sqrt(D) for integers
+    a, b, read off the signs of a and b, or else by comparing a^2 with
+    b^2 D; comparing with a rational is such a sign;
+  * refine(k) = floor(2^k * root), by math.isqrt;
+  * two quadratic irrationals are equal iff their content-free polynomials
+    coincide and they are the same branch (a shared irrational root forces
+    proportionality); otherwise refine(k) at growing k tells them apart.
+
+`dyadic_level` fixes the printed interval of a segment's event times: the
+dyadic cells of the least width 2^-k that isolate each irrational root and
+keep consecutive distinct times apart.  It depends on the roots alone, never
+on the comparisons a sort happened to make.
 """
 
 from __future__ import annotations
@@ -28,33 +31,28 @@ from .exact import sign
 
 
 def _normalize(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    g = math.gcd(*[abs(c) for c in coeffs]) or 1
-    coeffs = tuple(c // g for c in coeffs)
-    lead = next((c for c in reversed(coeffs) if c), 0)
-    if lead < 0:
-        coeffs = tuple(-c for c in coeffs)
-    return coeffs
+    """coeffs divided by their content, signed to make the leading one positive."""
+    g = math.gcd(*coeffs)
+    if g == 0:
+        return coeffs
+    if next(c for c in reversed(coeffs) if c) < 0:
+        g = -g
+    return tuple(c // g for c in coeffs)
 
 
 class AlgebraicRoot:
     """One real root of an integer polynomial of degree <= 2."""
 
-    __slots__ = ("poly", "exact", "lo", "hi", "sigma")
+    __slots__ = ("poly", "exact", "sigma")
 
-    def __init__(self, poly, *, exact=None, lo=None, hi=None, sigma=0):
-        self.poly = _normalize(tuple(int(c) for c in poly))
+    def __init__(self, poly, *, exact=None, sigma=0):
+        self.poly = _normalize(tuple(map(int, poly)))
         self.exact = Fraction(exact) if exact is not None else None
-        self.lo = Fraction(lo) if lo is not None else None
-        self.hi = Fraction(hi) if hi is not None else None
         self.sigma = sigma
-        if self.exact is None:
-            assert self.lo is not None and self.hi is not None and sigma in (-1, 1)
-            assert sign(self._eval(self.lo)) * sign(self._eval(self.hi)) < 0
 
     @classmethod
     def rational(cls, value, poly=(0, 1)) -> "AlgebraicRoot":
-        value = Fraction(value)
-        return cls(poly, exact=value, lo=value, hi=value)
+        return cls(poly, exact=value)
 
     def _eval(self, t: Fraction) -> int:
         """q^d * poly(t) for t = p/q and d = len(poly) - 1: an integer with
@@ -69,64 +67,7 @@ class AlgebraicRoot:
     def is_rational(self) -> bool:
         return self.exact is not None
 
-    def refine(self) -> None:
-        """One bisection step; irrational roots never hit the midpoint."""
-        if self.exact is not None:
-            return
-        mid = (self.lo + self.hi) / 2
-        if sign(self._eval(mid)) == sign(self._eval(self.lo)):
-            self.lo = mid
-        else:
-            self.hi = mid
-
-    def refine_below(self, bound: Fraction) -> None:
-        """Shrink the interval until it lies strictly above `bound` (root > bound)."""
-        while self.lo <= bound:
-            if self.exact is not None:
-                assert self.exact > bound
-                return
-            self.refine()
-
-    def refine_above(self, bound: Fraction) -> None:
-        while self.hi >= bound:
-            if self.exact is not None:
-                assert self.exact < bound
-                return
-            self.refine()
-
-    def compare_rational(self, q: Fraction) -> int:
-        """Sign of (root - q); never 0 for irrational roots."""
-        if self.exact is not None:
-            return sign(self.exact - q)
-        while self.lo < q < self.hi:
-            self.refine()
-        return 1 if q <= self.lo else -1
-
-    def compare(self, other: "AlgebraicRoot") -> int:
-        if self.exact is not None and other.exact is not None:
-            return sign(self.exact - other.exact)
-        if other.exact is not None:
-            return self.compare_rational(other.exact)
-        if self.exact is not None:
-            return -other.compare_rational(self.exact)
-        if self.poly == other.poly:
-            return sign(self.sigma - other.sigma)
-        # distinct irreducible quadratics share no root: separate by bisection
-        while True:
-            if self.hi <= other.lo:
-                return -1
-            if other.hi <= self.lo:
-                return 1
-            self.refine()
-            other.refine()
-
-    def linear_sign(self, alpha: Fraction, beta: Fraction) -> int:
-        """Exact sign of alpha + beta * root."""
-        if beta == 0:
-            return sign(alpha)
-        return sign(beta) * self.compare_rational(Fraction(-alpha, beta))
-
-    def floor_scaled(self, k: int) -> int:
+    def refine(self, k: int) -> int:
         """floor(2^k * root)."""
         if self.exact is not None:
             return (self.exact.numerator << k) // self.exact.denominator
@@ -136,17 +77,43 @@ class AlgebraicRoot:
         s = math.isqrt((c1 * c1 - 4 * c0 * c2) << (2 * k))
         return ((-c1 << k) + (s if self.sigma > 0 else -s - 1)) // (2 * c2)
 
-    def approx(self) -> float:
+    def linear_sign(self, alpha, beta) -> int:
+        """Exact sign of alpha + beta * root."""
         if self.exact is not None:
-            return float(self.exact)
-        while self.hi - self.lo > Fraction(1, 1 << 48):
-            self.refine()
-        return float((self.lo + self.hi) / 2)
+            return sign(alpha + beta * self.exact)
+        c0, c1, c2 = self.poly
+        # 2 c2 (alpha + beta root) = a + b sqrt(D)
+        a, b = 2 * c2 * alpha - c1 * beta, self.sigma * beta
+        sa, sb = sign(a), sign(b)
+        if sa * sb >= 0:
+            return sa or sb
+        return sa if a * a > b * b * (c1 * c1 - 4 * c0 * c2) else sb
+
+    def compare_rational(self, q: Fraction) -> int:
+        """Sign of (root - q); never 0 for irrational roots."""
+        q = Fraction(q)
+        return self.linear_sign(-q.numerator, q.denominator)
+
+    def compare(self, other: "AlgebraicRoot") -> int:
+        if other.exact is not None:
+            return self.compare_rational(other.exact)
+        if self.exact is not None:
+            return -other.compare_rational(self.exact)
+        if self.poly == other.poly:
+            return sign(self.sigma - other.sigma)
+        # distinct irreducible quadratics share no root
+        k = 16
+        while (a := self.refine(k)) == (b := other.refine(k)):
+            k *= 2
+        return sign(a - b)
+
+    def approx(self) -> float:
+        return self.refine(64) / (1 << 64)
 
     def __repr__(self):
         if self.exact is not None:
             return f"AlgebraicRoot({self.exact})"
-        return f"AlgebraicRoot({self.poly}, ({self.lo}, {self.hi}), sigma={self.sigma:+d})"
+        return f"AlgebraicRoot({self.poly}, sigma={self.sigma:+d})"
 
 
 def _separated(times, k: int) -> bool:
@@ -156,7 +123,7 @@ def _separated(times, k: int) -> bool:
             x = t.exact * (1 << k)
             cells.append((x, x))
             continue
-        m = t.floor_scaled(k)
+        m = t.refine(k)
         if sign(t._eval(Fraction(m, 1 << k))) == sign(t._eval(Fraction(m + 1, 1 << k))):
             return False
         cells.append((m, m + 1))
@@ -165,7 +132,7 @@ def _separated(times, k: int) -> bool:
 
 def dyadic_level(times) -> int:
     """The least k >= 1 at which the dyadic cells [m/2^k, (m+1)/2^k], with
-    m = floor(2^k t), isolate each irrational root of `times` (roots in (0, 1),
+    m = refine(k), isolate each irrational root of `times` (roots in (0, 1),
     sorted) and keep consecutive distinct times apart: their open cells, a
     rational taken as a point, are disjoint."""
     distinct = [t for i, t in enumerate(times) if i == 0 or times[i - 1].compare(t)]
@@ -197,11 +164,9 @@ def isolate_unit_roots(coeffs) -> tuple[list[AlgebraicRoot], list[Fraction]]:
     c0, c1, c2 = (int(c) for c in coeffs)
     if c0 == 0 and c1 == 0 and c2 == 0:
         raise ConstantZero()
-    p0 = c0
-    p1 = c0 + c1 + c2
-    if p0 == 0:
+    if c0 == 0:
         raise EndpointZero(0)
-    if p1 == 0:
+    if c0 + c1 + c2 == 0:
         raise EndpointZero(1)
 
     if c2 == 0:
@@ -215,8 +180,8 @@ def isolate_unit_roots(coeffs) -> tuple[list[AlgebraicRoot], list[Fraction]]:
     disc = c1 * c1 - 4 * c0 * c2
     if disc < 0:
         return [], []
-    vertex = Fraction(-c1, 2 * c2)
     if disc == 0:
+        vertex = Fraction(-c1, 2 * c2)
         return [], ([vertex] if 0 < vertex < 1 else [])
 
     sqrt = math.isqrt(disc)
@@ -229,25 +194,5 @@ def isolate_unit_roots(coeffs) -> tuple[list[AlgebraicRoot], list[Fraction]]:
         ], []
 
     # irrational pair: sigma -1 left of the vertex, +1 right of it
-    poly = (c0, c1, c2)
-    s0, s1 = sign(p0), sign(p1)
-    out: list[AlgebraicRoot] = []
-    if s0 != s1:
-        # exactly one root inside (0,1)
-        if vertex >= 1:
-            out.append(AlgebraicRoot(poly, lo=0, hi=1, sigma=-1))
-        elif vertex <= 0:
-            out.append(AlgebraicRoot(poly, lo=0, hi=1, sigma=1))
-        else:
-            sv = sign(c0 + c1 * vertex + c2 * vertex * vertex)
-            if s0 != sv:
-                out.append(AlgebraicRoot(poly, lo=0, hi=vertex, sigma=-1))
-            else:
-                out.append(AlgebraicRoot(poly, lo=vertex, hi=1, sigma=1))
-    else:
-        if 0 < vertex < 1:
-            sv = sign(c0 + c1 * vertex + c2 * vertex * vertex)
-            if sv != s0:
-                out.append(AlgebraicRoot(poly, lo=0, hi=vertex, sigma=-1))
-                out.append(AlgebraicRoot(poly, lo=vertex, hi=1, sigma=1))
-    return out, []
+    pair = (AlgebraicRoot((c0, c1, c2), sigma=s) for s in (-1, 1))
+    return [r for r in pair if r.linear_sign(0, 1) > 0 > r.linear_sign(-1, 1)], []

@@ -1,3 +1,5 @@
+import decimal
+import functools
 import math
 import random
 from fractions import Fraction
@@ -7,6 +9,7 @@ import pytest
 from braidgamma.roots import (
     ConstantZero,
     EndpointZero,
+    dyadic_level,
     isolate_unit_roots,
 )
 
@@ -112,12 +115,113 @@ def test_linear_sign():
     assert q.linear_sign(Fraction(0), Fraction(-2)) == -1
 
 
-def test_refine_bounds():
-    (r,), _ = isolate_unit_roots((1, -4, 2))
-    r.refine_below(Fraction(1, 8))
-    assert r.lo > Fraction(1, 8)
-    r.refine_above(Fraction(1, 2))
-    assert r.hi < Fraction(1, 2)
+def _decimal_floor(value, k: int) -> int:
+    return int((value * (1 << k)).to_integral_value(rounding=decimal.ROUND_FLOOR))
+
+
+def test_refine_is_the_floor_of_the_scaled_root():
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        two, three, five = (decimal.Decimal(v).sqrt() for v in (2, 3, 5))
+        surds = (
+            ((1, -4, 2), 1 - 1 / two),  # 1 - 1/sqrt(2)
+            ((-1, 1, 1), (five - 1) / 2),  # the golden section
+            ((1, -4, 1), 2 - three),
+            ((-2, -6, 9), (1 + three) / 3),
+        )
+        for poly, value in surds:
+            (root,), _ = isolate_unit_roots(poly)
+            for k in (0, 1, 2, 3, 10, 52, 53, 64, 100, 200):
+                assert root.refine(k) == _decimal_floor(value, k), (poly, k)
+    (half,), _ = isolate_unit_roots((-1, 2, 0))
+    assert [half.refine(k) for k in (0, 1, 5)] == [0, 1, 16]
+
+
+def _above(root, q: Fraction) -> bool:
+    """Whether root > q, from the sign of the polynomial at q and the side of
+    the vertex alone (c2 > 0: negative exactly between the two roots)."""
+    if root.is_rational():
+        return root.exact > q
+    c0, c1, c2 = root.poly
+    assert c2 > 0
+    value = c0 + c1 * q + c2 * q * q
+    left_of_vertex = q < Fraction(-c1, 2 * c2)
+    if root.sigma > 0:
+        return left_of_vertex or value < 0
+    return left_of_vertex and value > 0
+
+
+def _oracle_linear_sign(root, alpha, beta) -> int:
+    if beta == 0:
+        return (alpha > 0) - (alpha < 0)
+    q = Fraction(-alpha) / beta
+    if root.is_rational() and root.exact == q:
+        return 0
+    return (1 if _above(root, q) else -1) * (1 if beta > 0 else -1)
+
+
+def _oracle_compare(x, y) -> int:
+    if not x.is_rational() and not y.is_rational() and (x.poly, x.sigma) == (y.poly, y.sigma):
+        return 0
+    if y.is_rational():
+        return _oracle_linear_sign(x, -y.exact, 1)
+    if x.is_rational():
+        return -_oracle_linear_sign(y, -x.exact, 1)
+    # distinct irrationals: bisect [0, 1] until one side holds one and not the other
+    lo, hi = Fraction(0), Fraction(1)
+    while True:
+        mid = (lo + hi) / 2
+        ax, ay = _above(x, mid), _above(y, mid)
+        if ax != ay:
+            return 1 if ax else -1
+        lo, hi = (mid, hi) if ax else (lo, mid)
+
+
+def _seeded_roots(rng, count):
+    roots = []
+    while len(roots) < count:
+        coeffs = tuple(rng.randrange(-40, 41) for _ in range(3))
+        try:
+            found, _ = isolate_unit_roots(coeffs)
+        except (ConstantZero, EndpointZero):
+            continue
+        roots.extend(found)
+    return roots
+
+
+def test_exact_operations_match_an_independent_oracle():
+    rng = random.Random(2027)
+    roots = _seeded_roots(rng, 120)
+    assert sum(not r.is_rational() for r in roots) > 80
+    for x in roots:
+        for y in rng.sample(roots, 20) + [x]:
+            assert x.compare(y) == _oracle_compare(x, y), (x, y)
+        for _ in range(20):
+            q = Fraction(rng.randrange(-5, 70), rng.randrange(1, 60))
+            assert x.compare_rational(q) == _oracle_linear_sign(x, -q, 1), (x, q)
+            alpha, beta = rng.randrange(-300, 301), rng.randrange(-300, 301)
+            assert x.linear_sign(alpha, beta) == _oracle_linear_sign(x, alpha, beta)
+
+
+def test_comparisons_leave_the_printout_unchanged():
+    # a root's printout, and a sorted list's cells, must not depend on which
+    # comparisons a sort happened to make
+    rng = random.Random(2028)
+    roots = _seeded_roots(rng, 40)
+
+    def printout(r):
+        k = dyadic_level([r])
+        return repr(r), k, r.refine(k)
+
+    before = [printout(r) for r in roots]
+    cells = set()
+    for _ in range(5):
+        shuffled = rng.sample(roots, len(roots))
+        shuffled.sort(key=functools.cmp_to_key(lambda u, v: u.compare(v)))
+        k = dyadic_level(shuffled)
+        cells.add((k, tuple(r.refine(k) for r in shuffled)))
+    assert [printout(r) for r in roots] == before
+    assert len(cells) == 1
 
 
 def test_events_match_dense_sampling():
