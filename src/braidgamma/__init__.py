@@ -51,9 +51,7 @@ from .homs import (
     inside_count,
     letter_slot,
     map_braid,
-    passage_g,
-    passage_gamma,
-    passage_gamma_r,
+    passage,
 )
 from .words import (
     GammaWord,

@@ -31,6 +31,7 @@ from .words import (
     free_reduce,
     invariant,
     invariant_equal,
+    letter_text,
     parse_uint,
     parse_word,
     word_to_text,
@@ -150,13 +151,7 @@ def _emit(rc: RunConfig, payload, text_lines):
 
 
 def _invariant_payload(cls):
-    return {
-        "zero": cls.is_zero(),
-        "coords": [
-            f"[{item[0]}]{item[1]}" if isinstance(item, tuple) else str(item)
-            for item in cls.nonzero_letters()
-        ],
-    }
+    return {"zero": cls.is_zero(), "coords": list(map(letter_text, cls.nonzero_letters()))}
 
 
 def _read_word_arg(args) -> str:

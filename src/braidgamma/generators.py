@@ -19,6 +19,7 @@ most 3*C(n,4) cyclic and C(n,4) order-free letters for the largest n used.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -82,7 +83,7 @@ class GammaGen:
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    @property
+    @functools.cached_property
     def subset(self) -> tuple[int, int, int, int]:
         return tuple(sorted(self.cycle))
 
@@ -109,6 +110,10 @@ class GGen:
     # interning makes equal letters one object, so identity is equality
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    @property
+    def subset(self) -> tuple[int, int, int, int]:
+        return self.members
 
     def __str__(self):
         return "a{%d,%d,%d,%d}" % self.members

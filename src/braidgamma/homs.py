@@ -22,7 +22,8 @@ places and are both exposed:
     "doubled" : P(i,i+1) ... P(i,j)  P(i,j)  P(i,j-1)^-1 ... P(i,i+1)^-1
 
 The 4-subset target always uses "doubled" (its only printed form); the
-cyclic-quadruple targets default to "flip".
+cyclic-quadruple targets default to "flip".  Past that choice only `passage`
+(which letter) and `_word` (which word type) look at the target.
 
 Passage words and generator images are memoised for the life of the process,
 keyed by (HomConfig, i, j).  Words and letters are immutable, so every caller
@@ -123,34 +124,19 @@ def _passage_pairs(n: int, mover: int, anchor: int):
 
 
 @functools.lru_cache(maxsize=None)
-def passage_g(cfg: HomConfig, i: int, j: int) -> GWord:
-    """Image word of one passage of strand i over strand j, 4-subset letters."""
-    return GWord(
-        tuple(GGen((p, q, i, j)) for p, q in _passage_pairs(cfg.n, i, j))
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def passage_gamma(cfg: HomConfig, mover: int, anchor: int) -> GammaWord:
-    """Image word of one passage, cyclic-quadruple letters."""
-    return GammaWord(
-        tuple(
-            select_quad(p, q, mover, anchor)
-            for p, q in _passage_pairs(cfg.n, mover, anchor)
-        )
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def passage_gamma_r(cfg: HomConfig, mover: int, anchor: int) -> MultiWord:
-    """Image word of one passage with slot tags for the r-fold target."""
-    return MultiWord(
-        cfg.r,
-        tuple(
-            (letter_slot(p, q, mover, anchor, cfg.r), select_quad(p, q, mover, anchor))
-            for p, q in _passage_pairs(cfg.n, mover, anchor)
-        ),
-    )
+def passage(cfg: HomConfig, mover: int, anchor: int):
+    """Image word of one passage of strand `mover` at strand `anchor`: per far
+    pair, the target's letter on (p, q | mover, anchor), in printed order."""
+    letters = []
+    for p, q in _passage_pairs(cfg.n, mover, anchor):
+        if cfg.target == "g":
+            letters.append(GGen((p, q, mover, anchor)))
+            continue
+        quad = select_quad(p, q, mover, anchor)
+        if cfg.target == "gammar":
+            quad = (letter_slot(p, q, mover, anchor, cfg.r), quad)
+        letters.append(quad)
+    return _word(cfg, letters)
 
 
 def _word(cfg: HomConfig, letters):
@@ -170,24 +156,14 @@ def generator_image(cfg: HomConfig, i: int, j: int):
         raise IndexRangeError(f"need 1 <= i < j <= n, got ({i},{j}) with n={cfg.n}")
     if cfg.formula_mode == "traced":
         return _traced_generator_image(cfg, i, j)
-    if cfg.target == "g":
-        passage = lambda x, y: passage_g(cfg, x, y)
-        assembly = "doubled"
-    elif cfg.target == "gamma":
-        passage = lambda x, y: passage_gamma(cfg, x, y)
-        assembly = cfg.assembly
+    # the passage at k: P(i,k) doubled, P(k,i) in the flip
+    if cfg.target == "g" or cfg.assembly == "doubled":
+        at = lambda k: passage(cfg, i, k)
     else:
-        passage = lambda x, y: passage_gamma_r(cfg, x, y)
-        assembly = cfg.assembly
-
-    head = [passage(i, k) for k in range(i + 1, j + 1)]
-    if assembly == "doubled":
-        middle = [passage(i, j)]
-        tail = [invert(passage(i, k)) for k in range(j - 1, i, -1)]
-    else:
-        middle = [passage(j, i)]
-        tail = [invert(passage(k, i)) for k in range(j - 1, i, -1)]
-    return _word(cfg, (letter for part in head + middle + tail for letter in part.letters))
+        at = lambda k: passage(cfg, k, i)
+    parts = [passage(cfg, i, k) for k in range(i + 1, j + 1)] + [at(j)]
+    parts += [invert(at(k)) for k in range(j - 1, i, -1)]
+    return _word(cfg, (letter for part in parts for letter in part.letters))
 
 
 def _traced_generator_image(cfg: HomConfig, i: int, j: int):

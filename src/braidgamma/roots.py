@@ -193,6 +193,13 @@ def isolate_unit_roots(coeffs) -> tuple[list[AlgebraicRoot], list[Fraction]]:
             AlgebraicRoot.rational(r, (c0, c1, c2)) for r in roots if 0 < r < 1
         ], []
 
-    # irrational pair: sigma -1 left of the vertex, +1 right of it
-    pair = (AlgebraicRoot((c0, c1, c2), sigma=s) for s in (-1, 1))
-    return [r for r in pair if r.linear_sign(0, 1) > 0 > r.linear_sign(-1, 1)], []
+    # irrational pair: sigma -1 left of the vertex v = -c1/(2 c2), +1 right
+    # of it.  Times sign(c2) the polynomial is negative just between its
+    # roots, so its signs at 0 and 1 and the place of v pick those in (0, 1).
+    s = sign(c2)
+    up0, up1 = s * c0 > 0, s * (c0 + c1 + c2) > 0
+    after0, before1 = s * c1 < 0, s * (c1 + 2 * c2) > 0  # 0 < v, v < 1
+    left = up0 and after0 and (before1 or not up1)
+    right = up1 and (not up0 or (after0 and before1))
+    pair = ((-1, left), (1, right))
+    return [AlgebraicRoot((c0, c1, c2), sigma=sg) for sg, kept in pair if kept], []

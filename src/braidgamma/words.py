@@ -2,22 +2,27 @@
 
 Words carry no exponents: every generator squares to the identity, so
 inversion is reversal and free reduction is cancellation of adjacent equal
-letters.  Equality of group elements is not decidable here in general; the
-package commits to two certificates:
+letters.  The three word types differ only in their letters (`GGen`,
+`GammaGen`, `(slot, GammaGen)`), and every letter answers the same questions:
+its 4-subset, its place in one total order, and its text (`letter_text`).
+Equality of group elements is not decidable here in general; the package
+commits to two certificates:
 
   * `invariant` — the GF(2) occurrence-parity vector of a word, reduced
     modulo the row space spanned by the pentagon relations (for cyclic
     quadruples) or by nothing (for 4-subset generators, whose 5-term
     relation is a square and dies under abelianization).  Equal invariants
     are a *necessary* condition for equality in the group, never sufficient.
-  * `commute_normalize` — a deterministic rewriting heuristic using only the
-    far-commutation and involution relations.  Equal normal forms certify
-    equality; unequal normal forms certify nothing.
+  * `commute_normalize` — the exact normal form modulo the involution and
+    far-commutation relations alone, a right-angled Coxeter group.  Equal
+    normal forms certify equality; unequal ones certify nothing, since the
+    pentagon and five-term relations are not used.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -30,48 +35,46 @@ from .errors import (
 from .generators import GammaGen, GGen
 
 
+class _Word:
+    """The methods the three word types share; each holds `letters`."""
+
+    def __mul__(self, other):
+        _check_same_target(self, other, "concatenate")
+        return _rebuild(self, self.letters + other.letters)
+
+    def __len__(self):
+        return len(self.letters)
+
+    def __iter__(self):
+        return iter(self.letters)
+
+    def __str__(self):
+        return word_to_text(self)
+
+
 @dataclass(frozen=True)
-class GWord:
+class GWord(_Word):
     """A word in the 4-subset generators."""
 
+    kind = "g"
+    r = 1
     letters: tuple[GGen, ...] = ()
 
-    def __mul__(self, other: "GWord") -> "GWord":
-        return GWord(self.letters + other.letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __str__(self):
-        return word_to_text(self)
-
 
 @dataclass(frozen=True)
-class GammaWord:
+class GammaWord(_Word):
     """A word in the cyclic-quadruple generators (letters stored canonically)."""
 
+    kind = "gamma"
+    r = 1
     letters: tuple[GammaGen, ...] = ()
-
-    def __mul__(self, other: "GammaWord") -> "GammaWord":
-        return GammaWord(self.letters + other.letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __str__(self):
-        return word_to_text(self)
 
 
 @dataclass(frozen=True)
-class MultiWord:
+class MultiWord(_Word):
     """A word in an r-fold product: each letter is (slot, cyclic quadruple)."""
 
+    kind = "gammar"
     r: int
     letters: tuple[tuple[int, GammaGen], ...] = ()
 
@@ -82,20 +85,6 @@ class MultiWord:
             if not 0 <= slot < self.r:
                 raise IndexRangeError(f"slot {slot} out of range for r={self.r}")
 
-    def __mul__(self, other: "MultiWord") -> "MultiWord":
-        if self.r != other.r:
-            raise GroupMismatchError(f"cannot concatenate words with r={self.r} and r={other.r}")
-        return MultiWord(self.r, self.letters + other.letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __str__(self):
-        return word_to_text(self)
-
 
 Word = GWord | GammaWord | MultiWord
 
@@ -104,6 +93,13 @@ def _rebuild(w: Word, letters) -> Word:
     if isinstance(w, MultiWord):
         return MultiWord(w.r, tuple(letters))
     return type(w)(tuple(letters))
+
+
+def _check_same_target(w1: Word, w2: Word, verb: str) -> None:
+    if type(w1) is not type(w2):
+        raise GroupMismatchError(f"cannot {verb} a {type(w1).__name__} with a {type(w2).__name__}")
+    if w1.r != w2.r:
+        raise GroupMismatchError(f"cannot {verb} words with r={w1.r} and r={w2.r}")
 
 
 def free_reduce(w: Word) -> Word:
@@ -131,59 +127,59 @@ def forget_to_g(w: GammaWord) -> GWord:
     return GWord(tuple(GGen(letter.subset) for letter in w.letters))
 
 
-def _subset_of(letter):
-    if isinstance(letter, GammaGen):
-        return letter.subset
-    return letter.members
-
-
-def _letters_commute(x, y, multi: bool) -> bool:
-    if multi:
-        (sx, gx), (sy, gy) = x, y
-        if sx != sy:
+def _commute(x, y) -> bool:
+    """Far commutation: letters in different slots, or sharing at most 2 indices."""
+    if type(x) is tuple:
+        if x[0] != y[0]:
             return True
-        x, y = gx, gy
-    return len(set(_subset_of(x)) & set(_subset_of(y))) < 3
-
-
-def _letter_key(letter, multi: bool):
-    if multi:
-        slot, gen = letter
-        return (slot, gen.cycle)
-    if isinstance(letter, GammaGen):
-        return letter.cycle
-    return letter.members
+        x, y = x[1], y[1]
+    return len(set(x.subset).intersection(y.subset)) < 3
 
 
 def commute_normalize(w: Word, n: int | None = None) -> Word:
-    """Deterministic semi-canonical form using involution + far-commutation.
+    """Exact normal form modulo involution and far commutation, which alone
+    present a right-angled Coxeter group (Tits 1969).
 
-    Repeatedly cancels adjacent equal letters and swaps adjacent commuting
-    letters toward the length-lexicographic minimum (leftmost applicable
-    rewrite first) until a fixed point.  Equal results imply equality in the
-    group; unequal results imply nothing.  Letters sharing 3 indices are
-    never swapped.
+    First each letter cancels the last earlier letter it does not commute
+    with, if the two are equal: the result is reduced, and reduced words of
+    one element differ only by swaps of commuting letters.  Then the least
+    letter that waits on no earlier letter it does not commute with is
+    emitted, until none is left.  Equal forms certify equality in the
+    target; unequal ones certify nothing, as pentagon relations are unused.
     """
     if n is not None:
-        _check_word_indices(w, n)
-    multi = isinstance(w, MultiWord)
-    letters = list(free_reduce(w).letters)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(letters) - 1:
-            x, y = letters[i], letters[i + 1]
-            if x == y:
-                del letters[i : i + 2]
-                i = max(i - 1, 0)
-                changed = True
-                continue
-            if _letters_commute(x, y, multi) and _letter_key(y, multi) < _letter_key(x, multi):
-                letters[i], letters[i + 1] = y, x
-                changed = True
-            i += 1
-    return _rebuild(w, letters)
+        _check_letters(w, n)
+    distinct = set(w.letters)
+    clash = {x: {y for y in distinct if not _commute(x, y)} for x in distinct}
+    kept = []
+    for x in w.letters:
+        k = len(kept) - 1
+        while k >= 0 and kept[k] not in clash[x]:
+            k -= 1
+        if k >= 0 and kept[k] == x:
+            del kept[k]
+        else:
+            kept.append(x)
+    # y waits on the last earlier place of each letter it does not commute
+    # with; that letter's earlier places come before that place anyway
+    waits, blocked, last = [], [[] for _ in kept], {}
+    for j, y in enumerate(kept):
+        before = [last[z] for z in clash[y] if z in last]
+        waits.append(len(before))
+        for i in before:
+            blocked[i].append(j)
+        last[y] = j
+    ready = [(x, i) for i, x in enumerate(kept) if not waits[i]]
+    heapq.heapify(ready)
+    out = []
+    while ready:
+        x, i = heapq.heappop(ready)
+        out.append(x)
+        for j in blocked[i]:
+            waits[j] -= 1
+            if not waits[j]:
+                heapq.heappush(ready, (kept[j], j))
+    return _rebuild(w, out)
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +190,11 @@ def commute_normalize(w: Word, n: int | None = None) -> Word:
 @functools.lru_cache(maxsize=None)
 def gamma_columns(n: int) -> tuple[GammaGen, ...]:
     """All canonical cyclic quadruples on indices <= n, lexicographic order."""
-    cols = []
-    for subset in itertools.combinations(range(1, n + 1), 4):
-        cols.extend(
-            GammaGen(cyc)
-            for cyc in ((subset[0], subset[1], subset[2], subset[3]),
-                        (subset[0], subset[1], subset[3], subset[2]),
-                        (subset[0], subset[2], subset[1], subset[3]))
-        )
-    return tuple(sorted(cols))
+    return tuple(sorted(
+        GammaGen(cycle)
+        for i, j, k, l in itertools.combinations(range(1, n + 1), 4)
+        for cycle in ((i, j, k, l), (i, j, l, k), (i, k, j, l))
+    ))
 
 
 @functools.lru_cache(maxsize=None)
@@ -211,13 +203,18 @@ def g_columns(n: int) -> tuple[GGen, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _gamma_column_index(n: int) -> dict[GammaGen, int]:
-    return {g: k for k, g in enumerate(gamma_columns(n))}
+def _columns(kind: str, n: int, r: int) -> tuple:
+    """The invariant's coordinate letters; for gammar, a block per slot."""
+    if kind == "g":
+        return g_columns(n)
+    if kind == "gamma":
+        return gamma_columns(n)
+    return tuple((slot, g) for slot in range(r) for g in gamma_columns(n))
 
 
 @functools.lru_cache(maxsize=None)
-def _g_column_index(n: int) -> dict[GGen, int]:
-    return {g: k for k, g in enumerate(g_columns(n))}
+def _column_index(kind: str, n: int, r: int) -> dict:
+    return {letter: k for k, letter in enumerate(_columns(kind, n, r))}
 
 
 def pentagon_faces(order: tuple[int, int, int, int, int]) -> tuple[GammaGen, ...]:
@@ -242,7 +239,7 @@ def pentagon_rows(n: int) -> tuple[int, ...]:
     """
     if n < 5:
         return ()
-    index = _gamma_column_index(n)
+    index = _column_index("gamma", n, 1)
     rows = set()
     for first, *rest in itertools.combinations(range(1, n + 1), 5):
         # one tuple per dihedral orbit: the smallest index first, and the
@@ -261,10 +258,18 @@ def _pentagon_basis(n: int):
     return gf2.echelon(pentagon_rows(n))
 
 
-def _check_word_indices(w: Word, n: int) -> None:
+def _check_letters(w: Word, n: int) -> None:
+    """Raise for the first letter of w that is of another kind than w's, or
+    that uses an index above n."""
+    gen_type = GGen if w.kind == "g" else GammaGen
     for letter in w.letters:
-        gen = letter[1] if isinstance(w, MultiWord) else letter
-        top = max(_subset_of(gen))
+        gen = letter[1] if w.kind == "gammar" else letter
+        slot_ok = w.kind != "gammar" or type(letter[0]) is int
+        if type(gen) is not gen_type or not slot_ok:
+            raise GroupMismatchError(
+                f"a {type(w).__name__} cannot hold the letter {letter_text(letter)}"
+            )
+        top = gen.subset[-1]
         if top > n:
             raise IndexRangeError(f"letter {gen} uses index {top} > n={n}")
 
@@ -275,8 +280,8 @@ class InvariantClass:
 
     Two words with unequal classes are distinct in the group.  Equal classes
     say nothing beyond "equal after abelianizing modulo pentagon rows".
-    Coordinates live in slot-major blocks of width len(gamma_columns(n))
-    (one block for kind "g"/"gamma", r blocks for "gammar").
+    Bit k is the k-th letter of the target's columns: `g_columns(n)`,
+    `gamma_columns(n)`, or for "gammar" r slot-major blocks of the latter.
     """
 
     n: int
@@ -295,78 +300,38 @@ class InvariantClass:
 
     def nonzero_letters(self):
         """The letters (or slot-tagged letters) whose coordinate is 1."""
-        if self.kind == "g":
-            cols = g_columns(self.n)
-            return [cols[k] for k in range(len(cols)) if self.bits >> k & 1]
-        cols = gamma_columns(self.n)
-        width = len(cols)
-        out = []
-        for slot in range(self.r):
-            block = self.bits >> (slot * width)
-            for k in range(width):
-                if block >> k & 1:
-                    out.append(cols[k] if self.kind == "gamma" else (slot, cols[k]))
-        return out
+        cols = _columns(self.kind, self.n, self.r)
+        return [cols[k] for k in range(len(cols)) if self.bits >> k & 1]
 
     def __str__(self):
-        if self.bits == 0:
-            return "0"
-        parts = []
-        for item in self.nonzero_letters():
-            if isinstance(item, tuple) and not hasattr(item, "cycle"):
-                slot, gen = item
-                parts.append(f"[{slot}]{gen}")
-            else:
-                parts.append(str(item))
-        return " + ".join(parts)
+        return " + ".join(map(letter_text, self.nonzero_letters())) or "0"
 
 
 def invariant(w: Word, n: int) -> InvariantClass:
     """Occurrence-parity vector of w, reduced modulo the relation row space."""
-    try:
-        return _invariant(w, n)
-    except KeyError:
-        # a letter outside the columns of n: name the first one
-        _check_word_indices(w, n)
-        raise
-
-
-def _invariant(w: Word, n: int) -> InvariantClass:
-    if isinstance(w, GWord):
-        index = _g_column_index(n)
-        bits = 0
-        for letter in w.letters:
-            bits ^= 1 << index[letter]
-        return InvariantClass(n, "g", 1, bits)
-
-    index = _gamma_column_index(n)
-    width = len(index)
-    basis = _pentagon_basis(n)
-    if isinstance(w, GammaWord):
-        bits = 0
-        for letter in w.letters:
-            bits ^= 1 << index[letter]
-        return InvariantClass(n, "gamma", 1, gf2.reduce(bits, basis))
-
+    index = _column_index(w.kind, n, w.r)
     bits = 0
-    for slot, letter in w.letters:
-        bits ^= 1 << (slot * width + index[letter])
-    mask = (1 << width) - 1
-    reduced = 0
-    for slot in range(w.r):
-        block = bits >> (slot * width) & mask
-        reduced |= gf2.reduce(block, basis) << (slot * width)
-    return InvariantClass(n, "gammar", w.r, reduced)
+    try:
+        for letter in w.letters:
+            bits ^= 1 << index[letter]
+    except KeyError:
+        # a letter outside the columns: name the first one
+        _check_letters(w, n)
+        raise
+    if w.kind != "g":
+        basis = _pentagon_basis(n)
+        width = len(gamma_columns(n))
+        mask = (1 << width) - 1
+        bits = sum(
+            gf2.reduce(bits >> (slot * width) & mask, basis) << (slot * width)
+            for slot in range(w.r)
+        )
+    return InvariantClass(n, w.kind, w.r, bits)
 
 
 def invariant_equal(w1: Word, w2: Word, n: int) -> bool:
     """Necessary condition for w1 = w2 in the group (see InvariantClass)."""
-    if type(w1) is not type(w2):
-        raise GroupMismatchError(
-            f"cannot compare a {type(w1).__name__} with a {type(w2).__name__}"
-        )
-    if isinstance(w1, MultiWord) and w1.r != w2.r:
-        raise GroupMismatchError(f"cannot compare words with r={w1.r} and r={w2.r}")
+    _check_same_target(w1, w2, "compare")
     return invariant(w1, n) == invariant(w2, n)
 
 
@@ -413,8 +378,11 @@ def _parse_quad(text: str, i: int, close: str) -> tuple[tuple[int, int, int, int
     return tuple(vals), i
 
 
+_OPENERS = {"a": ("g", "a{", "}"), "d": ("gamma", "d(", ")")}
+
+
 def _scan_word(text: str):
-    """Yield (kind, payload, position) triples; kind in {'a','d','slot'}."""
+    """(kind, payload, position) per letter, kind in {"g", "gamma", "gammar"}."""
     i = 0
     out = []
     while True:
@@ -424,16 +392,12 @@ def _scan_word(text: str):
             return out
         start = i
         ch = text[i]
-        if ch == "a":
-            if not text.startswith("a{", i):
-                raise WordSyntaxError("expected 'a{'", i)
-            quad, i = _parse_quad(text, i + 2, "}")
-            out.append(("a", quad, start))
-        elif ch == "d":
-            if not text.startswith("d(", i):
-                raise WordSyntaxError("expected 'd('", i)
-            quad, i = _parse_quad(text, i + 2, ")")
-            out.append(("d", quad, start))
+        if ch in _OPENERS:
+            kind, opener, close = _OPENERS[ch]
+            if not text.startswith(opener, i):
+                raise WordSyntaxError(f"expected {opener!r}", i)
+            quad, i = _parse_quad(text, i + 2, close)
+            out.append((kind, quad, start))
         elif ch == "[":
             slot, i = parse_uint(text, i + 1)
             if i >= len(text) or text[i] != "]":
@@ -442,57 +406,62 @@ def _scan_word(text: str):
             if not text.startswith("d(", i):
                 raise WordSyntaxError("expected 'd(' after slot tag", i)
             quad, i = _parse_quad(text, i + 2, ")")
-            out.append(("slot", (slot, quad), start))
+            out.append(("gammar", (slot, quad), start))
         else:
             raise WordSyntaxError(f"unexpected character {ch!r}", i)
 
 
-def parse_gword(text: str) -> GWord:
+_SHAPES = {"g": "a{...}", "gamma": "d(...)", "gammar": "[slot]d(...)"}
+
+
+def _parse(text: str, kind: str | None, r: int | None = None) -> Word:
+    """The word of `text` in letters of `kind` (default: the first letter's;
+    GammaWord if empty), with r from the largest slot if None.  Syntax errors
+    anywhere come first, then the letters are checked in order."""
+    scanned = _scan_word(text)
+    if kind is None:
+        kind = scanned[0][0] if scanned else "gamma"
+    if kind == "gammar" and r is None:
+        r = max(payload[0] for got, payload, _ in scanned if got == kind) + 1
     letters = []
-    for kind, payload, pos in _scan_word(text):
-        if kind != "a":
-            raise WordSyntaxError("only a{...} letters are allowed in this word", pos)
-        letters.append(GGen(payload))
-    return GWord(tuple(letters))
-
-
-def parse_gamma_word(text: str) -> GammaWord:
-    letters = []
-    for kind, payload, pos in _scan_word(text):
-        if kind != "d":
-            raise WordSyntaxError("only d(...) letters are allowed in this word", pos)
-        letters.append(GammaGen(payload))
-    return GammaWord(tuple(letters))
-
-
-def parse_multi_word(text: str, r: int) -> MultiWord:
-    letters = []
-    for kind, payload, pos in _scan_word(text):
-        if kind != "slot":
-            raise WordSyntaxError("only [slot]d(...) letters are allowed in this word", pos)
+    for got, payload, pos in scanned:
+        if got != kind:
+            raise WordSyntaxError(f"only {_SHAPES[kind]} letters are allowed in this word", pos)
+        if kind != "gammar":
+            letters.append((GGen if kind == "g" else GammaGen)(payload))
+            continue
         slot, quad = payload
         if not 0 <= slot < r:
             raise WordSyntaxError(f"slot {slot} out of range for r={r}", pos)
         letters.append((slot, GammaGen(quad)))
-    return MultiWord(r, tuple(letters))
+    if kind == "gammar":
+        return MultiWord(r, tuple(letters))
+    return (GWord if kind == "g" else GammaWord)(tuple(letters))
+
+
+def parse_gword(text: str) -> GWord:
+    return _parse(text, "g")
+
+
+def parse_gamma_word(text: str) -> GammaWord:
+    return _parse(text, "gamma")
+
+
+def parse_multi_word(text: str, r: int) -> MultiWord:
+    return _parse(text, "gammar", r)
 
 
 def parse_word(text: str, r: int | None = None) -> Word:
     """Parse with the letter kind inferred from the first letter (empty -> GammaWord)."""
-    scanned = _scan_word(text)
-    if not scanned:
-        return GammaWord()
-    kind = scanned[0][0]
-    if kind == "a":
-        return parse_gword(text)
-    if kind == "d":
-        return parse_gamma_word(text)
-    if r is None:
-        r = max(payload[0] for k, payload, _ in scanned if k == "slot") + 1
-    return parse_multi_word(text, r)
+    return _parse(text, None, r)
+
+
+def letter_text(letter) -> str:
+    """Printed form of a letter: `a{...}`, `d(...)` or `[slot]d(...)`."""
+    if type(letter) is tuple:
+        return f"[{letter[0]}]{letter[1]}"
+    return str(letter)
 
 
 def word_to_text(w: Word) -> str:
-    if isinstance(w, MultiWord):
-        return " ".join(f"[{slot}]{gen}" for slot, gen in w.letters)
-    return " ".join(str(letter) for letter in w.letters)
+    return " ".join(map(letter_text, w.letters))

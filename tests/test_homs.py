@@ -12,8 +12,7 @@ from braidgamma.homs import (
     inside_count,
     letter_slot,
     map_braid,
-    passage_g,
-    passage_gamma,
+    passage,
 )
 from braidgamma.words import (
     GammaWord,
@@ -48,8 +47,8 @@ def random_braid_word(rng, n, max_len=5):
 def test_passage_regression_hand_expansions():
     # Audited by hand once from the printed double products, then frozen.
     cfg = HomConfig(5, target="g")
-    assert word_to_text(passage_g(cfg, 1, 4)) == "a{1,3,4,5} a{1,2,3,4} a{1,3,4,5} a{1,2,3,4}"
-    assert word_to_text(passage_g(cfg, 1, 2)) == "a{1,2,4,5} a{1,2,3,4} a{1,2,3,5} a{1,2,3,4}"
+    assert word_to_text(passage(cfg, 1, 4)) == "a{1,3,4,5} a{1,2,3,4} a{1,3,4,5} a{1,2,3,4}"
+    assert word_to_text(passage(cfg, 1, 2)) == "a{1,2,4,5} a{1,2,3,4} a{1,2,3,5} a{1,2,3,4}"
 
 
 def test_passage_small_n_empty():
@@ -57,14 +56,14 @@ def test_passage_small_n_empty():
         cfg = HomConfig(n, target="g")
         for i in range(1, n):
             for j in range(i + 1, n + 1):
-                assert passage_g(cfg, i, j) == GWord()
+                assert passage(cfg, i, j) == GWord()
 
 
 def test_passage_letters_contain_the_moving_pair():
     for n in (4, 5, 6):
         cfg = HomConfig(n, target="g")
         for i, j in itertools.combinations(range(1, n + 1), 2):
-            for letter in passage_g(cfg, i, j):
+            for letter in passage(cfg, i, j):
                 assert i in letter.members and j in letter.members
 
 
@@ -75,7 +74,7 @@ def test_passage_forgetful_cross_check():
         cfg_g = HomConfig(n, target="g")
         cfg_gam = HomConfig(n)
         for i, j in itertools.combinations(range(1, n + 1), 2):
-            assert forget_to_g(passage_gamma(cfg_gam, i, j)) == passage_g(cfg_g, i, j)
+            assert forget_to_g(passage(cfg_gam, i, j)) == passage(cfg_g, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +129,7 @@ def test_map_braid_trivialities():
 def test_phi_doubles_the_last_passage():
     cfg = HomConfig(5, target="g")
     img = map_braid(cfg, parse_braid("b(1,2)", 5), reduced=False)
-    c12 = passage_g(cfg, 1, 2)
+    c12 = passage(cfg, 1, 2)
     assert img == c12 * c12
 
 

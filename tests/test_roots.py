@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from braidgamma.roots import (
+    AlgebraicRoot,
     ConstantZero,
     EndpointZero,
     dyadic_level,
@@ -241,3 +242,27 @@ def test_events_match_dense_sampling():
         )
         grid_hits = sum(1 for v in vals if v == 0)
         assert changes + grid_hits == len(roots), coeffs
+
+
+def test_irrational_roots_built_only_when_kept():
+    """The irrational roots returned are exactly those of both branches that
+    lie in (0, 1), as a reference that builds both and filters them finds."""
+    rng = random.Random(41)
+    seen = set()
+    tried = 0
+    while tried < 3000:
+        c0, c1, c2 = (rng.randint(-40, 40) for _ in range(3))
+        disc = c1 * c1 - 4 * c0 * c2
+        if c2 == 0 or c0 == 0 or c0 + c1 + c2 == 0 or disc <= 0:
+            continue
+        if math.isqrt(disc) ** 2 == disc:
+            continue
+        tried += 1
+        both = (AlgebraicRoot((c0, c1, c2), sigma=s) for s in (-1, 1))
+        want = [(r.poly, r.sigma) for r in both
+                if r.compare_rational(0) > 0 > r.compare_rational(1)]
+        roots, tangencies = isolate_unit_roots((c0, c1, c2))
+        assert tangencies == []
+        assert [(r.poly, r.sigma) for r in roots] == want, (c0, c1, c2)
+        seen.add(len(want))
+    assert seen == {0, 1, 2}
