@@ -15,6 +15,14 @@ raise UnstableWarning; genuinely degenerate contacts (four static points
 concyclic, wall contact at a waypoint, a tuple riding a wall for a whole
 segment) raise DegenerateError.
 
+A cyclic quadruple is fixed by which pairs of its points are opposite, so
+`cyclic_order` reads the circular order off the one pair of crossing
+diagonals.  By Radon's theorem four points, no three collinear, have either
+exactly one such pair (convex position) or none (one point inside the
+triangle of the other three).  The planar builder passes orientation signs
+that are linear in t, as only the mover moves; the spatial tracer passes
+orientations of the projected points, and there None means not convex.
+
 The segment loop, `wall_crossings`, serves the spatial tracer too: each
 dimension passes its wall determinant, its coefficient function and its
 event builder.  Plans hold rationals, but each segment is traced on one
@@ -25,12 +33,14 @@ homogeneous, so the positive scale keeps its sign; `AlgebraicRoot` divides
 the content out of each polynomial, so roots and their printed dyadic cells
 are those of the rational plan; and the sign of alpha + beta * t at a root
 does not change when alpha and beta are scaled alike.  Fractions remain in
-the JSON codec and `validate`'s collision test.
+the JSON codec, `validate`'s collision test and the order along a collinear
+wall.
 
 On a collinear wall (three static points on one line) the incircle
-determinant is linear in the mover, so the event time is rational and the
-mover's side of the line flips there: the inside count is the number of
-bystanders on one side of the line, and must equal the number on the other.
+determinant is linear in the mover, so the event time is rational, the
+order is the exact order along the line, and the mover's side of the line
+flips there: the inside count is the number of bystanders on one side of
+the line, and must equal the number on the other.
 """
 
 from __future__ import annotations
@@ -72,10 +82,28 @@ def pt2(x, y) -> Pt2:
     return Pt2(Fraction(x), Fraction(y))
 
 
+def _orient2d_raw(a, b, c):
+    """Twice the signed area of three Pt2 or integer grid points."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
 def orient2d(a: Pt2, b: Pt2, c: Pt2) -> int:
     """Sign of the signed area of (a, b, c): +1 counterclockwise."""
-    (ax, ay), (bx, by), (cx, cy) = a, b, c
-    return sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    return sign(_orient2d_raw(a, b, c))
+
+
+def cyclic_order(ids, side):
+    """The circular order (a, y, x, z) of four point ids, no three of the
+    points collinear: a = ids[0], and the diagonals a-x and y-z cross.  None
+    if no two diagonals cross.  side(p, q, r) is the orientation sign of
+    three of the points."""
+    a, *rest = ids
+    for x in rest:
+        y, z = (k for k in rest if k != x)
+        if side(a, x, y) != side(a, x, z) and side(y, z, a) != side(y, z, x):
+            return (a, y, x, z)
+    return None
 
 
 def _incircle_raw(a, b, c, p):
@@ -107,21 +135,15 @@ def incircle_sign(a: Pt2, b: Pt2, c: Pt2, p: Pt2) -> int:
     return s if o >= 0 else -s
 
 
-def _circumcenter_h(a, b, c):
-    """(ux, uy, d): the circumcenter is (ux/d, uy/d); d = 0 iff collinear."""
-    (ax, ay), (bx, by), (cx, cy) = a, b, c
-    d = 2 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-    b2 = bx * bx + by * by - ax * ax - ay * ay
-    c2 = cx * cx + cy * cy - ax * ax - ay * ay
-    return (cy - ay) * b2 - (by - ay) * c2, (bx - ax) * c2 - (cx - ax) * b2, d
-
-
 def circumcenter(a: Pt2, b: Pt2, c: Pt2) -> Pt2:
     """Exact circumcenter of a non-degenerate triangle."""
-    ux, uy, d = _circumcenter_h(a, b, c)
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    d = 2 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
     if d == 0:
         raise ValidationError("circumcenter of collinear points")
-    return Pt2(ux / d, uy / d)
+    b2 = bx * bx + by * by - ax * ax - ay * ay
+    c2 = cx * cx + cy * cy - ax * ax - ay * ay
+    return Pt2(((cy - ay) * b2 - (by - ay) * c2) / d, ((bx - ax) * c2 - (cx - ax) * b2) / d)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +234,8 @@ class Choreography:
         return len(tuple(self.start[0])) if self.start else 2
 
     def configs(self) -> list[tuple[Pt2 | Pt3, ...]]:
+        if self.n < 1 or len(self.start) != self.n:
+            raise ValidationError(f"expected {self.n} start points, got {len(self.start)}")
         out = [self.start]
         cur = list(self.start)
         for seg, m in enumerate(self.moves):
@@ -240,12 +264,10 @@ class Choreography:
         return tuple(cur)
 
     def validate(self) -> None:
-        if self.n < 1 or len(self.start) != self.n:
-            raise ValidationError(f"expected {self.n} start points, got {len(self.start)}")
+        configs = self.configs()
         kind = type(self.start[0])
         if any(type(p) is not kind for p in self.start + tuple(m.to for m in self.moves)):
             raise ValidationError("points of one choreography must all be Pt2 or all Pt3")
-        configs = self.configs()
         for which, cfg in enumerate(configs):
             if len(set(cfg)) != self.n:
                 raise ValidationError(f"coincident points at waypoint {which}")
@@ -331,35 +353,6 @@ def _incircle_coeffs(a, b, c, m0, m1):
     p1 = _incircle_raw(a, b, c, m1)
     c2 = 2 * (p1 + p0 - 2 * ph)
     return (p0, p1 - p0 - c2, c2)
-
-
-def _angular_cycle(root: AlgebraicRoot, vecs) -> tuple[int, ...]:
-    """Keys of `vecs` in circular order around the origin.  Each vector is a
-    pair of linear forms (alpha, beta), standing for alpha + beta * root, and
-    at most one of them is not constant."""
-
-    def half(v):
-        sy = root.linear_sign(*v[1])
-        if sy != 0:
-            return 0 if sy > 0 else 1
-        # nonzero: every event point lies on the circle, none at its centre
-        return 0 if root.linear_sign(*v[0]) > 0 else 1
-
-    def cmp(i, j):
-        hi, hj = half(vecs[i]), half(vecs[j])
-        if hi != hj:
-            return -1 if hi < hj else 1
-        (xi, yi), (xj, yj) = vecs[i], vecs[j]
-        # the cross product, linear in t as one of the two is constant
-        s = root.linear_sign(
-            xi[0] * yj[0] - yi[0] * xj[0],
-            xi[0] * yj[1] + xi[1] * yj[0] - yi[0] * xj[1] - yi[1] * xj[0],
-        )
-        # nonzero: two points on one ray and one circle coincide, a collision
-        # that validate rejects
-        return -1 if s > 0 else 1
-
-    return tuple(sorted(vecs, key=functools.cmp_to_key(cmp)))
 
 
 def wall_crossings(ch: Choreography, raw, coeffs, nouns, build) -> list:
@@ -462,40 +455,34 @@ def _build_event(n, seg, grid, mover, g0, g1, root, triple):
     a, b, c = (grid[k - 1] for k in triple)
     subset = tuple(sorted(triple + (mover,)))
     bystanders = [k for k in range(1, n + 1) if k not in subset]
-    velocity = tuple(w - u for u, w in zip(g0, g1))
-    ux, uy, d = _circumcenter_h(a, b, c)
-    if d != 0:
-        sd = sign(d)
+    sd = orient2d(a, b, c)
+    if sd:
+        # Four distinct concyclic points are in convex position.  Only the
+        # mover moves, so each orientation is linear in t: o0 + (o1 - o0) t.
+        grid1 = list(grid)
+        grid1[mover - 1] = g1
 
-        def vec(p, v):
-            # |d| (p + t v - circumcenter), as two linear forms in t
-            return tuple(
-                (sd * (d * pc - uc), sd * d * vc) for pc, vc, uc in zip(p, v, (ux, uy))
-            )
+        def side(i, j, k):
+            o0 = _orient2d_raw(grid[i - 1], grid[j - 1], grid[k - 1])
+            o1 = _orient2d_raw(grid1[i - 1], grid1[j - 1], grid1[k - 1])
+            return root.linear_sign(o0, o1 - o0)
 
-        vecs = {k: vec(grid[k - 1], (0, 0)) for k in triple}
-        vecs[mover] = vec(g0, velocity)
-        cycle = _angular_cycle(root, vecs)
+        cycle = cyclic_order(subset, side)
         inside = sum(1 for k in bystanders if sign(_incircle_raw(a, b, c, grid[k - 1])) == sd)
         return Event(seg, root, GammaGen(cycle), GGen(subset), inside)
 
     # Collinear wall: a, b, c collinear make incircle linear in the mover,
     # so the root is rational and the mover crosses the line ab there.
-    # Order along the line, closed up projectively.
-    dx, dy = b[0] - a[0], b[1] - a[1]
+    # Order along the line, closed up projectively; distinct points, as
+    # validate rejects a collision.
+    t = root.exact
 
-    def along(p, v):
-        # (p + t v - a) . (b - a), as a linear form in t
-        return ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy, v[0] * dx + v[1] * dy)
+    def along(k):
+        # (P_k(t) - a) . (b - a)
+        p = tuple(u + t * (w - u) for u, w in zip(g0, g1)) if k == mover else grid[k - 1]
+        return (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
 
-    coord = {k: along(grid[k - 1], (0, 0)) for k in triple}
-    coord[mover] = along(g0, velocity)
-
-    def cmp(i, j):
-        # nonzero: distinct points on one line, as validate rejects a collision
-        return root.linear_sign(coord[i][0] - coord[j][0], coord[i][1] - coord[j][1])
-
-    cycle = tuple(sorted(coord, key=functools.cmp_to_key(cmp)))
+    cycle = tuple(sorted(subset, key=along))
     # The mover's side of the line ab flips at the root: on one side of the
     # wall the bystanders inside are those left of ab, on the other those
     # right of it, and the two counts must agree.
@@ -506,7 +493,7 @@ def _build_event(n, seg, grid, mover, g0, g1, root, triple):
             "inside count disagrees on the two sides of a collinear wall",
             segment=seg,
             subsets=[subset],
-            window=f"{{{root.exact}}}",
+            window=f"{{{t}}}",
         )
     return Event(seg, root, GammaGen(cycle), GGen(subset), inside, collinear_wall=True)
 

@@ -21,13 +21,15 @@ An event is *special* when the four coplanar points form a convex
 quadrilateral and all remaining points lie strictly on one side of the
 plane; only special events contribute letters (the cyclic order of the
 convex quadrilateral, which the dihedral canonicalization makes independent
-of the side from which the plane is viewed).  Non-special events are kept in
+of the side from which the plane is viewed).  Convexity and the order are
+read together, as in the plane, off the crossing diagonals
+(`geom2d.cyclic_order`): by Radon's theorem the four points are in convex
+position exactly when one pair of diagonals crosses.  Non-special events are kept in
 the trace with their classification for inspection, but emit nothing.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +37,7 @@ from fractions import Fraction
 from .errors import CollinearTripleError, ValidationError
 from .exact import sign
 from .generators import GammaGen, GGen
-from .geom2d import Choreography, orient2d, wall_crossings
+from .geom2d import Choreography, cyclic_order, orient2d, wall_crossings
 from .words import GammaWord
 
 
@@ -119,58 +121,6 @@ class Event3:
         return self.convex and self.one_sided
 
 
-def _project_axis(normal) -> int:
-    return max(range(3), key=lambda k: abs(normal[k]))
-
-
-def _convex_cycle(pts3: dict[int, tuple[int, int, int]]):
-    """(convex, cycle) for four coplanar grid points keyed by index.
-
-    Projects out the dominant normal coordinate and reads the cyclic order by
-    exact angular sort around the centroid (interior for convex position),
-    on the vectors 4 p - (sum of the four), which stay integers.  No three of
-    the points are collinear: `validate` checked the static triple, and
-    trace3 the triples through the mover.
-    """
-    ids = sorted(pts3)
-    a, b, c, d = (pts3[k] for k in ids)
-    normal = _cross(_sub(b, a), _sub(c, a))
-    axis = _project_axis(normal)
-    keep = [k for k in range(3) if k != axis]
-    flat = {i: tuple(p[k] for k in keep) for i, p in pts3.items()}
-    inside = 0
-    for i in ids:
-        rest = [flat[j] for j in ids if j != i]
-        s1 = orient2d(rest[0], rest[1], flat[i])
-        s2 = orient2d(rest[1], rest[2], flat[i])
-        s3 = orient2d(rest[2], rest[0], flat[i])
-        if s1 == s2 == s3:
-            inside += 1
-    if inside:
-        return False, None
-
-    sx = sum(flat[i][0] for i in ids)
-    sy = sum(flat[i][1] for i in ids)
-    vec = {i: (4 * flat[i][0] - sx, 4 * flat[i][1] - sy) for i in ids}
-
-    def half(i):
-        vx, vy = vec[i]
-        if vy != 0:
-            return 0 if vy > 0 else 1
-        return 0 if vx > 0 else 1
-
-    def cmp(i, j):
-        hi, hj = half(i), half(j)
-        if hi != hj:
-            return -1 if hi < hj else 1
-        ui, uj = vec[i], vec[j]
-        # nonzero: the centroid is interior, so a vertex on another's ray
-        # would lie inside the quadrilateral
-        return -1 if ui[0] * uj[1] - ui[1] * uj[0] > 0 else 1
-
-    return True, tuple(sorted(ids, key=functools.cmp_to_key(cmp)))
-
-
 def trace3(ch: Choreography) -> list[Event3]:
     """All coplanarity events of a valid spatial choreography, in time order."""
     if ch.dim != 3:
@@ -195,8 +145,15 @@ def trace3(ch: Choreography) -> list[Event3]:
 
 def _build_event3(n, seg, at, mover, triple, tau) -> Event3:
     subset = tuple(sorted(triple + (mover,)))
-    convex, cycle = _convex_cycle({k: at[k - 1] for k in subset})
     a, b, c = (at[k - 1] for k in triple)
+    # Dropping the dominant coordinate of the plane's normal maps the plane
+    # onto a coordinate plane bijectively and affinely, which keeps convex
+    # position.  No three event points are collinear: validate checked the
+    # static triple, and trace3 the triples through the mover.
+    normal = _cross(_sub(b, a), _sub(c, a))
+    axis = max(range(3), key=lambda k: abs(normal[k]))
+    flat = {k: at[k - 1][:axis] + at[k - 1][axis + 1 :] for k in subset}
+    cycle = cyclic_order(subset, lambda i, j, k: orient2d(flat[i], flat[j], flat[k]))
     # no bystander lies on the event plane: with a, b, c it would make four
     # static coplanar points, which wall_crossings rejects first
     side_signs = {
@@ -204,15 +161,8 @@ def _build_event3(n, seg, at, mover, triple, tau) -> Event3:
     }
     one_sided = len(side_signs) == 1
     side = side_signs.pop() if one_sided else 0
-    return Event3(
-        seg,
-        tau,
-        GGen(subset),
-        GammaGen(cycle) if convex else None,
-        convex,
-        one_sided,
-        side,
-    )
+    quad = GammaGen(cycle) if cycle else None
+    return Event3(seg, tau, GGen(subset), quad, cycle is not None, one_sided, side)
 
 
 def loop_word(ch: Choreography) -> GammaWord:

@@ -81,9 +81,17 @@ class MultiWord(_Word):
     def __post_init__(self):
         if self.r < 1:
             raise IndexRangeError(f"slot count r must be >= 1, got {self.r}")
-        for slot, _ in self.letters:
-            if not 0 <= slot < self.r:
-                raise IndexRangeError(f"slot {slot} out of range for r={self.r}")
+        letter = None
+        try:
+            for letter in self.letters:
+                slot, _ = letter
+                if not 0 <= slot < self.r:
+                    raise IndexRangeError(f"slot {slot} out of range for r={self.r}")
+        except (TypeError, ValueError):
+            # not a pair, or a slot that does not compare with ints
+            raise GroupMismatchError(
+                f"a MultiWord cannot hold the letter {letter_text(letter)}"
+            ) from None
 
 
 Word = GWord | GammaWord | MultiWord
@@ -458,7 +466,7 @@ def parse_word(text: str, r: int | None = None) -> Word:
 
 def letter_text(letter) -> str:
     """Printed form of a letter: `a{...}`, `d(...)` or `[slot]d(...)`."""
-    if type(letter) is tuple:
+    if type(letter) is tuple and len(letter) == 2:
         return f"[{letter[0]}]{letter[1]}"
     return str(letter)
 

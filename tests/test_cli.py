@@ -268,3 +268,26 @@ def test_out_flag_writes_file(tmp_path, choreo_path):
     assert main(["check", "-n", "3", "--format", "json", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["failed"] == 0
+
+
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        ({"dim": 2, "n": 1, "points": [], "moves": []}, "expected 1 start points, got 0"),
+        (
+            {
+                "dim": 2,
+                "n": 4,
+                "points": [["0", "0"], ["1", "0"], ["0", "1"]],
+                "moves": [{"point": 4, "to": ["2", "2"]}],
+            },
+            "expected 4 start points, got 3",
+        ),
+    ],
+)
+def test_render_rejects_a_short_point_list(tmp_path, capsys, plan, message):
+    path, out = tmp_path / "short.json", tmp_path / "frame.svg"
+    path.write_text(json.dumps(plan))
+    assert main(["render", str(path), "--t", "0", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -457,3 +457,17 @@ def test_invariant_rejects_letters_of_another_kind():
     # the first bad letter is named, be it of another kind or out of range
     with pytest.raises(IndexRangeError):
         invariant(GammaWord((D(1, 2, 3, 9), A(1, 2, 3, 4))), 5)
+
+
+@pytest.mark.parametrize(
+    "letter, text",
+    [
+        (D(1, 2, 3, 4), "d(1,2,3,4)"),  # no slot
+        ((0,), "(0,)"),  # no quadruple
+        (("0", D(1, 2, 3, 4)), "[0]d(1,2,3,4)"),  # a slot that is not a number
+    ],
+)
+def test_multi_word_rejects_malformed_letters(letter, text):
+    with pytest.raises(GroupMismatchError) as info:
+        MultiWord(2, ((1, D(1, 2, 3, 5)), letter))
+    assert str(info.value) == f"a MultiWord cannot hold the letter {text}"
