@@ -11,13 +11,13 @@ BRAIDGAMMA_MAX_N to lift or lower the strand-count cap (default 10).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
 import random
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geom2d, geom3d
@@ -38,40 +38,8 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag bundle; built before any computation starts."""
-
-    subcommand: str
-    n: int | None
-    r: int
-    target: str
-    formula_mode: str
-    assembly: str
-    out: str | None
-    fmt: str
-    seed: int
-
-    def __post_init__(self):
-        if self.n is not None:
-            cap = _max_n()
-            if not 1 <= self.n <= cap:
-                raise BraidGammaError(
-                    f"n={self.n} outside 1..{cap} (cap from BRAIDGAMMA_MAX_N)"
-                )
-        if self.r < 1:
-            raise BraidGammaError(f"need --r >= 1, got {self.r}")
-        if self.target != "gammar" and self.r != 1:
-            raise BraidGammaError("--r above 1 needs --target gammar")
-
-    def hom(self) -> HomConfig:
-        return HomConfig(
-            self.n,
-            target=self.target,
-            r=self.r,
-            formula_mode=self.formula_mode,
-            assembly=self.assembly,
-        )
+def _hom(args) -> HomConfig:
+    return HomConfig(args.n, args.target, args.r, args.mode, args.assembly)
 
 
 def _max_n() -> int:
@@ -137,14 +105,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(rc: RunConfig, payload, text_lines):
+def _emit(args, payload, text_lines):
     body = (
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if rc.fmt == "json"
+        if args.fmt == "json"
         else "\n".join(text_lines) + "\n"
     )
-    if rc.out:
-        with open(rc.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body)
     else:
         sys.stdout.write(body)
@@ -163,24 +131,23 @@ def _read_word_arg(args) -> str:
     raise BraidGammaError("provide a word argument or --in FILE")
 
 
-def _cmd_map(rc: RunConfig, args) -> int:
-    cfg = rc.hom()
-    braid_word = parse_braid(_read_word_arg(args), rc.n)
-    raw = map_braid(cfg, braid_word, reduced=False)
+def _cmd_map(args) -> int:
+    braid_word = parse_braid(_read_word_arg(args), args.n)
+    raw = map_braid(_hom(args), braid_word, reduced=False)
     red = free_reduce(raw)
-    cls = invariant(red, rc.n)
+    cls = invariant(red, args.n)
     payload = {
         "input": print_braid(braid_word),
-        "n": rc.n,
-        "target": rc.target,
-        "r": rc.r,
-        "mode": rc.formula_mode,
+        "n": args.n,
+        "target": args.target,
+        "r": args.r,
+        "mode": args.mode,
         "word": word_to_text(raw),
         "reduced": word_to_text(red),
         "invariant": _invariant_payload(cls),
     }
     _emit(
-        rc,
+        args,
         payload,
         [
             f"input:     {payload['input']}",
@@ -204,21 +171,17 @@ def _time_payload(root, k: int) -> dict:
     }
 
 
-def _cmd_trace(rc: RunConfig, args) -> int:
+def _cmd_trace(args) -> int:
     ch = geom2d.load_choreography(args.choreo)
     dim3 = ch.dim == 3
     if ch.n > _max_n():
         raise BraidGammaError(f"choreography has n={ch.n} above the cap {_max_n()}")
-    if dim3 and rc.target == "gammar":
+    if dim3 and args.target == "gammar":
         raise BraidGammaError("target gammar needs inside counts; spatial traces have none")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UnstableWarning)
         if dim3:
             events = geom3d.trace3(ch)
-            # order-free target: every coplanarity moment contributes a letter;
-            # cyclic target: only special moments carry a cyclic order
-            chosen = events if rc.target == "g" else [e for e in events if e.special]
-            word = geom2d.events_to_word(chosen, rc.target, rc.r)
             ev_payload = [
                 {
                     "segment": e.segment,
@@ -234,7 +197,6 @@ def _cmd_trace(rc: RunConfig, args) -> int:
             ]
         else:
             events = geom2d.trace(ch)
-            word = geom2d.events_to_word(events, rc.target, rc.r)
             # one cell width per segment, fixed by its distinct times alone
             level = {
                 seg: dyadic_level([e.time for e in group])
@@ -251,13 +213,14 @@ def _cmd_trace(rc: RunConfig, args) -> int:
                 }
                 for e in events
             ]
+    word = geom2d.events_to_word(events, args.target, args.r)
     red = free_reduce(word)
     cls = invariant(red, ch.n)
     payload = {
         "n": ch.n,
         "dim": ch.dim,
         "loop": ch.loop,
-        "target": rc.target,
+        "target": args.target,
         "events": ev_payload,
         "word": word_to_text(word),
         "reduced": word_to_text(red),
@@ -272,23 +235,23 @@ def _cmd_trace(rc: RunConfig, args) -> int:
         f"invariant: {cls}",
     ]
     lines += [f"warning: {w}" for w in payload["warnings"]]
-    _emit(rc, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def _cmd_check(rc: RunConfig, args) -> int:
-    cfg = rc.hom()
+def _cmd_check(args) -> int:
+    cfg = _hom(args)
     variants = {"printed": (False,), "inverted": (True,), "both": (False, True)}[
         args.relation3
     ]
     results = []
     for inverted in variants:
-        for inst in relation_instances(rc.n, family3_inverted=inverted):
+        for inst in relation_instances(args.n, family3_inverted=inverted):
             if inverted and inst.family != "3inv":
                 continue
             # cancelling a pair of equal letters keeps every parity: no free_reduce
             lhs, rhs = (map_braid(cfg, w, reduced=False) for w in (inst.lhs, inst.rhs))
-            ok = invariant_equal(lhs, rhs, rc.n)
+            ok = invariant_equal(lhs, rhs, args.n)
             results.append(
                 {
                     "family": inst.family,
@@ -300,11 +263,11 @@ def _cmd_check(rc: RunConfig, args) -> int:
             )
     failed = sum(1 for r in results if not r["ok"])
     payload = {
-        "n": rc.n,
-        "target": rc.target,
-        "r": rc.r,
-        "mode": rc.formula_mode,
-        "assembly": rc.assembly,
+        "n": args.n,
+        "target": args.target,
+        "r": args.r,
+        "mode": args.mode,
+        "assembly": args.assembly,
         "relation3": args.relation3,
         "instances": results,
         "passed": len(results) - failed,
@@ -316,7 +279,7 @@ def _cmd_check(rc: RunConfig, args) -> int:
     ]
     lines.append(f"passed {payload['passed']} / {len(results)}")
     if args.compare_modes:
-        rows = _compare_modes(rc)
+        rows = _compare_modes(cfg, args.seed)
         payload["compare_modes"] = rows
         for row in rows:
             lines.append(
@@ -325,28 +288,25 @@ def _cmd_check(rc: RunConfig, args) -> int:
                     row["multiset_equal"], row["invariant_equal"],
                 )
             )
-    _emit(rc, payload, lines)
+    _emit(args, payload, lines)
     return 0 if failed == 0 else 1
 
 
-def _compare_modes(rc: RunConfig) -> list[dict]:
+def _compare_modes(lit: HomConfig, seed: int) -> list[dict]:
     """Literal vs traced images: every generator, then a few seeded random
     words.  Disagreements are reported, never reconciled."""
-    lit = rc.hom()
-    tra = HomConfig(
-        rc.n, target=rc.target, r=rc.r, formula_mode="traced", assembly=rc.assembly
-    )
+    n = lit.n
+    tra = dataclasses.replace(lit, formula_mode="traced")
     inputs = [
-        BraidWord(rc.n, (BraidGen(i, j),))
-        for i, j in itertools.combinations(range(1, rc.n + 1), 2)
+        BraidWord(n, (BraidGen(i, j),)) for i, j in itertools.combinations(range(1, n + 1), 2)
     ]
-    rng = random.Random(rc.seed)
+    rng = random.Random(seed)
     for _ in range(5):
         letters = []
         for _ in range(rng.randrange(1, 4)):
-            i, j = sorted(rng.sample(range(1, rc.n + 1), 2))
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
             letters.append(BraidGen(i, j, rng.choice((-1, 1))))
-        inputs.append(BraidWord(rc.n, tuple(letters)))
+        inputs.append(BraidWord(n, tuple(letters)))
     out = []
     for w in inputs:
         a = map_braid(lit, w)
@@ -356,7 +316,7 @@ def _compare_modes(rc: RunConfig) -> list[dict]:
                 "input": print_braid(w) or "(empty)",
                 "letters_equal": a.letters == b.letters,
                 "multiset_equal": sorted(map(str, a.letters)) == sorted(map(str, b.letters)),
-                "invariant_equal": invariant_equal(a, b, rc.n),
+                "invariant_equal": invariant_equal(a, b, n),
                 "literal_length": len(a.letters),
                 "traced_length": len(b.letters),
             }
@@ -364,24 +324,24 @@ def _compare_modes(rc: RunConfig) -> list[dict]:
     return out
 
 
-def _cmd_invariant(rc: RunConfig, args) -> int:
-    word = parse_word(_read_word_arg(args), rc.r if rc.target == "gammar" else None)
-    cls = invariant(word, rc.n)
+def _cmd_invariant(args) -> int:
+    word = parse_word(_read_word_arg(args), args.r if args.target == "gammar" else None)
+    cls = invariant(word, args.n)
     payload = {
-        "n": rc.n,
+        "n": args.n,
         "kind": cls.kind,
         "r": cls.r,
         "word": word_to_text(word),
         "invariant": _invariant_payload(cls),
     }
-    _emit(rc, payload, [f"word:      {payload['word']}", f"invariant: {cls}"])
+    _emit(args, payload, [f"word:      {payload['word']}", f"invariant: {cls}"])
     return 0
 
 
-def _cmd_canon(rc: RunConfig, args) -> int:
-    word = parse_word(args.word, rc.r if rc.target == "gammar" else None)
+def _cmd_canon(args) -> int:
+    word = parse_word(args.word, args.r if args.target == "gammar" else None)
     payload = {"word": word_to_text(word)}
-    _emit(rc, payload, [payload["word"]])
+    _emit(args, payload, [payload["word"]])
     return 0
 
 
@@ -397,15 +357,15 @@ def _parse_circle(text: str) -> tuple[int, ...]:
     return tuple(value for value, _ in parsed)
 
 
-def _cmd_render(rc: RunConfig, args) -> int:
+def _cmd_render(args) -> int:
     ch = geom2d.load_choreography(args.choreo)
     from .svg import render_frame
 
     circle = _parse_circle(args.circle) if args.circle else None
     data = render_frame(ch, rat_from_str(args.t), circle)
-    if not rc.out:
+    if not args.out:
         raise BraidGammaError("render needs --out FILE")
-    with open(rc.out, "wb") as fh:
+    with open(args.out, "wb") as fh:
         fh.write(data)
     return 0
 
@@ -422,18 +382,16 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    rc = RunConfig(
-        subcommand=args.subcommand,
-        n=args.n,
-        r=args.r,
-        target=args.target,
-        formula_mode=args.mode,
-        assembly=args.assembly,
-        out=args.out,
-        fmt=args.fmt,
-        seed=args.seed,
-    )
-    return _COMMANDS[rc.subcommand](rc, args)
+    # every flag is checked before any computation starts
+    if args.n is not None:
+        cap = _max_n()
+        if not 1 <= args.n <= cap:
+            raise BraidGammaError(f"n={args.n} outside 1..{cap} (cap from BRAIDGAMMA_MAX_N)")
+    if args.r < 1:
+        raise BraidGammaError(f"need --r >= 1, got {args.r}")
+    if args.target != "gammar" and args.r != 1:
+        raise BraidGammaError("--r above 1 needs --target gammar")
+    return _COMMANDS[args.subcommand](args)
 
 
 def main(argv=None) -> int:

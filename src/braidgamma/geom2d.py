@@ -63,7 +63,7 @@ from .errors import (
 from .exact import rat_from_str, rat_to_str, sign
 from .generators import GammaGen, GGen
 from .roots import AlgebraicRoot, ConstantZero, EndpointZero, isolate_unit_roots
-from .words import GammaWord, GWord, MultiWord
+from .words import target_word
 
 if TYPE_CHECKING:
     from .geom3d import Pt3
@@ -151,8 +151,12 @@ def circumcenter(a: Pt2, b: Pt2, c: Pt2) -> Pt2:
 # ---------------------------------------------------------------------------
 
 
+# the largest base that base_config tries
+MAX_BASE = 1 << 20
+
+
 @functools.lru_cache(maxsize=None)
-def base_config(n: int, *, max_base: int = 1 << 20) -> tuple[Pt2, ...]:
+def base_config(n: int) -> tuple[Pt2, ...]:
     """n points on the squaring parabola at geometrically growing abscissae.
 
     The base B (a power of two, starting at 4) is accepted only after two
@@ -163,13 +167,13 @@ def base_config(n: int, *, max_base: int = 1 << 20) -> tuple[Pt2, ...]:
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     B = 4
-    while B <= max_base:
+    while B <= MAX_BASE:
         t = [Fraction(B) ** k for k in range(1, n + 1)]
         pts = tuple(Pt2(v, v * v) for v in t)
         if _base_config_ok(pts):
             return pts
         B *= 2
-    raise ValidationError(f"no admissible base found up to {max_base}")
+    raise ValidationError(f"no admissible base found up to {MAX_BASE}")
 
 
 def _base_config_ok(pts) -> bool:
@@ -332,6 +336,8 @@ class Event:
     subset: GGen
     inside: int
     collinear_wall: bool = False
+    # every planar crossing gives a letter; only some spatial events do
+    special = True
 
 
 def _on_grid(points) -> list[tuple[int, ...]]:
@@ -499,14 +505,24 @@ def _build_event(n, seg, grid, mover, g0, g1, root, triple):
 
 
 def events_to_word(events, target: str, r: int = 1):
-    """Letter per event. Slots in the r-fold target are inside counts mod r."""
+    """The word of a planar or spatial trace: in g a letter per event (its
+    4-subset), in gamma and gammar one per special event (its cyclic
+    quadruple, in the slot of its inside count mod r for gammar).  Every
+    planar event is special; spatial events have no inside count, so gammar
+    rejects them."""
     if target == "g":
-        return GWord(tuple(e.subset for e in events))
-    if target == "gamma":
-        return GammaWord(tuple(e.quad for e in events))
-    if target == "gammar":
-        return MultiWord(r, tuple((e.inside % r, e.quad) for e in events))
-    raise ValidationError(f"unknown target {target!r}")
+        letters = (e.subset for e in events)
+    elif target == "gamma":
+        letters = (e.quad for e in events if e.special)
+    else:  # lazy: target_word rejects an unknown target before reading these
+        letters = (_slot_letter(e, r) for e in events if e.special)
+    return target_word(target, r, letters)
+
+
+def _slot_letter(e, r: int):
+    if not isinstance(e, Event):
+        raise ValidationError("spatial traces have no inside counts")
+    return (e.inside % r, e.quad)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ exact rational.
 The segment loop (integer grid, static degeneracy scan, root isolation,
 grouping by time) is `geom2d.wall_crossings`, shared with the planar tracer;
 this module supplies its wall, the orient3d determinant, and the event
-builder with the special-moment filter.  At an event time t = p/q the
+builder, which classifies each event as special or not.  At an event time t = p/q the
 builder scales the segment's grid by q, which puts the mover, q g0 +
 p (g1 - g0), on it too; orient3d is homogeneous and collinearity and convex
 position are invariant under a positive scale, so every test runs on ints
@@ -19,13 +19,13 @@ reported as a collinear triple through the mover.
 
 An event is *special* when the four coplanar points form a convex
 quadrilateral and all remaining points lie strictly on one side of the
-plane; only special events contribute letters (the cyclic order of the
-convex quadrilateral, which the dihedral canonicalization makes independent
-of the side from which the plane is viewed).  Convexity and the order are
-read together, as in the plane, off the crossing diagonals
-(`geom2d.cyclic_order`): by Radon's theorem the four points are in convex
-position exactly when one pair of diagonals crosses.  Non-special events are kept in
-the trace with their classification for inspection, but emit nothing.
+plane; in the cyclic targets only special events give letters
+(`geom2d.events_to_word`): the cyclic order of the convex quadrilateral,
+which the dihedral canonicalization makes independent of the side from
+which the plane is viewed.  Convexity and the order are read together, as
+in the plane, off the crossing diagonals (`geom2d.cyclic_order`): by
+Radon's theorem the four points are in convex position exactly when one
+pair of diagonals crosses.  Every event stays in the trace, classified.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from fractions import Fraction
 from .errors import CollinearTripleError, ValidationError
 from .exact import sign
 from .generators import GammaGen, GGen
-from .geom2d import Choreography, cyclic_order, orient2d, wall_crossings
+from .geom2d import Choreography, cyclic_order, events_to_word, orient2d, wall_crossings
 from .words import GammaWord
 
 
@@ -169,4 +169,4 @@ def loop_word(ch: Choreography) -> GammaWord:
     """Letters of the special events of a loop, in time order."""
     if not ch.loop:
         raise ValidationError("loop_word needs a loop choreography (loop flag set)")
-    return GammaWord(tuple(e.quad for e in trace3(ch) if e.special))
+    return events_to_word(trace3(ch), "gamma")

@@ -23,7 +23,7 @@ places and are both exposed:
 
 The 4-subset target always uses "doubled" (its only printed form); the
 cyclic-quadruple targets default to "flip".  Past that choice only `passage`
-(which letter) and `_word` (which word type) look at the target.
+(which letter) looks at the target; `words.target_word` builds every word.
 
 Passage words and generator images are memoised for the life of the process,
 keyed by (HomConfig, i, j).  Words and letters are immutable, so every caller
@@ -36,12 +36,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from . import geom2d
 from .braids import BraidWord
 from .errors import IndexRangeError
 from .generators import GGen, select_quad
-from .words import GammaWord, GWord, MultiWord, free_reduce, invert
-
-TARGETS = ("g", "gamma", "gammar")
+from .words import check_target, free_reduce, invert, target_word
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,7 @@ class HomConfig:
     def __post_init__(self):
         if self.n < 1:
             raise IndexRangeError(f"need n >= 1, got {self.n}")
-        if self.target not in TARGETS:
-            raise IndexRangeError(f"target must be one of {TARGETS}, got {self.target!r}")
-        if self.r < 1:
-            raise IndexRangeError(f"need r >= 1, got {self.r}")
-        if self.target != "gammar" and self.r != 1:
-            raise IndexRangeError("r > 1 requires target 'gammar'")
+        check_target(self.target, self.r)
         if self.formula_mode not in ("literal", "traced"):
             raise IndexRangeError(f"unknown formula_mode {self.formula_mode!r}")
         if self.assembly not in ("flip", "doubled"):
@@ -87,8 +81,7 @@ def letter_slot(p: int, q: int, mover: int, anchor: int, r: int) -> int:
     strand's base point sits strictly inside the circle through p, q, anchor
     (below all three, or between the middle and largest).  Reduced mod r.
     """
-    if r < 1:
-        raise IndexRangeError(f"need r >= 1, got {r}")
+    check_target("gammar", r)
     lo, mid, hi = sorted((p, q, anchor))
     if len({p, q, mover, anchor}) != 4:
         raise IndexRangeError(f"indices must be distinct, got {(p, q, mover, anchor)}")
@@ -136,17 +129,7 @@ def passage(cfg: HomConfig, mover: int, anchor: int):
         if cfg.target == "gammar":
             quad = (letter_slot(p, q, mover, anchor, cfg.r), quad)
         letters.append(quad)
-    return _word(cfg, letters)
-
-
-def _word(cfg: HomConfig, letters):
-    """The target word of `cfg` on `letters`, built (and slot-checked) once."""
-    letters = tuple(letters)
-    if cfg.target == "g":
-        return GWord(letters)
-    if cfg.target == "gamma":
-        return GammaWord(letters)
-    return MultiWord(cfg.r, letters)
+    return target_word(cfg.target, cfg.r, letters)
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,7 +138,7 @@ def generator_image(cfg: HomConfig, i: int, j: int):
     if not 1 <= i < j <= cfg.n:
         raise IndexRangeError(f"need 1 <= i < j <= n, got ({i},{j}) with n={cfg.n}")
     if cfg.formula_mode == "traced":
-        return _traced_generator_image(cfg, i, j)
+        return geom2d.events_to_word(_traced_events(cfg.n, i, j), cfg.target, cfg.r)
     # the passage at k: P(i,k) doubled, P(k,i) in the flip
     if cfg.target == "g" or cfg.assembly == "doubled":
         at = lambda k: passage(cfg, i, k)
@@ -163,20 +146,11 @@ def generator_image(cfg: HomConfig, i: int, j: int):
         at = lambda k: passage(cfg, k, i)
     parts = [passage(cfg, i, k) for k in range(i + 1, j + 1)] + [at(j)]
     parts += [invert(at(k)) for k in range(j - 1, i, -1)]
-    return _word(cfg, (letter for part in parts for letter in part.letters))
-
-
-def _traced_generator_image(cfg: HomConfig, i: int, j: int):
-    from . import geom2d
-
-    events = _traced_events(cfg.n, i, j)
-    return geom2d.events_to_word(events, cfg.target, cfg.r)
+    return target_word(cfg.target, cfg.r, (letter for part in parts for letter in part.letters))
 
 
 @functools.lru_cache(maxsize=None)
 def _traced_events(n: int, i: int, j: int):
-    from . import geom2d
-
     return tuple(geom2d.trace(geom2d.generator_choreography(n, i, j)))
 
 
@@ -194,5 +168,5 @@ def map_braid(cfg: HomConfig, w: BraidWord, *, reduced: bool = True):
         if g.exponent < 0:
             img = invert(img)
         letters.extend(img.letters * abs(g.exponent))
-    out = _word(cfg, letters)
+    out = target_word(cfg.target, cfg.r, letters)
     return free_reduce(out) if reduced else out

@@ -25,6 +25,7 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import gf2
 from .errors import (
@@ -79,8 +80,7 @@ class MultiWord(_Word):
     letters: tuple[tuple[int, GammaGen], ...] = ()
 
     def __post_init__(self):
-        if self.r < 1:
-            raise IndexRangeError(f"slot count r must be >= 1, got {self.r}")
+        check_target(self.kind, self.r)
         letter = None
         try:
             for letter in self.letters:
@@ -97,10 +97,41 @@ class MultiWord(_Word):
 Word = GWord | GammaWord | MultiWord
 
 
+class _Target(NamedTuple):
+    word: type
+    gen: type
+    shape: str  # a printed letter, for parse errors
+    slotted: bool  # letters are (slot, gen) pairs, the word type takes r
+
+
+# The one table of targets: the only place a target name meets a word type.
+TARGETS = {
+    "g": _Target(GWord, GGen, "a{...}", False),
+    "gamma": _Target(GammaWord, GammaGen, "d(...)", False),
+    "gammar": _Target(MultiWord, GammaGen, "[slot]d(...)", True),
+}
+
+
+def check_target(target: str, r: int) -> _Target:
+    """The table entry of `target`, after the one check of the target and r."""
+    if not isinstance(target, str) or target not in TARGETS:
+        raise IndexRangeError(f"target must be one of {tuple(TARGETS)}, got {target!r}")
+    if r < 1:
+        raise IndexRangeError(f"need r >= 1, got {r}")
+    if r != 1 and not TARGETS[target].slotted:
+        raise IndexRangeError("r > 1 requires target 'gammar'")
+    return TARGETS[target]
+
+
+def target_word(target: str, r: int, letters) -> Word:
+    """The word of `target` (with r slots) on `letters`.  Target and r are
+    checked before `letters` is read."""
+    t = check_target(target, r)
+    return t.word(r, tuple(letters)) if t.slotted else t.word(tuple(letters))
+
+
 def _rebuild(w: Word, letters) -> Word:
-    if isinstance(w, MultiWord):
-        return MultiWord(w.r, tuple(letters))
-    return type(w)(tuple(letters))
+    return target_word(w.kind, w.r, letters)
 
 
 def _check_same_target(w1: Word, w2: Word, verb: str) -> None:
@@ -213,11 +244,9 @@ def g_columns(n: int) -> tuple[GGen, ...]:
 @functools.lru_cache(maxsize=None)
 def _columns(kind: str, n: int, r: int) -> tuple:
     """The invariant's coordinate letters; for gammar, a block per slot."""
-    if kind == "g":
-        return g_columns(n)
-    if kind == "gamma":
-        return gamma_columns(n)
-    return tuple((slot, g) for slot in range(r) for g in gamma_columns(n))
+    t = TARGETS[kind]
+    cols = g_columns(n) if t.gen is GGen else gamma_columns(n)
+    return tuple((slot, g) for slot in range(r) for g in cols) if t.slotted else cols
 
 
 @functools.lru_cache(maxsize=None)
@@ -269,11 +298,11 @@ def _pentagon_basis(n: int):
 def _check_letters(w: Word, n: int) -> None:
     """Raise for the first letter of w that is of another kind than w's, or
     that uses an index above n."""
-    gen_type = GGen if w.kind == "g" else GammaGen
+    t = TARGETS[w.kind]
     for letter in w.letters:
-        gen = letter[1] if w.kind == "gammar" else letter
-        slot_ok = w.kind != "gammar" or type(letter[0]) is int
-        if type(gen) is not gen_type or not slot_ok:
+        gen = letter[1] if t.slotted else letter
+        slot_ok = not t.slotted or type(letter[0]) is int
+        if type(gen) is not t.gen or not slot_ok:
             raise GroupMismatchError(
                 f"a {type(w).__name__} cannot hold the letter {letter_text(letter)}"
             )
@@ -419,9 +448,6 @@ def _scan_word(text: str):
             raise WordSyntaxError(f"unexpected character {ch!r}", i)
 
 
-_SHAPES = {"g": "a{...}", "gamma": "d(...)", "gammar": "[slot]d(...)"}
-
-
 def _parse(text: str, kind: str | None, r: int | None = None) -> Word:
     """The word of `text` in letters of `kind` (default: the first letter's;
     GammaWord if empty), with r from the largest slot if None.  Syntax errors
@@ -429,22 +455,21 @@ def _parse(text: str, kind: str | None, r: int | None = None) -> Word:
     scanned = _scan_word(text)
     if kind is None:
         kind = scanned[0][0] if scanned else "gamma"
-    if kind == "gammar" and r is None:
+    t = TARGETS[kind]
+    if t.slotted and r is None:
         r = max(payload[0] for got, payload, _ in scanned if got == kind) + 1
     letters = []
     for got, payload, pos in scanned:
         if got != kind:
-            raise WordSyntaxError(f"only {_SHAPES[kind]} letters are allowed in this word", pos)
-        if kind != "gammar":
-            letters.append((GGen if kind == "g" else GammaGen)(payload))
+            raise WordSyntaxError(f"only {t.shape} letters are allowed in this word", pos)
+        if not t.slotted:
+            letters.append(t.gen(payload))
             continue
         slot, quad = payload
         if not 0 <= slot < r:
             raise WordSyntaxError(f"slot {slot} out of range for r={r}", pos)
-        letters.append((slot, GammaGen(quad)))
-    if kind == "gammar":
-        return MultiWord(r, tuple(letters))
-    return (GWord if kind == "g" else GammaWord)(tuple(letters))
+        letters.append((slot, t.gen(quad)))
+    return target_word(kind, r if t.slotted else 1, letters)
 
 
 def parse_gword(text: str) -> GWord:

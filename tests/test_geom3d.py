@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from braidgamma.errors import (
+    BraidGammaError,
     CollinearTripleError,
     DegenerateError,
     ValidationError,
@@ -15,7 +16,10 @@ from braidgamma.geom2d import (
     choreography_from_json,
     choreography_to_json,
     concat,
+    events_to_word,
+    generator_choreography,
     reverse,
+    trace,
 )
 from braidgamma.geom3d import loop_word, orient3d_sign, pt3, trace3
 from braidgamma.words import GammaWord, free_reduce, invariant_equal, invert
@@ -206,6 +210,39 @@ def test_disjoint_quads_commute_at_invariant_level():
     assert {len(set(x.subset) & set(y.subset)) for x in w1 for y in w2} <= {0, 4}
     assert invariant_equal(w1, w2, 8)
     assert w1 != w2  # the orders genuinely differ
+
+
+def detour_loop():
+    """The mover rises through plane(A, B, C) outside triangle ABC and comes
+    back down inside it: special, two-sided and non-convex events alike."""
+    start = (A, B, C, pt3(2, 3, 7), pt3(6, 2, 5), pt3(11, 9, -4))
+    path = (pt3(11, 9, 6), pt3(4, 3, 6), pt3(4, 3, -4), pt3(11, 9, -4))
+    return Choreography(6, start, tuple(Move(6, p) for p in path), loop=True)
+
+
+def test_events_to_word_is_the_loop_word_rule():
+    ch = detour_loop()
+    events = trace3(ch)
+    assert any(not e.convex for e in events)
+    assert any(e.convex and not e.special for e in events)
+    assert any(e.special for e in events)
+    # gamma: the letters of the special events only, as loop_word reads them
+    assert events_to_word(events, "gamma") == loop_word(ch)
+    assert len(loop_word(ch)) == sum(e.special for e in events)
+    # g: every coplanarity moment gives its 4-subset
+    assert events_to_word(events, "g").letters == tuple(e.subset for e in events)
+
+
+def test_events_to_word_rejects_gammar_in_space_and_unknown_targets():
+    spatial = trace3(detour_loop())
+    with pytest.raises(ValidationError, match="spatial traces have no inside counts"):
+        events_to_word(spatial, "gammar", 2)
+    planar = trace(generator_choreography(4, 1, 2))
+    for events in (spatial, planar):
+        with pytest.raises(BraidGammaError, match="target must be one of"):
+            events_to_word(events, "gammaR")
+        with pytest.raises(BraidGammaError, match="requires target 'gammar'"):
+            events_to_word(events, "gamma", 2)
 
 
 def test_loop_word_requires_loop():

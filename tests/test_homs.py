@@ -276,6 +276,8 @@ def test_hom_config_validation():
     with pytest.raises(IndexRangeError):
         HomConfig(5, target="nope")
     with pytest.raises(IndexRangeError):
+        HomConfig(5, target=["g"])  # unhashable: still a range error
+    with pytest.raises(IndexRangeError):
         HomConfig(5, formula_mode="guessed")
     with pytest.raises(IndexRangeError):
         generator_image(HomConfig(4), 3, 2)

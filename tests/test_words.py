@@ -10,6 +10,7 @@ from braidgamma.words import (
     GammaWord,
     GWord,
     MultiWord,
+    TARGETS,
     commute_normalize,
     forget_to_g,
     free_reduce,
@@ -23,6 +24,7 @@ from braidgamma.words import (
     parse_word,
     pentagon_faces,
     pentagon_rows,
+    target_word,
     word_to_text,
 )
 
@@ -301,6 +303,30 @@ def test_parse_word_infers_kind():
     assert isinstance(parse_word("d(1,2,3,4)"), GammaWord)
     w = parse_word("[1]d(1,2,3,4)")
     assert isinstance(w, MultiWord) and w.r == 2
+
+
+def test_target_word_builds_each_target_from_the_table():
+    assert target_word("g", 1, [A(1, 2, 3, 4)]) == GWord((A(1, 2, 3, 4),))
+    assert target_word("gamma", 1, iter([D(1, 2, 3, 4)])) == GammaWord((D(1, 2, 3, 4),))
+    assert target_word("gammar", 3, [(2, D(1, 2, 3, 4))]) == MultiWord(3, ((2, D(1, 2, 3, 4)),))
+    for kind, t in TARGETS.items():
+        assert t.word.kind == kind and type(target_word(kind, 1, ())) is t.word
+    # target and r are checked before the letters are read
+    for target, r in (("G", 1), ("gamma", 2), ("g", 0), ("gammar", 0)):
+        with pytest.raises(IndexRangeError):
+            target_word(target, r, (1 / 0 for _ in range(1)))
+
+
+def test_parse_error_names_the_expected_letter_shape():
+    for parse, text, shape in (
+        (parse_gword, "a{1,2,3,4} d(1,2,3,4)", "a{...}"),
+        (parse_gamma_word, "d(1,2,3,4) a{1,2,3,4}", "d(...)"),
+        (lambda t: parse_multi_word(t, 2), "[0]d(1,2,3,4) d(1,2,3,4)", "[slot]d(...)"),
+    ):
+        with pytest.raises(WordSyntaxError) as err:
+            parse(text)
+        assert err.value.position == text.index(" ") + 1
+        assert str(err.value).startswith(f"only {shape} letters are allowed in this word")
 
 
 def test_parse_errors_carry_positions():
