@@ -227,14 +227,16 @@ def _cmd_trace(args) -> int:
         "invariant": _invariant_payload(cls),
         "warnings": [str(w.message) for w in caught],
     }
-    lines = [f"{len(ev_payload)} events"]
-    lines += [f"  {json.dumps(e, sort_keys=True)}" for e in ev_payload]
-    lines += [
-        f"word:      {payload['word']}",
-        f"reduced:   {payload['reduced']}",
-        f"invariant: {cls}",
-    ]
-    lines += [f"warning: {w}" for w in payload["warnings"]]
+    lines = []  # json output prints the payload alone
+    if args.fmt != "json":
+        lines = [f"{len(ev_payload)} events"]
+        lines += [f"  {json.dumps(e, sort_keys=True)}" for e in ev_payload]
+        lines += [
+            f"word:      {payload['word']}",
+            f"reduced:   {payload['reduced']}",
+            f"invariant: {cls}",
+        ]
+        lines += [f"warning: {w}" for w in payload["warnings"]]
     _emit(args, payload, lines)
     return 0
 

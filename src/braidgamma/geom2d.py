@@ -378,15 +378,22 @@ def wall_crossings(ch: Choreography, raw, coeffs, nouns, build) -> list:
     ch.validate()
     configs = ch.configs()
     events = []
+    moved = None  # the previous segment's mover
     for seg, move in enumerate(ch.moves):
         *grid, g1 = _on_grid(configs[seg] + (move.to,))
         mover = move.point
         others = [k for k in range(1, ch.n + 1) if k != mover]
+        # A static quadruple without the previous mover kept its points, and
+        # the previous segment cleared it (a grid only rescales, so a zero
+        # determinant stays zero).  Same order, so the same first failure.
         for quad in itertools.combinations(others, 4):
+            if moved is not None and moved not in quad:
+                continue
             if raw(*(grid[k - 1] for k in quad)) == 0:
                 raise DegenerateError(
                     f"four static points are {static_wall}", segment=seg, subsets=[quad]
                 )
+        moved = mover
         g0 = grid[mover - 1]
         if g0 == g1:
             continue

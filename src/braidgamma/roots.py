@@ -54,16 +54,6 @@ class AlgebraicRoot:
     def rational(cls, value, poly=(0, 1)) -> "AlgebraicRoot":
         return cls(poly, exact=value)
 
-    def _eval(self, t: Fraction) -> int:
-        """q^d * poly(t) for t = p/q and d = len(poly) - 1: an integer with
-        the sign of poly(t)."""
-        p, q = t.numerator, t.denominator
-        acc, qk = 0, 1
-        for c in reversed(self.poly):
-            acc = acc * p + c * qk
-            qk *= q
-        return acc
-
     def is_rational(self) -> bool:
         return self.exact is not None
 
@@ -116,18 +106,35 @@ class AlgebraicRoot:
         return f"AlgebraicRoot({self.poly}, sigma={self.sigma:+d})"
 
 
-def _separated(times, k: int) -> bool:
-    cells = []
-    for t in times:
-        if t.exact is not None:
-            x = t.exact * (1 << k)
-            cells.append((x, x))
-            continue
-        m = t.refine(k)
-        if sign(t._eval(Fraction(m, 1 << k))) == sign(t._eval(Fraction(m + 1, 1 << k))):
-            return False
-        cells.append((m, m + 1))
-    return all(u[1] <= v[0] for u, v in zip(cells, cells[1:]))
+def _key(t: AlgebraicRoot):
+    """Equal for equal times: the same rational, or the same content-free
+    polynomial and branch."""
+    return t.exact if t.exact is not None else (t.poly, t.sigma)
+
+
+def _isolated(t: AlgebraicRoot, k: int) -> bool:
+    """Whether the level-k cell of the irrational root t holds no other root
+    of its polynomial: the polynomial changes sign across the cell."""
+    c0, c1, c2 = t.poly
+    m, s = t.refine(k), 1 << k
+    # 4^k poly(x / 2^k), never 0 at a dyadic x as both roots are irrational
+    lo, hi = ((c2 * x + c1 * s) * x + c0 * s * s for x in (m, m + 1))
+    return (lo > 0) != (hi > 0)
+
+
+def _cell_end(t: AlgebraicRoot, k: int, upper: int) -> tuple[int, int]:
+    """2^k times the lower (upper = 0) or upper (1) end of t's level-k cell,
+    as (numerator, denominator); a rational is a point."""
+    if t.exact is not None:
+        return t.exact.numerator << k, t.exact.denominator
+    return t.refine(k) + upper, 1
+
+
+def _apart(u: AlgebraicRoot, v: AlgebraicRoot, k: int) -> bool:
+    """Whether the level-k cells of u < v overlap in no interior point."""
+    a, b = _cell_end(u, k, 1)
+    c, d = _cell_end(v, k, 0)
+    return a * d <= c * b
 
 
 def dyadic_level(times) -> int:
@@ -135,10 +142,17 @@ def dyadic_level(times) -> int:
     m = refine(k), isolate each irrational root of `times` (roots in (0, 1),
     sorted) and keep consecutive distinct times apart: their open cells, a
     rational taken as a point, are disjoint."""
-    distinct = [t for i, t in enumerate(times) if i == 0 or times[i - 1].compare(t)]
+    distinct = [t for i, t in enumerate(times) if i == 0 or _key(times[i - 1]) != _key(t)]
+    # Cells shrink into each other as k grows, so each condition, once met,
+    # holds at every larger k: the answer is the largest of their least k,
+    # found by raising one k until each condition holds in turn.
     k = 1
-    while not _separated(distinct, k):
-        k += 1
+    for t in distinct:
+        while t.exact is None and not _isolated(t, k):
+            k += 1
+    for u, v in zip(distinct, distinct[1:]):
+        while not _apart(u, v, k):
+            k += 1
     return k
 
 

@@ -276,23 +276,29 @@ def pentagon_rows(n: int) -> tuple[int, ...]:
     """
     if n < 5:
         return ()
-    index = _column_index("gamma", n, 1)
+    # the 12 rows on 1..5 as positions in its 15 columns: one 5-tuple per
+    # dihedral orbit, 1 first and the second entry below the last
+    model = gamma_columns(5)
+    model_rows = [
+        [model.index(face) for face in pentagon_faces((1, *perm))]
+        for perm in itertools.permutations((2, 3, 4, 5))
+        if perm[0] < perm[-1]
+    ]
+    column = {g.cycle: k for k, g in enumerate(gamma_columns(n))}
     rows = set()
-    for first, *rest in itertools.combinations(range(1, n + 1), 5):
-        # one tuple per dihedral orbit: the smallest index first, and the
-        # second entry below the last
-        for perm in itertools.permutations(rest):
-            if perm[0] < perm[-1]:
-                row = 0
-                for face in pentagon_faces((first, *perm)):
-                    row |= 1 << index[face]
-                rows.add(row)
+    for subset in itertools.combinations(range(1, n + 1), 5):
+        # canonical cycles keep their form under the increasing relabelling
+        # 1..5 -> subset, so each column of the subset is one table lookup
+        bit = [1 << column[tuple(subset[v - 1] for v in g.cycle)] for g in model]
+        for a, b, c, d, e in model_rows:
+            rows.add(bit[a] | bit[b] | bit[c] | bit[d] | bit[e])
     return tuple(sorted(rows))
 
 
 @functools.lru_cache(maxsize=None)
-def _pentagon_basis(n: int):
-    return gf2.echelon(pentagon_rows(n))
+def _pentagon_basis(n: int) -> dict[int, int]:
+    """The pivot -> row table of the pentagon rows' echelon basis."""
+    return dict(gf2.echelon(pentagon_rows(n)))
 
 
 def _check_letters(w: Word, n: int) -> None:

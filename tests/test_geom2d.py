@@ -6,6 +6,7 @@ import pytest
 
 from braidgamma.braids import parse_braid
 from braidgamma.errors import (
+    BraidGammaError,
     DegenerateError,
     EndpointMismatchError,
     UnstableWarning,
@@ -32,7 +33,7 @@ from braidgamma.geom2d import (
     subdivide,
     trace,
 )
-from braidgamma.geom3d import loop_word, pt3, trace3
+from braidgamma.geom3d import loop_word, orient3d_sign, pt3, trace3
 from braidgamma.homs import inside_count
 from braidgamma.words import (
     GammaWord,
@@ -245,6 +246,67 @@ def test_static_concyclic_quadruple_is_degenerate():
     ch = Choreography(5, pts, (Move(5, pt2(10, 1)),))
     with pytest.raises(DegenerateError, match="four static points are concyclic or collinear"):
         trace(ch)
+
+
+CIRCLE5 = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3),
+           (-5, 0), (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3)]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_static_scan_at_later_segments_matches_a_full_scan(dim):
+    # Four points planted on a circle (lifted onto a plane in space) are a
+    # static degeneracy.  Null moves of its points carry it past segment 0
+    # unscanned, so the error fires at a later segment; it must name the
+    # segment, quadruple and message that a full scan of every segment finds.
+    rng = random.Random(1100 + dim)
+    lift = LIFTS[dim]
+    if dim == 2:
+        noun, degenerate = "concyclic or collinear", lambda q: incircle_sign(*q) == 0
+    else:
+        noun, degenerate = "coplanar", lambda q: orient3d_sign(*q) == 0
+
+    def point():
+        return pt2(*(rng.randrange(-7, 8) for _ in range(2))) if dim == 2 else pt3(
+            *(rng.randrange(-7, 8) for _ in range(3)))
+
+    late = 0
+    for _ in range(60):
+        n = rng.randrange(5, 8)
+        quad = sorted(rng.sample(range(1, n + 1), 4))
+        cx, cy = rng.randrange(-3, 4), rng.randrange(-3, 4)
+        planted = [lift(cx + x, cy + y) for x, y in rng.sample(CIRCLE5, 4)]
+        start = [planted.pop() if k in quad else point() for k in range(1, n + 1)]
+        nulls = [rng.choice(quad) if rng.random() < 0.8 else rng.randrange(1, n + 1)
+                 for _ in range(rng.randrange(1, 5))]
+        moves = [Move(k, start[k - 1]) for k in nulls]
+        mover = rng.randrange(1, n + 1)
+        moves.append(Move(mover, point()))
+        ch = Choreography(n, tuple(start), tuple(moves))
+        try:
+            ch.validate()
+        except BraidGammaError:  # coincident points, or collinear in space
+            continue
+        # full scans up to the first real move, the last segment scanned
+        # before any crossing is sought
+        expected = None
+        for seg, config in enumerate(ch.configs()[: len(moves)]):
+            others = [k for k in range(1, n + 1) if k != moves[seg].point]
+            for q in itertools.combinations(others, 4):
+                if degenerate([config[k - 1] for k in q]):
+                    expected = DegenerateError(
+                        f"four static points are {noun}", segment=seg, subsets=[q])
+                    break
+            if expected:
+                break
+        if expected is None:
+            continue
+        with pytest.raises(DegenerateError) as info:
+            (trace if dim == 2 else trace3)(ch)
+        got = info.value
+        assert (got.segment, got.subsets, str(got)) == (
+            expected.segment, expected.subsets, str(expected))
+        late += expected.segment > 0
+    assert late >= 10
 
 
 def test_wall_contact_at_waypoint_is_degenerate():

@@ -1,8 +1,7 @@
 """Property tests for the integer grid the tracers compute on.
 
 Both tracers scale each segment onto one integer grid (`geom2d._on_grid`)
-and take every wall determinant there; `AlgebraicRoot._eval` evaluates the
-homogenised polynomial on integers.  These tests hold the integer results to
+and take every wall determinant there.  These tests hold the integer results to
 the Fraction predicates on random rational input, and check the consequence
 the tracers rely on: scaling a plan by a positive rational changes no byte of
 `trace` output.
@@ -33,7 +32,6 @@ from braidgamma.geom2d import (
     orient2d,
 )
 from braidgamma.geom3d import Pt3, _orient3d_raw, orient3d_sign
-from braidgamma.roots import AlgebraicRoot
 
 SEEDED = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 COORD = st.fractions(min_value=-4, max_value=4, max_denominator=7)
@@ -73,18 +71,6 @@ def test_grid_orient3d_signs_match_orient3d_sign(pts, t):
     assert sign(_orient3d_raw(a, b, c, mover)) == orient3d_sign(
         *pts[:3], lerp(pts[3], pts[4], t)
     )
-
-
-@SEEDED
-@given(
-    st.lists(st.integers(-60, 60), min_size=2, max_size=3),
-    st.fractions(min_value=-3, max_value=3, max_denominator=1000),
-)
-def test_eval_has_the_sign_of_the_polynomial(poly, t):
-    root = AlgebraicRoot.rational(0, poly)
-    value = sum(c * t**i for i, c in enumerate(root.poly))
-    assert type(root._eval(t)) is int
-    assert sign(root._eval(t)) == sign(value)
 
 
 @st.composite

@@ -225,6 +225,52 @@ def test_comparisons_leave_the_printout_unchanged():
     assert len(cells) == 1
 
 
+def _level_by_full_scan(times):
+    """dyadic_level as first written: from k = 1 up, all cells at once, with
+    the polynomial evaluated on Fractions at the ends of each cell."""
+
+    def poly_sign(poly, t):
+        v = sum(c * t**i for i, c in enumerate(poly))
+        return (v > 0) - (v < 0)
+
+    distinct = [t for i, t in enumerate(times) if i == 0 or times[i - 1].compare(t)]
+    k = 0
+    while True:
+        k += 1
+        cells = []
+        for t in distinct:
+            if t.is_rational():
+                cells.append((t.exact * 2**k,) * 2)
+                continue
+            m = t.refine(k)
+            if poly_sign(t.poly, Fraction(m, 2**k)) == poly_sign(t.poly, Fraction(m + 1, 2**k)):
+                break
+            cells.append((m, m + 1))
+        else:
+            if all(u[1] <= v[0] for u, v in zip(cells, cells[1:])):
+                return k
+
+
+def test_dyadic_level_matches_a_full_scan():
+    rng = random.Random(2029)
+    pool = _seeded_roots(rng, 150)
+    # close pairs of roots need large k
+    while len(pool) < 200:
+        c1 = rng.randrange(-(10**6), 10**6)
+        found, _ = isolate_unit_roots((rng.randrange(1, 10**6), c1, rng.randrange(1, 10**6)))
+        pool.extend(found)
+    # rationals, dyadic ones on cell ends
+    pool += [AlgebraicRoot.rational(Fraction(rng.randrange(1, q), q)) for q in (64, 97) * 10]
+    for _ in range(300):
+        times = rng.sample(pool, rng.randrange(1, 8))
+        times += rng.choices(times, k=rng.randrange(0, 3))  # repeated times
+        # and the same times from a scaled polynomial
+        times += [AlgebraicRoot(tuple(3 * c for c in t.poly), sigma=t.sigma)
+                  for t in times[:1] if not t.is_rational()]
+        times.sort(key=functools.cmp_to_key(lambda u, v: u.compare(v)))
+        assert dyadic_level(times) == _level_by_full_scan(times), times
+
+
 def test_events_match_dense_sampling():
     # Sign-change count over a fine rational grid equals the root count.
     rng = random.Random(67)

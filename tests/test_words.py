@@ -176,6 +176,92 @@ def test_reduction_is_idempotent_and_row_order_free():
             assert gf2.reduce(red, basis) == red
 
 
+def echelon_by_insertion(rows):
+    """The echelon algorithm as first written: each row is reduced against
+    the whole sorted basis, then cleared from it and inserted."""
+    basis = []
+    for row in rows:
+        for pivot, b in basis:
+            if row >> pivot & 1:
+                row ^= b
+        if row == 0:
+            continue
+        pivot = (row & -row).bit_length() - 1
+        basis = [(p, b ^ row if b >> pivot & 1 else b) for p, b in basis]
+        basis.append((pivot, row))
+        basis.sort()
+    return tuple(basis)
+
+
+def gauss_jordan(rows, width):
+    """Dense Gauss-Jordan over GF(2) on bit lists, columns taken from 0 up:
+    the (pivot, row) pairs of the reduced row-echelon form."""
+    matrix = [[row >> c & 1 for c in range(width)] for row in rows]
+    done = []
+    for c in range(width):
+        hit = next((r for r in matrix if r[c] and r not in done), None)
+        if hit is None:
+            continue
+        for r in matrix:
+            if r is not hit and r[c]:
+                r[:] = [x ^ y for x, y in zip(r, hit)]
+        done.append(hit)
+    return tuple(
+        (next(c for c in range(width) if r[c]), sum(x << c for c, x in enumerate(r)))
+        for r in done
+    )
+
+
+def dense_reduce(vec, pairs, width):
+    bits = [vec >> c & 1 for c in range(width)]
+    for pivot, row in pairs:
+        if bits[pivot]:
+            bits = [x ^ (row >> c & 1) for c, x in enumerate(bits)]
+    return sum(x << c for c, x in enumerate(bits))
+
+
+def test_pentagon_basis_ranks():
+    # 3 C(n,4) - d, with d = dim V/R = 9, 19, 34, 55, 83, 119 for n = 5..10
+    ranks = {n: len(gf2.echelon(pentagon_rows(n))) for n in range(5, 11)}
+    assert ranks == {5: 6, 6: 26, 7: 71, 8: 155, 9: 295, 10: 511}
+    for n, d in zip(range(5, 11), (9, 19, 34, 55, 83, 119)):
+        assert ranks[n] == len(gamma_columns(n)) - d
+
+
+def test_pentagon_basis_is_reduced_and_unchanged():
+    for n in range(5, 11):
+        rows = pentagon_rows(n)
+        basis = gf2.echelon(rows)
+        assert basis == echelon_by_insertion(rows)
+        pivots = [p for p, _ in basis]
+        assert pivots == sorted(set(pivots))
+        for pivot, row in basis:
+            assert row & -row == 1 << pivot  # the row's lowest bit
+            assert sum(b >> pivot & 1 for _, b in basis) == 1  # set in no other row
+        table = dict(basis)
+        assert all(gf2.reduce(row, basis) == 0 for row in rows)
+        assert all(gf2.reduce(row, table) == 0 for row in rows)
+
+
+def test_echelon_and_reduce_match_dense_gauss_jordan():
+    rng = random.Random(2)
+    cases = [(pentagon_rows(n), len(gamma_columns(n))) for n in range(5, 9)]
+    for _ in range(40):
+        width = rng.randrange(1, 70)
+        density = rng.choice((0.05, 0.2, 0.5))
+        rows = [sum(1 << c for c in range(width) if rng.random() < density)
+                for _ in range(rng.randrange(0, 30))]
+        rows += rng.sample(rows, len(rows) // 4)  # repeated rows
+        cases.append((rows, width))
+    for rows, width in cases:
+        basis = gf2.echelon(rows)
+        oracle = gauss_jordan(rows, width)
+        assert basis == tuple(sorted(oracle))
+        for _ in range(10):
+            vec = rng.getrandbits(width)
+            assert gf2.reduce(vec, basis) == dense_reduce(vec, oracle, width)
+
+
 def test_invariant_equal_examples():
     rng = random.Random(13)
     w = random_gamma_word(rng, 5, 6)
