@@ -48,6 +48,7 @@ from .geom3d import (
 from .homs import (
     HomConfig,
     generator_image,
+    image_invariant,
     inside_count,
     letter_slot,
     map_braid,

@@ -25,7 +25,7 @@ from .braids import BraidWord, parse_braid, print_braid, relation_instances
 from .errors import BraidGammaError, UnstableWarning, WordSyntaxError
 from .exact import rat_from_str, rat_to_str
 from .generators import BraidGen
-from .homs import HomConfig, map_braid
+from .homs import HomConfig, image_invariant, map_braid
 from .roots import dyadic_level
 from .words import (
     free_reduce,
@@ -54,9 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="braidgamma", description=__doc__)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, need_n=False):
+    def common(p, need_n=False, target="gamma"):
         p.add_argument("-n", type=int, required=need_n, default=None, help="strand count")
-        p.add_argument("--target", choices=("g", "gamma", "gammar"), default="gamma")
+        p.add_argument("--target", choices=("g", "gamma", "gammar"), default=target)
         p.add_argument("--r", type=int, default=1, help="slot count for target gammar")
         p.add_argument("--mode", choices=("literal", "traced"), default="literal")
         p.add_argument("--assembly", choices=("flip", "doubled"), default="flip")
@@ -88,12 +88,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_inv = sub.add_parser("invariant", help="invariant class of a group word")
-    common(p_inv, need_n=True)
+    common(p_inv, need_n=True, target=None)
     p_inv.add_argument("word", nargs="?", default=None)
     p_inv.add_argument("--in", dest="infile", default=None)
 
     p_canon = sub.add_parser("canon", help="canonicalize a group word")
-    common(p_canon)
+    common(p_canon, target=None)
     p_canon.add_argument("word")
 
     p_render = sub.add_parser("render", help="render one SVG frame of a choreography")
@@ -251,9 +251,7 @@ def _cmd_check(args) -> int:
         for inst in relation_instances(args.n, family3_inverted=inverted):
             if inverted and inst.family != "3inv":
                 continue
-            # cancelling a pair of equal letters keeps every parity: no free_reduce
-            lhs, rhs = (map_braid(cfg, w, reduced=False) for w in (inst.lhs, inst.rhs))
-            ok = invariant_equal(lhs, rhs, args.n)
+            ok = image_invariant(cfg, inst.lhs) == image_invariant(cfg, inst.rhs)
             results.append(
                 {
                     "family": inst.family,
@@ -326,8 +324,13 @@ def _compare_modes(lit: HomConfig, seed: int) -> list[dict]:
     return out
 
 
+def _group_word(args, text: str):
+    """The word of --target, or without the flag of its first letter's kind."""
+    return parse_word(text, args.r if args.target == "gammar" else None, args.target)
+
+
 def _cmd_invariant(args) -> int:
-    word = parse_word(_read_word_arg(args), args.r if args.target == "gammar" else None)
+    word = _group_word(args, _read_word_arg(args))
     cls = invariant(word, args.n)
     payload = {
         "n": args.n,
@@ -341,7 +344,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    word = parse_word(args.word, args.r if args.target == "gammar" else None)
+    word = _group_word(args, args.word)
     payload = {"word": word_to_text(word)}
     _emit(args, payload, [payload["word"]])
     return 0

@@ -174,4 +174,5 @@ def select_quad(p: int, q: int, r: int, s: int, *, swap_pair: bool = False) -> G
     base = sorted((p, q, s))
     k = base.index(s)
     base.insert(k + 1 if swap_pair else k, r)
-    return GammaGen(tuple(base))
+    # four checked, distinct indices: GammaGen would check them again
+    return _intern(GammaGen, _GAMMA_GENS, "cycle", _canonical_cycle(tuple(base)))

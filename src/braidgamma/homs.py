@@ -27,8 +27,13 @@ cyclic-quadruple targets default to "flip".  Past that choice only `passage`
 
 Passage words and generator images are memoised for the life of the process,
 keyed by (HomConfig, i, j).  Words and letters are immutable, so every caller
-shares the cached objects.  The cache holds at most C(n,2) generator images
-and n(n-1) passage words per distinct HomConfig in use.
+shares the cached objects.  The cache holds at most C(n,2) generator images,
+C(n,2) generator classes (their reduced invariant bits) and n(n-1) passage
+words per distinct HomConfig in use.
+
+`invariant` is a homomorphism to GF(2) vectors, so the class of an image is
+the XOR of its letters' generator classes, one per odd exponent:
+`image_invariant` computes it without building the image.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from . import geom2d
 from .braids import BraidWord
 from .errors import IndexRangeError
 from .generators import GGen, select_quad
-from .words import check_target, free_reduce, invert, target_word
+from .words import InvariantClass, check_target, free_reduce, invariant, invert, target_word
 
 
 @dataclass(frozen=True)
@@ -170,3 +175,22 @@ def map_braid(cfg: HomConfig, w: BraidWord, *, reduced: bool = True):
         letters.extend(img.letters * abs(g.exponent))
     out = target_word(cfg.target, cfg.r, letters)
     return free_reduce(out) if reduced else out
+
+
+@functools.lru_cache(maxsize=None)
+def _generator_class(cfg: HomConfig, i: int, j: int) -> int:
+    return invariant(generator_image(cfg, i, j), cfg.n).bits
+
+
+def image_invariant(cfg: HomConfig, w: BraidWord) -> InvariantClass:
+    """`invariant(map_braid(cfg, w, reduced=False), cfg.n)`, composed from the
+    cached class of each letter's generator: an inverse has its generator's
+    parities, and a power k its generator's k times over."""
+    if w.n > cfg.n:
+        raise IndexRangeError(f"braid word has n={w.n} but config has n={cfg.n}")
+    bits = 0
+    for g in w.letters:
+        cls = _generator_class(cfg, g.i, g.j)  # even powers too: errors as in map_braid
+        if g.exponent & 1:
+            bits ^= cls
+    return InvariantClass(cfg.n, cfg.target, cfg.r, bits)

@@ -490,9 +490,11 @@ def parse_multi_word(text: str, r: int) -> MultiWord:
     return _parse(text, "gammar", r)
 
 
-def parse_word(text: str, r: int | None = None) -> Word:
-    """Parse with the letter kind inferred from the first letter (empty -> GammaWord)."""
-    return _parse(text, None, r)
+def parse_word(text: str, r: int | None = None, target: str | None = None) -> Word:
+    """Parse a word of `target`; if None, of the first letter's kind (empty -> GammaWord)."""
+    if target is not None:
+        check_target(target, 1)
+    return _parse(text, target, r)
 
 
 def letter_text(letter) -> str:

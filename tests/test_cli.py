@@ -190,6 +190,32 @@ def test_invariant_and_canon(capsys):
     assert capsys.readouterr().out.strip() == "a{1,2,3,4}"
 
 
+@pytest.mark.parametrize(
+    "argv, shape",
+    [
+        (["invariant", "--target", "g", "-n", "5", "d(1,2,3,4)"], "a{...}"),
+        (["canon", "--target", "gammar", "--r", "2", "a{1,2,3,4}"], "[slot]d(...)"),
+        (["canon", "--target", "gamma", "a{1,2,3,4}"], "d(...)"),
+    ],
+)
+def test_invariant_and_canon_honour_an_explicit_target(capsys, argv, shape):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"only {shape} letters are allowed in this word (at position 0)"
+    assert captured.err == f"error: {message}\n"
+
+
+def test_group_word_kind_without_target_comes_from_its_first_letter(capsys):
+    assert main(["canon", "a{4,3,2,1}"]) == 0
+    assert main(["canon", "--target", "g", "a{4,3,2,1}"]) == 0
+    assert capsys.readouterr().out == "a{1,2,3,4}\n" * 2
+    code, data = run_json(
+        capsys, ["invariant", "-n", "4", "--target", "gammar", "--r", "2", "--format", "json", ""]
+    )
+    assert code == 0 and data["kind"] == "gammar" and data["r"] == 2
+
+
 def test_render_deterministic(tmp_path, choreo_path):
     out1 = tmp_path / "f1.svg"
     out2 = tmp_path / "f2.svg"

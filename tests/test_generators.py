@@ -91,6 +91,31 @@ def test_select_quad_pair_order_matters():
     assert before != after
 
 
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((1, 2.0, 3, 4), IndexRangeError, "positive integer, got 2.0"),
+        ((1, 2, True, 4), IndexRangeError, "positive integer, got True"),
+        ((1, 2, 3, "4"), IndexRangeError, "positive integer, got '4'"),
+        ((0, 2, 3, 4), IndexRangeError, "positive integer, got 0"),
+        ((1, 2, 3, 2), DuplicateIndexError, r"distinct, got \(1, 2, 3, 2\)"),
+        ((5, 5, 3, 4), DuplicateIndexError, r"distinct, got \(5, 5, 3, 4\)"),
+    ],
+)
+def test_select_quad_rejects_bad_indices(args, error, message):
+    with pytest.raises(error, match=message):
+        select_quad(*args)
+
+
+def test_select_quad_returns_the_interned_letter():
+    rng = random.Random(12)
+    for _ in range(100):
+        p, q, r, s = rng.sample(range(1, 12), 4)
+        quad = select_quad(p, q, r, s)
+        # the one interned letter, so its cycle is canonical
+        assert quad is GammaGen(quad.cycle)
+
+
 def test_select_quad_contains_exactly_its_arguments():
     rng = random.Random(11)
     for _ in range(300):

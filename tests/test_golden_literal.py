@@ -2,8 +2,9 @@
 output digest per call.
 
 `check` runs at n = 5..7 for every target (g, gamma, gammar with r = 2 and
-r = 3), both assemblies and both output formats; then once with
-`--relation3 both` and once traced with `--compare-modes`.  `map` runs a few
+r = 3), both assemblies and both output formats; then with `--relation3 both`
+(gamma, and gammar with r = 3 in both formats), traced with
+`--compare-modes`, and traced for g and for gammar with r = 2.  `map` runs a few
 braid words per target and assembly, and `invariant` and `canon` run good and
 bad group words, so parse errors and their positions are pinned too.  Each
 call goes through `cli.main`; the SHA-256 of stdout followed by stderr, and
@@ -56,6 +57,11 @@ def calls():
                            "--assembly", assembly, "--format", fmt]
     yield ["check", "-n", "6", "--relation3", "both"]
     yield ["check", "-n", "5", "--mode", "traced", "--compare-modes"]
+    for fmt in ("text", "json"):
+        yield ["check", "-n", "6", "--target", "gammar", "--r", "3",
+               "--relation3", "both", "--format", fmt]
+    yield ["check", "-n", "5", "--mode", "traced", "--target", "g"]
+    yield ["check", "-n", "5", "--mode", "traced", "--target", "gammar", "--r", "2"]
     for target in TARGETS:
         for assembly in ASSEMBLIES:
             for word in BRAIDS:

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidgamma.braids import BraidWord, braid, parse_braid, relation_instances
 from braidgamma.errors import IndexRangeError
@@ -9,6 +11,7 @@ from braidgamma.generators import BraidGen
 from braidgamma.homs import (
     HomConfig,
     generator_image,
+    image_invariant,
     inside_count,
     letter_slot,
     map_braid,
@@ -286,8 +289,8 @@ def test_hom_config_validation():
 @pytest.mark.parametrize("assembly", ["flip", "doubled"])
 @pytest.mark.parametrize("target", ["g", "gamma", "gammar"])
 def test_check_parity_needs_no_free_reduce(target, assembly):
-    # `check` compares the parity invariants of unreduced images: cancelling
-    # a pair of equal letters keeps every parity
+    # the class of an image does not depend on free reduction: cancelling a
+    # pair of equal letters keeps every parity
     cfg = HomConfig(6, target=target, r=3 if target == "gammar" else 1, assembly=assembly)
     for inverted in (False, True):
         for inst in relation_instances(6, family3_inverted=inverted):
@@ -295,3 +298,47 @@ def test_check_parity_needs_no_free_reduce(target, assembly):
                 raw = map_braid(cfg, w, reduced=False)
                 assert invariant(raw, 6) == invariant(free_reduce(raw), 6)
                 assert free_reduce(raw) == map_braid(cfg, w)
+
+
+# ---------------------------------------------------------------------------
+# invariant classes composed from generator classes
+# ---------------------------------------------------------------------------
+
+_TARGETS = (("g", 1), ("gamma", 1), ("gammar", 2), ("gammar", 3))
+_CONFIGS = [
+    HomConfig(n, target, r, "literal", assembly)
+    for n in (5, 6, 7)
+    for target, r in _TARGETS
+    for assembly in ("flip", "doubled")
+] + [HomConfig(5, target, r, "traced") for target, r in _TARGETS]
+
+
+def braid_words(n_max):
+    """Braid words on at most n_max strands: letters from a small pool of
+    generators, so that letters repeat, with exponents +-1..+-4."""
+
+    @st.composite
+    def words(draw):
+        n = draw(st.integers(2, n_max))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        pool = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))
+        exponent = st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4))
+        letters = draw(st.lists(st.tuples(st.sampled_from(pool), exponent), max_size=10))
+        return BraidWord(n, tuple(BraidGen(i, j, e) for (i, j), e in letters))
+
+    return words()
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS, ids=str)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_image_invariant_is_the_invariant_of_the_image(cfg, data):
+    w = data.draw(braid_words(cfg.n))
+    assert image_invariant(cfg, w) == invariant(map_braid(cfg, w, reduced=False), cfg.n)
+
+
+def test_image_invariant_rejects_a_longer_braid_word():
+    w = BraidWord(6, (BraidGen(1, 2),))
+    for fn in (image_invariant, map_braid):
+        with pytest.raises(IndexRangeError, match="braid word has n=6 but config has n=5"):
+            fn(HomConfig(5), w)
