@@ -206,7 +206,7 @@ def test_invariant_and_canon_honour_an_explicit_target(capsys, argv, shape):
     assert captured.err == f"error: {message}\n"
 
 
-def test_group_word_kind_without_target_comes_from_its_first_letter(capsys):
+def test_group_word_kind_with_and_without_target(capsys):
     assert main(["canon", "a{4,3,2,1}"]) == 0
     assert main(["canon", "--target", "g", "a{4,3,2,1}"]) == 0
     assert capsys.readouterr().out == "a{1,2,3,4}\n" * 2
