@@ -18,22 +18,21 @@ is available behind `family3_inverted` so callers can check both and report.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import IndexRangeError, WordSyntaxError
-from .generators import BraidGen
+from .generators import BraidGen, Record, _set
 from .words import parse_uint
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    n: int
-    letters: tuple[BraidGen, ...] = ()
+class BraidWord(Record):
+    __slots__ = _fields = ("n", "letters")
 
-    def __post_init__(self):
-        for letter in self.letters:
-            if letter.j > self.n:
-                raise IndexRangeError(f"letter {letter} exceeds strand count n={self.n}")
+    def __init__(self, n: int, letters: tuple[BraidGen, ...] = ()):
+        for letter in letters:
+            if letter.j > n:
+                raise IndexRangeError(f"letter {letter} exceeds strand count n={n}")
+        _set(self, "n", n)
+        _set(self, "letters", letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.n != other.n:
@@ -76,12 +75,14 @@ def braid_free_reduce(w: BraidWord) -> BraidWord:
     return BraidWord(w.n, tuple(stack))
 
 
-@dataclass(frozen=True)
-class RelationInstance:
-    family: str  # "1" | "2a" | "2b" | "3" | "3inv"
-    indices: tuple[int, ...]
-    lhs: BraidWord
-    rhs: BraidWord
+class RelationInstance(Record):
+    __slots__ = _fields = ("family", "indices", "lhs", "rhs")
+
+    def __init__(self, family: str, indices: tuple[int, ...], lhs: BraidWord, rhs: BraidWord):
+        _set(self, "family", family)  # "1" | "2a" | "2b" | "3" | "3inv"
+        _set(self, "indices", indices)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
 def relation_instances(n: int, *, family3_inverted: bool = False) -> list[RelationInstance]:
@@ -90,12 +91,20 @@ def relation_instances(n: int, *, family3_inverted: bool = False) -> list[Relati
         raise IndexRangeError(f"need n >= 2 strands, got {n}")
     out: list[RelationInstance] = []
     idx = range(1, n + 1)
+    gens: dict = {}  # (i, j[, e]) -> its letter, checked once and shared
+
+    def word(*pairs) -> BraidWord:
+        for p in pairs:
+            if p not in gens:
+                gens[p] = BraidGen(*p)
+        return BraidWord(n, tuple(gens[p] for p in pairs))
+
     for i, j, k, l in itertools.combinations(idx, 4):
         out.append(
             RelationInstance(
                 "1", (i, j, k, l),
-                braid(n, (i, j), (k, l)),
-                braid(n, (k, l), (i, j)),
+                word((i, j), (k, l)),
+                word((k, l), (i, j)),
             )
         )
     # second commutation pattern: nested pairs i < k < l < j
@@ -104,14 +113,14 @@ def relation_instances(n: int, *, family3_inverted: bool = False) -> list[Relati
         out.append(
             RelationInstance(
                 "1", (i, j, k, l),
-                braid(n, (i, j), (k, l)),
-                braid(n, (k, l), (i, j)),
+                word((i, j), (k, l)),
+                word((k, l), (i, j)),
             )
         )
     for i, j, k in itertools.combinations(idx, 3):
-        first = braid(n, (i, j), (i, k), (j, k))
-        second = braid(n, (i, k), (j, k), (i, j))
-        third = braid(n, (j, k), (i, j), (i, k))
+        first = word((i, j), (i, k), (j, k))
+        second = word((i, k), (j, k), (i, j))
+        third = word((j, k), (i, j), (i, k))
         out.append(RelationInstance("2a", (i, j, k), first, second))
         out.append(RelationInstance("2b", (i, j, k), second, third))
     for i, j, k, l in itertools.combinations(idx, 4):
@@ -119,16 +128,16 @@ def relation_instances(n: int, *, family3_inverted: bool = False) -> list[Relati
             out.append(
                 RelationInstance(
                     "3inv", (i, j, k, l),
-                    braid(n, (i, k), (j, k), (j, l), (j, k, -1)),
-                    braid(n, (j, k), (j, l), (j, k, -1), (i, k)),
+                    word((i, k), (j, k), (j, l), (j, k, -1)),
+                    word((j, k), (j, l), (j, k, -1), (i, k)),
                 )
             )
         else:
             out.append(
                 RelationInstance(
                     "3", (i, j, k, l),
-                    braid(n, (i, k), (j, k), (j, l), (j, k)),
-                    braid(n, (j, k), (j, l), (j, k), (i, k)),
+                    word((i, k), (j, k), (j, l), (j, k)),
+                    word((j, k), (j, l), (j, k), (i, k)),
                 )
             )
     return out

@@ -11,7 +11,6 @@ BRAIDGAMMA_MAX_N to lift or lower the strand-count cap (default 10).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import os
@@ -296,7 +295,7 @@ def _compare_modes(lit: HomConfig, seed: int) -> list[dict]:
     """Literal vs traced images: every generator, then a few seeded random
     words.  Disagreements are reported, never reconciled."""
     n = lit.n
-    tra = dataclasses.replace(lit, formula_mode="traced")
+    tra = HomConfig(n, lit.target, lit.r, "traced", lit.assembly)
     inputs = [
         BraidWord(n, (BraidGen(i, j),)) for i, j in itertools.combinations(range(1, n + 1), 2)
     ]

@@ -21,9 +21,49 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import operator
 
 from .errors import DuplicateIndexError, IndexRangeError
+
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable value types.  A subclass names its
+    fields in `_fields`, stores them in `__init__` through `_set`, and gets:
+    equality with a value of the same class, field by field; the hash of the
+    field tuple; the repr `Name(field=value, ...)`; copy and pickle by
+    calling the class on the fields; and no assignment or deletion."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        if "_fields" in vars(cls):
+            get = operator.attrgetter(*cls._fields)
+            # the field tuple; attrgetter of one name gives the bare value
+            cls._values = staticmethod(get if len(cls._fields) > 1 else lambda x: (get(x),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _check_indices(idxs) -> tuple[int, ...]:
@@ -59,15 +99,31 @@ def _intern(cls, table: dict, field: str, key: tuple[int, int, int, int]):
     self = table.get(key)
     if self is None:
         self = table[key] = object.__new__(cls)
-        object.__setattr__(self, field, key)
+        _set(self, field, key)
     return self
 
 
-@dataclass(frozen=True, order=True, init=False)
-class GammaGen:
+@functools.total_ordering
+class _Letter(Record):
+    """An interned letter, ordered by its one field."""
+
+    __slots__ = ()
+
+    # interning makes equal letters one object, so identity is equality
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) < other._values(other)
+
+
+class GammaGen(_Letter):
     """A cyclic-quadruple generator, stored canonically (see module docstring)."""
 
-    cycle: tuple[int, int, int, int]
+    # no __slots__: the cached `subset` lives in the instance __dict__
+    _fields = ("cycle",)
 
     def __new__(cls, cycle):
         cycle = _canonical_cycle(_check_quad(cycle, "a cyclic quadruple"))
@@ -75,13 +131,6 @@ class GammaGen:
 
     def __init__(self, cycle):
         pass  # set once, by __new__
-
-    def __getnewargs__(self):
-        return (self.cycle,)
-
-    # interning makes equal letters one object, so identity is equality
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     @functools.cached_property
     def subset(self) -> tuple[int, int, int, int]:
@@ -91,11 +140,10 @@ class GammaGen:
         return "d(%d,%d,%d,%d)" % self.cycle
 
 
-@dataclass(frozen=True, order=True, init=False)
-class GGen:
+class GGen(_Letter):
     """An order-free generator on a 4-subset of strand indices."""
 
-    members: tuple[int, int, int, int]
+    __slots__ = _fields = ("members",)
 
     def __new__(cls, members):
         members = tuple(sorted(_check_quad(members, "a 4-subset generator")))
@@ -103,13 +151,6 @@ class GGen:
 
     def __init__(self, members):
         pass  # set once, by __new__
-
-    def __getnewargs__(self):
-        return (self.members,)
-
-    # interning makes equal letters one object, so identity is equality
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     @property
     def subset(self) -> tuple[int, int, int, int]:
@@ -119,22 +160,22 @@ class GGen:
         return "a{%d,%d,%d,%d}" % self.members
 
 
-@dataclass(frozen=True)
-class BraidGen:
+class BraidGen(Record):
     """One signed letter of a pure braid word: the full twist of strands i < j."""
 
-    i: int
-    j: int
-    exponent: int = 1
+    __slots__ = _fields = ("i", "j", "exponent")
 
-    def __post_init__(self):
-        for v in (self.i, self.j):
+    def __init__(self, i: int, j: int, exponent: int = 1):
+        for v in (i, j):
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise IndexRangeError(f"strand index must be a positive integer, got {v!r}")
-        if self.i >= self.j:
-            raise IndexRangeError(f"braid letter needs i < j, got ({self.i},{self.j})")
-        if self.exponent == 0:
+        if i >= j:
+            raise IndexRangeError(f"braid letter needs i < j, got ({i},{j})")
+        if exponent == 0:
             raise IndexRangeError("braid letter exponent must be nonzero")
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "exponent", exponent)
 
     def __str__(self):
         base = f"b({self.i},{self.j})"

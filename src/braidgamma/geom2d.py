@@ -50,7 +50,6 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -61,7 +60,7 @@ from .errors import (
     ValidationError,
 )
 from .exact import rat_from_str, rat_to_str, sign
-from .generators import GammaGen, GGen
+from .generators import GammaGen, GGen, Record, _set
 from .roots import AlgebraicRoot, ConstantZero, EndpointZero, isolate_unit_roots
 from .words import target_word
 
@@ -69,10 +68,12 @@ if TYPE_CHECKING:
     from .geom3d import Pt3
 
 
-@dataclass(frozen=True)
-class Pt2:
-    x: Fraction
-    y: Fraction
+class Pt2(Record):
+    __slots__ = _fields = ("x", "y")
+
+    def __init__(self, x: Fraction, y: Fraction):
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def __iter__(self):
         return iter((self.x, self.y))
@@ -214,24 +215,30 @@ def _hits_inside(p0, p1, s) -> bool:
     return len(ts) == 1 and 0 < ts.pop() < 1
 
 
-@dataclass(frozen=True)
-class Move:
-    point: int
-    to: Pt2 | Pt3
+class Move(Record):
+    __slots__ = _fields = ("point", "to")
+
+    def __init__(self, point: int, to: Pt2 | Pt3):
+        _set(self, "point", point)
+        _set(self, "to", to)
 
 
-@dataclass(frozen=True)
-class Choreography:
+class Choreography(Record):
     """A motion plan: one point interpolates linearly per unit time segment.
 
     The points are all Pt2 (planar, traced by `trace`) or all Pt3 (spatial,
     traced by `geom3d.trace3`); `dim` reads which from the start points.
     """
 
-    n: int
-    start: tuple[Pt2 | Pt3, ...]
-    moves: tuple[Move, ...] = ()
-    loop: bool = False
+    __slots__ = _fields = ("n", "start", "moves", "loop")
+
+    def __init__(
+        self, n: int, start: tuple[Pt2 | Pt3, ...], moves: tuple[Move, ...] = (), loop: bool = False
+    ):
+        _set(self, "n", n)
+        _set(self, "start", start)
+        _set(self, "moves", moves)
+        _set(self, "loop", loop)
 
     @property
     def dim(self) -> int:
@@ -326,18 +333,28 @@ def subdivide(ch: Choreography, seg: int, at: Fraction = Fraction(1, 2)) -> Chor
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record):
     """One wall crossing: four points concyclic (or collinear) with odd contact."""
 
-    segment: int
-    time: AlgebraicRoot
-    quad: GammaGen
-    subset: GGen
-    inside: int
-    collinear_wall: bool = False
+    __slots__ = _fields = ("segment", "time", "quad", "subset", "inside", "collinear_wall")
     # every planar crossing gives a letter; only some spatial events do
     special = True
+
+    def __init__(
+        self,
+        segment: int,
+        time: AlgebraicRoot,
+        quad: GammaGen,
+        subset: GGen,
+        inside: int,
+        collinear_wall: bool = False,
+    ):
+        _set(self, "segment", segment)
+        _set(self, "time", time)
+        _set(self, "quad", quad)
+        _set(self, "subset", subset)
+        _set(self, "inside", inside)
+        _set(self, "collinear_wall", collinear_wall)
 
 
 def _on_grid(points) -> list[tuple[int, ...]]:

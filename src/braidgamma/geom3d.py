@@ -31,21 +31,22 @@ pair of diagonals crosses.  Every event stays in the trace, classified.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CollinearTripleError, ValidationError
 from .exact import sign
-from .generators import GammaGen, GGen
+from .generators import GammaGen, GGen, Record, _set
 from .geom2d import Choreography, cyclic_order, events_to_word, orient2d, wall_crossings
 from .words import GammaWord
 
 
-@dataclass(frozen=True)
-class Pt3:
-    x: Fraction
-    y: Fraction
-    z: Fraction
+class Pt3(Record):
+    __slots__ = _fields = ("x", "y", "z")
+
+    def __init__(self, x: Fraction, y: Fraction, z: Fraction):
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     def __iter__(self):
         return iter((self.x, self.y, self.z))
@@ -102,19 +103,30 @@ def require_no_collinear_triple(cfg, where: str, mover: int | None = None) -> No
             raise CollinearTripleError(f"points {t} collinear {where}")
 
 
-@dataclass(frozen=True)
-class Event3:
+class Event3(Record):
     """One coplanarity event.  `quad` is None when the four points are not in
     convex position (no cyclic order exists); `side` is the common orientation
     sign of the bystanders when they are one-sided, else 0."""
 
-    segment: int
-    time: Fraction
-    subset: GGen
-    quad: GammaGen | None
-    convex: bool
-    one_sided: bool
-    side: int
+    __slots__ = _fields = ("segment", "time", "subset", "quad", "convex", "one_sided", "side")
+
+    def __init__(
+        self,
+        segment: int,
+        time: Fraction,
+        subset: GGen,
+        quad: GammaGen | None,
+        convex: bool,
+        one_sided: bool,
+        side: int,
+    ):
+        _set(self, "segment", segment)
+        _set(self, "time", time)
+        _set(self, "subset", subset)
+        _set(self, "quad", quad)
+        _set(self, "convex", convex)
+        _set(self, "one_sided", one_sided)
+        _set(self, "side", side)
 
     @property
     def special(self) -> bool:

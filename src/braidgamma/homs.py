@@ -39,31 +39,37 @@ the XOR of its letters' generator classes, one per odd exponent:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import geom2d
 from .braids import BraidWord
 from .errors import IndexRangeError
-from .generators import GGen, select_quad
+from .generators import GGen, Record, _set, select_quad
 from .words import InvariantClass, check_target, free_reduce, invariant, invert, target_word
 
 
-@dataclass(frozen=True)
-class HomConfig:
-    n: int
-    target: str = "gamma"
-    r: int = 1
-    formula_mode: str = "literal"  # "literal" | "traced"
-    assembly: str = "flip"  # "flip" | "doubled"
+class HomConfig(Record):
+    __slots__ = _fields = ("n", "target", "r", "formula_mode", "assembly")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise IndexRangeError(f"need n >= 1, got {self.n}")
-        check_target(self.target, self.r)
-        if self.formula_mode not in ("literal", "traced"):
-            raise IndexRangeError(f"unknown formula_mode {self.formula_mode!r}")
-        if self.assembly not in ("flip", "doubled"):
-            raise IndexRangeError(f"unknown assembly {self.assembly!r}")
+    def __init__(
+        self,
+        n: int,
+        target: str = "gamma",
+        r: int = 1,
+        formula_mode: str = "literal",  # "literal" | "traced"
+        assembly: str = "flip",  # "flip" | "doubled"
+    ):
+        if n < 1:
+            raise IndexRangeError(f"need n >= 1, got {n}")
+        check_target(target, r)
+        if formula_mode not in ("literal", "traced"):
+            raise IndexRangeError(f"unknown formula_mode {formula_mode!r}")
+        if assembly not in ("flip", "doubled"):
+            raise IndexRangeError(f"unknown assembly {assembly!r}")
+        _set(self, "n", n)
+        _set(self, "target", target)
+        _set(self, "r", r)
+        _set(self, "formula_mode", formula_mode)
+        _set(self, "assembly", assembly)
 
 
 def inside_count(a: int, b: int, c: int) -> int:

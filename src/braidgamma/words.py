@@ -24,8 +24,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import gf2
 from .errors import (
@@ -33,11 +31,13 @@ from .errors import (
     IndexRangeError,
     WordSyntaxError,
 )
-from .generators import GammaGen, GGen
+from .generators import GammaGen, GGen, Record, _set
 
 
-class _Word:
+class _Word(Record):
     """The methods the three word types share; each holds `letters`."""
+
+    __slots__ = ()
 
     def __mul__(self, other):
         _check_same_target(self, other, "concatenate")
@@ -53,55 +53,66 @@ class _Word:
         return word_to_text(self)
 
 
-@dataclass(frozen=True)
 class GWord(_Word):
-    """A word in the 4-subset generators."""
+    """A word in the 4-subset generators (letters are not checked)."""
 
     kind = "g"
     r = 1
-    letters: tuple[GGen, ...] = ()
+    __slots__ = _fields = ("letters",)
+
+    def __init__(self, letters: tuple[GGen, ...] = ()):
+        _set(self, "letters", letters)
 
 
-@dataclass(frozen=True)
 class GammaWord(_Word):
-    """A word in the cyclic-quadruple generators (letters stored canonically)."""
+    """A word in the cyclic-quadruple generators (letters stored canonically,
+    not checked)."""
 
     kind = "gamma"
     r = 1
-    letters: tuple[GammaGen, ...] = ()
+    __slots__ = _fields = ("letters",)
+
+    def __init__(self, letters: tuple[GammaGen, ...] = ()):
+        _set(self, "letters", letters)
 
 
-@dataclass(frozen=True)
 class MultiWord(_Word):
-    """A word in an r-fold product: each letter is (slot, cyclic quadruple)."""
+    """A word in an r-fold product: each letter is (slot, cyclic quadruple),
+    with an int slot in 0..r-1."""
 
     kind = "gammar"
-    r: int
-    letters: tuple[tuple[int, GammaGen], ...] = ()
+    __slots__ = _fields = ("r", "letters")
 
-    def __post_init__(self):
-        check_target(self.kind, self.r)
+    def __init__(self, r: int, letters: tuple[tuple[int, GammaGen], ...] = ()):
+        check_target(self.kind, r)
         letter = None
         try:
-            for letter in self.letters:
-                slot, _ = letter
-                if not 0 <= slot < self.r:
-                    raise IndexRangeError(f"slot {slot} out of range for r={self.r}")
+            for letter in letters:
+                slot, gen = letter
+                if type(slot) is not int or type(gen) is not GammaGen:
+                    raise TypeError
+                if not 0 <= slot < r:
+                    raise IndexRangeError(f"slot {slot} out of range for r={r}")
         except (TypeError, ValueError):
-            # not a pair, or a slot that does not compare with ints
+            # not a pair, or not an int slot with a cyclic quadruple
             raise GroupMismatchError(
                 f"a MultiWord cannot hold the letter {letter_text(letter)}"
             ) from None
+        _set(self, "r", r)
+        _set(self, "letters", letters)
 
 
 Word = GWord | GammaWord | MultiWord
 
 
-class _Target(NamedTuple):
-    word: type
-    gen: type
-    shape: str  # a printed letter, for parse errors
-    slotted: bool  # letters are (slot, gen) pairs, the word type takes r
+class _Target(Record):
+    __slots__ = _fields = ("word", "gen", "shape", "slotted")
+
+    def __init__(self, word: type, gen: type, shape: str, slotted: bool):
+        _set(self, "word", word)
+        _set(self, "gen", gen)
+        _set(self, "shape", shape)  # a printed letter, for parse errors
+        _set(self, "slotted", slotted)  # letters are (slot, gen) pairs, the word type takes r
 
 
 # The one table of targets: the only place a target name meets a word type.
@@ -306,9 +317,8 @@ def _check_letters(w: Word, n: int) -> None:
     that uses an index above n."""
     t = TARGETS[w.kind]
     for letter in w.letters:
-        gen = letter[1] if t.slotted else letter
-        slot_ok = not t.slotted or type(letter[0]) is int
-        if type(gen) is not t.gen or not slot_ok:
+        gen = letter[1] if t.slotted else letter  # MultiWord checked its slots
+        if type(gen) is not t.gen:
             raise GroupMismatchError(
                 f"a {type(w).__name__} cannot hold the letter {letter_text(letter)}"
             )
@@ -317,8 +327,7 @@ def _check_letters(w: Word, n: int) -> None:
             raise IndexRangeError(f"letter {gen} uses index {top} > n={n}")
 
 
-@dataclass(frozen=True)
-class InvariantClass:
+class InvariantClass(Record):
     """Reduced GF(2) parity coordinates of a word; a decidable equality certificate.
 
     Two words with unequal classes are distinct in the group.  Equal classes
@@ -327,10 +336,13 @@ class InvariantClass:
     `gamma_columns(n)`, or for "gammar" r slot-major blocks of the latter.
     """
 
-    n: int
-    kind: str  # "g" | "gamma" | "gammar"
-    r: int
-    bits: int
+    __slots__ = _fields = ("n", "kind", "r", "bits")
+
+    def __init__(self, n: int, kind: str, r: int, bits: int):
+        _set(self, "n", n)
+        _set(self, "kind", kind)  # "g" | "gamma" | "gammar"
+        _set(self, "r", r)
+        _set(self, "bits", bits)
 
     def is_zero(self) -> bool:
         return self.bits == 0

@@ -577,6 +577,10 @@ def test_invariant_rejects_letters_of_another_kind():
         (D(1, 2, 3, 4), "d(1,2,3,4)"),  # no slot
         ((0,), "(0,)"),  # no quadruple
         (("0", D(1, 2, 3, 4)), "[0]d(1,2,3,4)"),  # a slot that is not a number
+        ((0.5, D(1, 2, 3, 4)), "[0.5]d(1,2,3,4)"),  # a slot that is not an int
+        ((True, D(1, 2, 3, 4)), "[True]d(1,2,3,4)"),  # nor a bool
+        ((0, "x"), "[0]x"),  # no quadruple after the slot
+        ((0, A(1, 2, 3, 4)), "[0]a{1,2,3,4}"),  # a 4-subset letter
     ],
 )
 def test_multi_word_rejects_malformed_letters(letter, text):
