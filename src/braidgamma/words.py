@@ -142,7 +142,14 @@ def target_word(target: str, r: int, letters) -> Word:
 
 
 def _rebuild(w: Word, letters) -> Word:
-    return target_word(w.kind, w.r, letters)
+    """A word of w's type and r on letters taken from such words, which were
+    checked when those were built: a MultiWord skips its letter scan."""
+    if type(w) is not MultiWord:
+        return type(w)(tuple(letters))
+    out = object.__new__(MultiWord)
+    _set(out, "r", w.r)
+    _set(out, "letters", tuple(letters))
+    return out
 
 
 def _check_same_target(w1: Word, w2: Word, verb: str) -> None:
