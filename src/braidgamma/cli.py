@@ -5,7 +5,9 @@ an irrational one as its integer polynomial, its branch and a dyadic cell
 [m/2^k, (m+1)/2^k].  Per planar segment, k is the least k >= 1 at which every
 cell isolates its root and consecutive distinct times do not overlap, so the
 printout depends on the roots alone and certifies their order.  Set
-BRAIDGAMMA_MAX_N to lift or lower the strand-count cap (default 10).
+BRAIDGAMMA_MAX_N to lift or lower the strand-count cap (default 10).  Each
+subcommand takes only the flags it reads: any other flag, like every usage
+error and every bad input, prints "error: ..." and exits with code 3.
 """
 
 from __future__ import annotations
@@ -49,31 +51,35 @@ def _max_n() -> int:
         raise BraidGammaError(f"BRAIDGAMMA_MAX_N must be an integer, got {raw!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors exit 3 like every other bad input
+        raise BraidGammaError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="braidgamma", description=__doc__)
+    top = _Parser(prog="braidgamma", description=__doc__)
+    top.set_defaults(n=None, target=None, r=1)  # what run() checks, for every subcommand
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, need_n=False, target="gamma"):
-        p.add_argument("-n", type=int, required=need_n, default=None, help="strand count")
+    def command(name, run, help, *, n=False, target="gamma", hom=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if n:
+            p.add_argument("-n", type=int, required=True, help="strand count")
         p.add_argument("--target", choices=("g", "gamma", "gammar"), default=target)
         p.add_argument("--r", type=int, default=1, help="slot count for target gammar")
-        p.add_argument("--mode", choices=("literal", "traced"), default="literal")
-        p.add_argument("--assembly", choices=("flip", "doubled"), default="flip")
+        if hom:
+            p.add_argument("--mode", choices=("literal", "traced"), default="literal")
+            p.add_argument("--assembly", choices=("flip", "doubled"), default="flip")
         p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled comparisons")
+        return p
 
-    p_map = sub.add_parser("map", help="image of a braid word under the chosen map")
-    common(p_map, need_n=True)
+    p_map = command("map", _cmd_map, "image of a braid word under the chosen map", n=True, hom=True)
     p_map.add_argument("word", nargs="?", default=None, help="braid word text")
     p_map.add_argument("--in", dest="infile", default=None, help="file with the braid word")
 
-    p_trace = sub.add_parser("trace", help="trace a choreography JSON file")
-    common(p_trace)
-    p_trace.add_argument("choreo", help="choreography JSON path")
-
-    p_check = sub.add_parser("check", help="verify relation preservation")
-    common(p_check, need_n=True)
+    p_check = command("check", _cmd_check, "verify relation preservation", n=True, hom=True)
     p_check.add_argument(
         "--relation3",
         choices=("printed", "inverted", "both"),
@@ -85,21 +91,25 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also report literal vs traced images (generators plus seeded words)",
     )
+    p_check.add_argument("--seed", type=int, default=0, help="seed for --compare-modes words")
 
-    p_inv = sub.add_parser("invariant", help="invariant class of a group word")
-    common(p_inv, need_n=True, target=None)
+    p_trace = command("trace", _cmd_trace, "trace a choreography JSON file")
+    p_trace.add_argument("choreo", help="choreography JSON path")
+
+    p_inv = command("invariant", _cmd_invariant, "invariant class of a group word",
+                    n=True, target=None)
     p_inv.add_argument("word", nargs="?", default=None)
     p_inv.add_argument("--in", dest="infile", default=None)
 
-    p_canon = sub.add_parser("canon", help="canonicalize a group word")
-    common(p_canon, target=None)
+    p_canon = command("canon", _cmd_canon, "canonicalize a group word", target=None)
     p_canon.add_argument("word")
 
     p_render = sub.add_parser("render", help="render one SVG frame of a choreography")
-    common(p_render)
+    p_render.set_defaults(run=_cmd_render)
     p_render.add_argument("choreo", help="choreography JSON path")
     p_render.add_argument("--t", required=True, help='frame time, rational "p/q"')
     p_render.add_argument("--circle", default=None, help='overlay circumcircle of "j,p,q"')
+    p_render.add_argument("--out", required=True, help="SVG file to write")
 
     return top
 
@@ -367,21 +377,9 @@ def _cmd_render(args) -> int:
 
     circle = _parse_circle(args.circle) if args.circle else None
     data = render_frame(ch, rat_from_str(args.t), circle)
-    if not args.out:
-        raise BraidGammaError("render needs --out FILE")
     with open(args.out, "wb") as fh:
         fh.write(data)
     return 0
-
-
-_COMMANDS = {
-    "map": _cmd_map,
-    "trace": _cmd_trace,
-    "check": _cmd_check,
-    "invariant": _cmd_invariant,
-    "canon": _cmd_canon,
-    "render": _cmd_render,
-}
 
 
 def run(argv=None) -> int:
@@ -395,16 +393,13 @@ def run(argv=None) -> int:
         raise BraidGammaError(f"need --r >= 1, got {args.r}")
     if args.target != "gammar" and args.r != 1:
         raise BraidGammaError("--r above 1 needs --target gammar")
-    return _COMMANDS[args.subcommand](args)
+    return args.run(args)
 
 
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except BraidGammaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (BraidGammaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

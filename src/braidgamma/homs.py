@@ -46,6 +46,8 @@ from .errors import IndexRangeError
 from .generators import GGen, Record, _set, select_quad
 from .words import InvariantClass, check_target, free_reduce, invariant, invert, target_word
 
+MAX_IMAGE_LETTERS = 1 << 22
+
 
 class HomConfig(Record):
     __slots__ = _fields = ("n", "target", "r", "formula_mode", "assembly")
@@ -169,7 +171,8 @@ def map_braid(cfg: HomConfig, w: BraidWord, *, reduced: bool = True):
     """Image of a braid word: letterwise substitution, inverses by reversal.
 
     The letters of all images are gathered first and the word is built once,
-    so the cost is linear in the length of the image.
+    so the cost is linear in the length of the image.  An image longer than
+    MAX_IMAGE_LETTERS raises IndexRangeError before it is built.
     """
     if w.n > cfg.n:
         raise IndexRangeError(f"braid word has n={w.n} but config has n={cfg.n}")
@@ -178,6 +181,8 @@ def map_braid(cfg: HomConfig, w: BraidWord, *, reduced: bool = True):
         img = generator_image(cfg, g.i, g.j)
         if g.exponent < 0:
             img = invert(img)
+        if len(letters) + len(img.letters) * abs(g.exponent) > MAX_IMAGE_LETTERS:
+            raise IndexRangeError(f"image longer than the cap of {MAX_IMAGE_LETTERS} letters")
         letters.extend(img.letters * abs(g.exponent))
     out = target_word(cfg.target, cfg.r, letters)
     return free_reduce(out) if reduced else out

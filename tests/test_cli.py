@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from braidgamma import homs
+from braidgamma.braids import parse_braid
 from braidgamma.cli import main
+from braidgamma.errors import IndexRangeError
 from braidgamma.geom2d import (
     Choreography,
     Move,
@@ -317,3 +320,70 @@ def test_render_rejects_a_short_point_list(tmp_path, capsys, plan, message):
     assert main(["render", str(path), "--t", "0", "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# (subcommand argv, a flag it does not read, with its value)
+UNREAD_FLAGS = [
+    (["map", "-n", "4", "b(1,2)"], ["--seed", "1"]),
+    *((["trace", "plan.json"], flag) for flag in (
+        ["-n", "5"], ["--mode", "traced"], ["--assembly", "doubled"], ["--seed", "1"])),
+    *((["invariant", "-n", "4", "d(1,2,3,4)"], flag) for flag in (
+        ["--mode", "traced"], ["--assembly", "doubled"], ["--seed", "1"])),
+    *((["canon", "d(1,2,3,4)"], flag) for flag in (
+        ["-n", "5"], ["--mode", "traced"], ["--assembly", "doubled"], ["--seed", "1"])),
+    *((["render", "plan.json", "--t", "0", "--out", "frame.svg"], flag) for flag in (
+        ["-n", "5"], ["--target", "g"], ["--r", "1"], ["--mode", "traced"],
+        ["--assembly", "doubled"], ["--format", "json"], ["--seed", "1"])),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", UNREAD_FLAGS, ids=[f"{argv[0]} {flag[0]}" for argv, flag in UNREAD_FLAGS]
+)
+def test_a_flag_the_subcommand_does_not_read_exits_3(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)  # nothing is read or written: parsing fails first
+    assert main(argv + flag) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: subcommand"),
+        (["map", "b(1,2)"], "the following arguments are required: -n"),
+        (["check", "-n", "x"], "argument -n: invalid int value: 'x'"),
+        (["check", "-n", "4", "--target", "foo"], "argument --target: invalid choice: 'foo'"),
+        (["canon"], "the following arguments are required: word"),
+        (["frobnicate"], "argument subcommand: invalid choice: 'frobnicate'"),
+    ],
+)
+def test_usage_errors_exit_3(capsys, argv, message):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--compare-modes" in capsys.readouterr().out
+
+
+def test_render_needs_out_before_it_renders(capsys, choreo_path):
+    assert main(["render", choreo_path, "--t", "1/2"]) == 3
+    assert capsys.readouterr().err == "error: the following arguments are required: --out\n"
+
+
+def test_image_length_is_capped(capsys, monkeypatch):
+    monkeypatch.setattr(homs, "MAX_IMAGE_LETTERS", 40, raising=False)
+    cfg = homs.HomConfig(4)
+    assert len(homs.map_braid(cfg, parse_braid("b(1,2)^2", 4), reduced=False).letters) <= 40
+    with pytest.raises(IndexRangeError, match="image longer than the cap of 40 letters"):
+        homs.map_braid(cfg, parse_braid("b(1,2) b(1,2)^-1000", 4))
+    assert main(["map", "-n", "4", "b(1,2)^1000"]) == 3
+    assert capsys.readouterr().err == "error: image longer than the cap of 40 letters\n"
