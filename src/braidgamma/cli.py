@@ -20,6 +20,7 @@ import random
 import sys
 import warnings
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import geom2d, geom3d
 from .braids import BraidWord, parse_braid, print_braid, relation_instances
@@ -52,6 +53,9 @@ def _max_n() -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # every subcommand parser is one too
+        super().__init__(*args, allow_abbrev=False, **kwargs)  # no prefix aliases
+
     def error(self, message):  # usage errors exit 3 like every other bad input
         raise BraidGammaError(message)
 
@@ -114,9 +118,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _json_text(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, without
+    the pure-Python encoder that an indent selects: dicts (str keys), lists
+    and tuples nest here, strings go through the C string encoder, and any
+    other scalar than int, bool and None through json.dumps."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return repr(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + f",{inner}".join([_json_text(v, inner) for v in value]) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}" for k in sorted(value)
+        ]
+        return "{" + inner + f",{inner}".join(items) + pad + "}"
+    return json.dumps(value)
+
+
 def _emit(args, payload, text_lines):
     body = (
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _json_text(payload) + "\n"
         if args.fmt == "json"
         else "\n".join(text_lines) + "\n"
     )

@@ -32,9 +32,10 @@ midpoint sample of `_incircle_coeffs` on the grid).  Every determinant is
 homogeneous, so the positive scale keeps its sign; `AlgebraicRoot` divides
 the content out of each polynomial, so roots and their printed dyadic cells
 are those of the rational plan; and the sign of alpha + beta * t at a root
-does not change when alpha and beta are scaled alike.  Fractions remain in
-the JSON codec, `validate`'s collision test and the order along a collinear
-wall.
+does not change when alpha and beta are scaled alike.  `validate` builds
+these grids and decides coincidence, waypoint collinearity and collisions
+on them; `wall_crossings` reuses them.  Fractions remain in the JSON codec
+and the order along a collinear wall.
 
 On a collinear wall (three static points on one line) the incircle
 determinant is linear in the mover, so the event time is rational, the
@@ -203,16 +204,17 @@ def lerp(p, q, t):
     return type(p)(*(a + t * (b - a) for a, b in zip(p, q)))
 
 
-def _hits_inside(p0, p1, s) -> bool:
-    """Whether the segment p0 -> p1 passes through s strictly between its
-    ends, component by component, so in any dimension."""
-    ts = set()
-    for a, b, c in zip(p0, p1, s):
-        if b != a:
-            ts.add(Fraction(c - a, b - a))
-        elif c != a:
-            return False
-    return len(ts) == 1 and 0 < ts.pop() < 1
+def _hits_inside(g0, g1, s) -> bool:
+    """Whether the segment g0 -> g1 of integer grid points, in any dimension,
+    passes through s strictly between its ends: s - g0 = t d with d = g1 - g0
+    and 0 < t < 1.  That is 0 < (s - g0) . d < d . d, and s - g0 parallel to
+    d, which by Lagrange's identity |u x d|^2 = |u|^2 |d|^2 - (u . d)^2 is
+    equality in Cauchy-Schwarz.  A null move (d = 0) hits nothing."""
+    d = [b - a for a, b in zip(g0, g1)]
+    u = [c - a for a, c in zip(g0, s)]
+    ud = sum(x * y for x, y in zip(u, d))
+    dd = sum(x * x for x in d)
+    return 0 < ud < dd and ud * ud == dd * sum(x * x for x in u)
 
 
 class Move(Record):
@@ -274,29 +276,40 @@ class Choreography(Record):
         cur[m.point - 1] = lerp(cur[m.point - 1], m.to, t - seg)
         return tuple(cur)
 
-    def validate(self) -> None:
+    def validate(self) -> list[list[tuple[int, ...]]]:
+        """Check the plan; return each segment's integer grid, `_on_grid` of
+        its configuration and the mover's target, which the tracers reuse.
+        Waypoint k >= 1 is segment k - 1's grid with the mover at its target:
+        a positive scale keeps coincidence and collinearity."""
         configs = self.configs()
         kind = type(self.start[0])
         if any(type(p) is not kind for p in self.start + tuple(m.to for m in self.moves)):
             raise ValidationError("points of one choreography must all be Pt2 or all Pt3")
+        grids = [_on_grid(cfg + (m.to,)) for cfg, m in zip(configs, self.moves)]
+        dim3 = self.dim == 3
+        if dim3:
+            from .geom3d import require_no_collinear_triple
         for which, cfg in enumerate(configs):
-            if len(set(cfg)) != self.n:
+            if which == 0:
+                mover, at = None, grids[0][:-1] if grids else _on_grid(cfg)
+            else:
+                mover, (*at, target) = self.moves[which - 1].point, grids[which - 1]
+                at[mover - 1] = target
+            if len(set(at)) != self.n:
                 raise ValidationError(f"coincident points at waypoint {which}")
-            if self.dim == 3:
-                from .geom3d import require_no_collinear_triple
-
+            if dim3:
                 # only triples through the last mover can have become collinear
-                mover = self.moves[which - 1].point if which else None
-                require_no_collinear_triple(_on_grid(cfg), f"at waypoint {which}", mover)
-        for seg, m in enumerate(self.moves):
-            p0 = configs[seg][m.point - 1]
-            for k, s in enumerate(configs[seg], start=1):
-                if k != m.point and _hits_inside(p0, m.to, s):
+                require_no_collinear_triple(at, f"at waypoint {which}", mover)
+        for seg, (m, grid) in enumerate(zip(self.moves, grids)):
+            g0, g1 = grid[m.point - 1], grid[-1]
+            for k, s in enumerate(grid[:-1], start=1):
+                if k != m.point and _hits_inside(g0, g1, s):
                     raise ValidationError(
                         f"point {m.point} collides with point {k} inside segment {seg}"
                     )
         if self.loop and configs[-1] != self.start:
             raise ValidationError("loop flag set but final configuration differs from start")
+        return grids
 
 
 def concat(ch1: Choreography, ch2: Choreography) -> Choreography:
@@ -381,8 +394,9 @@ def _incircle_coeffs(a, b, c, m0, m1):
 def wall_crossings(ch: Choreography, raw, coeffs, nouns, build) -> list:
     """The one wall-crossing loop of both tracers, segment by segment.
 
-    Each segment runs on one integer grid (`_on_grid` of its configuration
-    and the mover's target), so every determinant is taken on ints.
+    Each segment runs on the integer grid `validate` built for it (`_on_grid`
+    of its configuration and the mover's target), so every determinant is
+    taken on ints.
     raw(a, b, c, d) is the wall determinant of four points and coeffs(a, b,
     c, m0, m1) the integer coefficients of raw(a, b, c, M(t)) in t (degree at
     most two).  nouns = (how four static points sit on a wall, the wall) word
@@ -392,12 +406,9 @@ def wall_crossings(ch: Choreography, raw, coeffs, nouns, build) -> list:
     are the mover's start and target on the grid.
     """
     static_wall, wall = nouns
-    ch.validate()
-    configs = ch.configs()
     events = []
     moved = None  # the previous segment's mover
-    for seg, move in enumerate(ch.moves):
-        *grid, g1 = _on_grid(configs[seg] + (move.to,))
+    for seg, (move, (*grid, g1)) in enumerate(zip(ch.moves, ch.validate())):
         mover = move.point
         others = [k for k in range(1, ch.n + 1) if k != mover]
         # A static quadruple without the previous mover kept its points, and

@@ -9,13 +9,22 @@ exact rational.
 The segment loop (integer grid, static degeneracy scan, root isolation,
 grouping by time) is `geom2d.wall_crossings`, shared with the planar tracer;
 this module supplies its wall, the orient3d determinant, and the event
-builder, which classifies each event as special or not.  At an event time t = p/q the
-builder scales the segment's grid by q, which puts the mover, q g0 +
-p (g1 - g0), on it too; orient3d is homogeneous and collinearity and convex
-position are invariant under a positive scale, so every test runs on ints
-and decides as it would on the rational plan.  A mover that crosses the
-line through two other points leaves the restricted space there and is
-reported as a collinear triple through the mover.
+builder, which classifies each event as special or not.  At an event time
+t = p/q the mover, q g0 + p (g1 - g0), lies on the segment's grid scaled by
+q; orient3d is homogeneous and collinearity and convex position are
+invariant under a positive scale, so every test runs on ints and decides as
+it would on the rational plan.  Only the event's three static points are
+scaled with the mover; the bystanders' sides are static quadruples, read on
+the unscaled grid.
+
+A mover that crosses the line through two other points a, b leaves the
+restricted space there and is reported as a collinear triple through the
+mover.  At that moment a, b, c and the mover are coplanar for each of the
+n - 3 other static points c, so all n - 3 triples {a, b, c} cross a plane
+at that time (a zero of a whole segment or at a waypoint has already been
+rejected).  So only a pair (a, b) in all n - 3 static triples of a time
+group is tested, in lexicographic order, which is the order of the sorted
+triples through the mover: the first triple named is that of a full scan.
 
 An event is *special* when the four coplanar points form a convex
 quadrilateral and all remaining points lie strictly on one side of the
@@ -144,32 +153,57 @@ def trace3(ch: Choreography) -> list[Event3]:
             tau = group[0][0].exact
             # the grid scaled by tau's denominator holds the mover at tau too
             p, q = tau.numerator, tau.denominator
-            at = [tuple(q * v for v in pt) for pt in grid]
-            at[mover - 1] = tuple(q * u + p * (w - u) for u, w in zip(g0, g1))
-            # the start waypoint passed validate, so only triples through the
-            # mover can have become collinear
-            require_no_collinear_triple(at, f"at event time t={tau} of segment {seg}", mover)
-            events.extend(_build_event3(ch.n, seg, at, mover, triple, tau) for _, triple in group)
+            m = tuple(q * u + p * (w - u) for u, w in zip(g0, g1))
+            triples = [triple for _, triple in group]
+            _require_no_collinear_pair(
+                grid, q, m, mover, triples, f"at event time t={tau} of segment {seg}"
+            )
+            events.extend(_build_event3(seg, grid, q, m, mover, triple, tau) for triple in triples)
         return events
 
     return wall_crossings(ch, _orient3d_raw, _orient3d_coeffs, ("coplanar", "plane"), build)
 
 
-def _build_event3(n, seg, at, mover, triple, tau) -> Event3:
+def _require_no_collinear_pair(grid, q, m, mover, triples, where: str) -> None:
+    """Raise CollinearTripleError naming the first triple through the mover
+    that is collinear with the mover at m, on the grid scaled by q.
+    `triples` are the sorted static triples of the time group: only a pair
+    in n - 3 of them can be collinear with the mover (see the module
+    docstring), and pairs in lexicographic order give the sorted triples
+    through the mover in order, so the first one named is a full scan's."""
+    count: dict[tuple[int, int], int] = {}
+    for a, b, c in triples:
+        for pair in ((a, b), (a, c), (b, c)):
+            count[pair] = count.get(pair, 0) + 1
+    need = len(grid) - 3
+    for a, b in sorted(pair for pair, k in count.items() if k == need):
+        pa = grid[a - 1]
+        # collinear on the scaled grid: q (b - a) is parallel to m - q a
+        if _cross(_sub(grid[b - 1], pa), _sub(m, tuple(q * v for v in pa))) == (0, 0, 0):
+            raise CollinearTripleError(f"points {tuple(sorted((a, b, mover)))} collinear {where}")
+
+
+def _build_event3(seg, grid, q, m, mover, triple, tau) -> Event3:
     subset = tuple(sorted(triple + (mover,)))
-    a, b, c = (at[k - 1] for k in triple)
+    a, b, c = (grid[k - 1] for k in triple)
     # Dropping the dominant coordinate of the plane's normal maps the plane
     # onto a coordinate plane bijectively and affinely, which keeps convex
     # position.  No three event points are collinear: validate checked the
-    # static triple, and trace3 the triples through the mover.
+    # static triple, and trace3 the triples through the mover.  The static
+    # points scaled by q share a grid with the mover at tau.
     normal = _cross(_sub(b, a), _sub(c, a))
     axis = max(range(3), key=lambda k: abs(normal[k]))
-    flat = {k: at[k - 1][:axis] + at[k - 1][axis + 1 :] for k in subset}
+    at = {k: tuple(q * v for v in grid[k - 1]) for k in triple}
+    at[mover] = m
+    flat = {k: p[:axis] + p[axis + 1 :] for k, p in at.items()}
     cycle = cyclic_order(subset, lambda i, j, k: orient2d(flat[i], flat[j], flat[k]))
-    # no bystander lies on the event plane: with a, b, c it would make four
-    # static coplanar points, which wall_crossings rejects first
+    # A bystander d makes a static quadruple, whose orient3d, (a - d) . normal,
+    # keeps its sign on the unscaled grid.  It is never 0: a, b, c, d would
+    # be four coplanar static points, which wall_crossings rejects first.
     side_signs = {
-        sign(_orient3d_raw(a, b, c, at[k - 1])) for k in range(1, n + 1) if k not in subset
+        sign(sum(x * y for x, y in zip(_sub(a, d), normal)))
+        for k, d in enumerate(grid, start=1)
+        if k not in subset
     }
     one_sided = len(side_signs) == 1
     side = side_signs.pop() if one_sided else 0

@@ -70,7 +70,8 @@ class AlgebraicRoot:
     def linear_sign(self, alpha, beta) -> int:
         """Exact sign of alpha + beta * root."""
         if self.exact is not None:
-            return sign(alpha + beta * self.exact)
+            # alpha + beta p/q has the sign of q alpha + p beta, as q > 0
+            return sign(alpha * self.exact.denominator + beta * self.exact.numerator)
         c0, c1, c2 = self.poly
         # 2 c2 (alpha + beta root) = a + b sqrt(D)
         a, b = 2 * c2 * alpha - c1 * beta, self.sigma * beta
@@ -85,10 +86,11 @@ class AlgebraicRoot:
         return self.linear_sign(-q.numerator, q.denominator)
 
     def compare(self, other: "AlgebraicRoot") -> int:
+        # root - p/q has the sign of -p + q root, on ints for two rationals
         if other.exact is not None:
-            return self.compare_rational(other.exact)
+            return self.linear_sign(-other.exact.numerator, other.exact.denominator)
         if self.exact is not None:
-            return -other.compare_rational(self.exact)
+            return -other.linear_sign(-self.exact.numerator, self.exact.denominator)
         if self.poly == other.poly:
             return sign(self.sigma - other.sigma)
         # distinct irreducible quadratics share no root

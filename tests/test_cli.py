@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from braidgamma import homs
+from braidgamma import cli, homs
 from braidgamma.braids import parse_braid
 from braidgamma.cli import main
 from braidgamma.errors import IndexRangeError
@@ -347,6 +348,60 @@ def test_a_flag_the_subcommand_does_not_read_exits_3(tmp_path, monkeypatch, caps
     assert captured.out == ""
     assert captured.err == f"error: unrecognized arguments: {' '.join(flag)}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# (argv with prefixes of real flags, the arguments argparse leaves unread)
+PREFIXED_FLAGS = [
+    (["check", "-n", "4", "--comp", "--ass", "doubled", "--form", "json"],
+     "--comp --ass doubled --form json"),
+    (["canon", "--tar", "gammar", "--r", "2", "d(1,2,3,4)"], "--tar d(1,2,3,4)"),
+    (["trace", "--targ", "g", "plan.json"], "--targ plan.json"),
+]
+
+
+@pytest.mark.parametrize("argv, unread", PREFIXED_FLAGS, ids=[a[0] for a, _ in PREFIXED_FLAGS])
+def test_a_prefix_of_a_flag_is_an_unknown_flag(tmp_path, monkeypatch, capsys, argv, unread):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {unread}\n"
+
+
+def random_text(rng):
+    return "".join(rng.choice('ab d(1,2)"\\/\n\té€😀\x00') for _ in range(rng.randrange(6)))
+
+
+def random_payload(rng, depth=0):
+    """A JSON-ready value of the kinds the CLI emits, and a few it does not."""
+    kinds = ["str", "int", "bool", "none", "float"] + ["list", "tuple", "dict"] * (depth < 4)
+    kind = rng.choice(kinds)
+    if kind == "str":
+        return random_text(rng)
+    if kind == "int":
+        return rng.choice((0, -1, rng.randrange(-10**6, 10**6), 3**80))
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "none":
+        return None
+    if kind == "float":
+        return rng.choice((0.5, -2.0, 1e300, 1 / 3))
+    items = [random_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == "list":
+        return items
+    if kind == "tuple":
+        return tuple(items)
+    return {random_text(rng): v for v in items}
+
+
+def test_json_writer_matches_json_dumps():
+    # the writer replaces json.dumps(indent=2, sort_keys=True) byte for byte
+    rng = random.Random(1504)
+    payloads = [{}, [], {"a": {}, "b": [], "c": [{}]}] + [
+        random_payload(rng) for _ in range(400)
+    ]
+    for payload in payloads:
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(

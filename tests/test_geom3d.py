@@ -21,7 +21,16 @@ from braidgamma.geom2d import (
     reverse,
     trace,
 )
-from braidgamma.geom3d import loop_word, orient3d_sign, pt3, trace3
+from braidgamma.geom2d import wall_crossings
+from braidgamma.geom3d import (
+    _orient3d_coeffs,
+    _orient3d_raw,
+    loop_word,
+    orient3d_sign,
+    pt3,
+    require_no_collinear_triple,
+    trace3,
+)
 from braidgamma.words import GammaWord, free_reduce, invariant_equal, invert
 
 
@@ -171,6 +180,67 @@ def test_mover_crossing_a_line_is_a_collinear_triple():
         CollinearTripleError, match=r"points \(1, 2, 5\) collinear at event time t=1/2 of segment 0"
     ):
         trace3(ch)
+
+
+def full_scan_outcome(ch):
+    """trace3's outcome if every event time checked all triples through the
+    mover on the whole grid scaled by its denominator: the error's class and
+    message, or None."""
+
+    def build(seg, grid, mover, g0, g1, groups):
+        for group in groups:
+            tau = group[0][0].exact
+            p, q = tau.numerator, tau.denominator
+            at = [tuple(q * v for v in pt) for pt in grid]
+            at[mover - 1] = tuple(q * u + p * (w - u) for u, w in zip(g0, g1))
+            require_no_collinear_triple(at, f"at event time t={tau} of segment {seg}", mover)
+        return []
+
+    try:
+        wall_crossings(ch, _orient3d_raw, _orient3d_coeffs, ("coplanar", "plane"), build)
+    except BraidGammaError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_pair_pruned_collinearity_matches_a_full_scan(n):
+    # Plant a mover that passes through the line of two static points a, b
+    # at a rational time, which is a wall time of every triple {a, b, c}.
+    # n = 4 leaves one such triple.  Some plans meet another degeneracy
+    # first; the pruned check must raise exactly what a full scan raises.
+    rng = random.Random(1500 + n)
+
+    def coord():
+        return Fraction(rng.randrange(-40, 41), rng.randrange(1, 4))
+
+    hits = late = 0
+    for _ in range(40):
+        pts = [pt3(coord(), coord(), coord()) for _ in range(n)]
+        a, b, mover = rng.sample(range(n), 3)
+        s = Fraction(rng.choice((-3, -1, 2, 4)), rng.randrange(1, 4))
+        on_line = [u + s * (w - u) for u, w in zip(pts[a], pts[b])]
+        tau = Fraction(rng.randrange(1, 7), 7)
+        target = pt3(*(u + (p - u) / tau for u, p in zip(pts[mover], on_line)))
+        moves = [Move(mover + 1, target)]
+        if rng.random() < 0.5:  # a bystander moves first: the crossing is in segment 1
+            other = rng.choice([k for k in range(n) if k not in (a, b, mover)])
+            moves.insert(0, Move(other + 1, pt3(coord(), coord(), coord())))
+        ch = Choreography(n, tuple(pts), tuple(moves))
+        expected = full_scan_outcome(ch)
+        try:
+            trace3(ch)
+            got = None
+        except BraidGammaError as exc:
+            got = type(exc), str(exc)
+        assert got == expected, ch
+        if expected and expected[0] is CollinearTripleError and "event time" in expected[1]:
+            trio = tuple(sorted((a + 1, b + 1, mover + 1)))
+            where = f"at event time t={tau} of segment {len(moves) - 1}"
+            assert expected[1] == f"points {trio} collinear {where}"
+            hits += 1
+            late += len(moves) - 1
+    assert hits >= 30 and late >= 10
 
 
 def test_riding_a_plane_is_degenerate():

@@ -11,7 +11,9 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from braidgamma.geom2d import (
     Choreography,
     Move,
     Pt2,
+    _hits_inside,
     _incircle_coeffs,
     _incircle_raw,
     _on_grid,
@@ -117,3 +120,48 @@ def test_scaling_a_planar_plan_keeps_trace_output(ch, lam):
 def test_scaling_a_spatial_plan_keeps_trace_output(ch, lam):
     for target in ("g", "gamma"):
         assert trace_output(scaled(ch, lam), target) == trace_output(ch, target)
+
+
+def fraction_hits_inside(p0, p1, s) -> bool:
+    """The Fraction collision test `validate` ran before the integer grid."""
+    ts = set()
+    for a, b, c in zip(p0, p1, s):
+        if b != a:
+            ts.add(Fraction(c - a, b - a))
+        elif c != a:
+            return False
+    return len(ts) == 1 and 0 < ts.pop() < 1
+
+
+def test_integer_collision_test_matches_the_fraction_one():
+    # Seeded segments in the plane and in space, with s planted on the
+    # segment's line inside it, at an end, and outside it; off the line; and
+    # null moves (g0 = g1), which hit nothing.
+    rng = random.Random(1503)
+
+    def coord():
+        return Fraction(rng.randrange(-30, 31), rng.randrange(1, 8))
+
+    seen = Counter()
+    for dim in (2, 3):
+        for _ in range(600):
+            p0 = tuple(coord() for _ in range(dim))
+            case = rng.choice(("inside", "end", "outside", "off", "null"))
+            p1 = p0 if case == "null" else tuple(coord() for _ in range(dim))
+            beyond = Fraction(rng.randrange(1, 30), 7)
+            t = {
+                "inside": Fraction(rng.randrange(1, 12), 12),
+                "end": Fraction(rng.randrange(2)),
+                "outside": rng.choice((-beyond, 1 + beyond)),
+            }.get(case)
+            if t is not None:
+                s = tuple(a + t * (b - a) for a, b in zip(p0, p1))
+            else:
+                s = tuple(coord() for _ in range(dim)) if case == "off" else p0
+                if case == "null" and rng.random() < 0.5:
+                    s = tuple(coord() for _ in range(dim))
+            expected = fraction_hits_inside(p0, p1, s)
+            assert _hits_inside(*_on_grid([p0, p1, s])) == expected, (p0, p1, s)
+            seen[case, expected] += 1
+    assert seen["inside", True] > 100 and seen["null", False] > 100
+    assert seen["end", False] > 100 and seen["outside", False] > 100

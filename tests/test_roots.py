@@ -312,3 +312,21 @@ def test_irrational_roots_built_only_when_kept():
         assert [(r.poly, r.sigma) for r in roots] == want, (c0, c1, c2)
         seen.add(len(want))
     assert seen == {0, 1, 2}
+
+
+def test_rational_compare_and_linear_sign_match_fractions():
+    # two rational times compare by cross-multiplying on ints; equal values
+    # from different polynomials, signs and zero included
+    rng = random.Random(2029)
+    values = [Fraction(rng.randrange(-50, 51), rng.randrange(1, 40)) for _ in range(150)]
+    values += [Fraction(0), Fraction(1, 2), Fraction(2, 4)]
+    for x in values:
+        rx = AlgebraicRoot.rational(x, (-x.numerator, x.denominator))
+        for y in rng.sample(values, 30) + [x]:
+            ry = AlgebraicRoot.rational(y, (-3 * y.numerator, 3 * y.denominator))
+            assert rx.compare(ry) == (x > y) - (x < y), (x, y)
+        for _ in range(10):
+            alpha = rng.choice([rng.randrange(-99, 100), Fraction(rng.randrange(-99, 100), 7)])
+            beta = rng.randrange(-99, 100)
+            v = alpha + beta * x
+            assert rx.linear_sign(alpha, beta) == (v > 0) - (v < 0), (x, alpha, beta)
