@@ -4,7 +4,6 @@ relations, verified against an exact geometric event tracer."""
 from .braids import (
     BraidWord,
     braid,
-    braid_free_reduce,
     braid_inverse,
     parse_braid,
     print_braid,
@@ -14,8 +13,6 @@ from .generators import (
     BraidGen,
     GammaGen,
     GGen,
-    canonicalize_quad,
-    quads_of_subset,
     select_quad,
 )
 from .geom2d import (
@@ -60,15 +57,11 @@ from .words import (
     InvariantClass,
     MultiWord,
     commute_normalize,
-    forget_to_g,
     free_reduce,
     gamma_columns,
     invariant,
     invariant_equal,
     invert,
-    parse_gamma_word,
-    parse_gword,
-    parse_multi_word,
     parse_word,
     pentagon_faces,
     pentagon_rows,

@@ -61,20 +61,6 @@ def braid_inverse(w: BraidWord) -> BraidWord:
     )
 
 
-def braid_free_reduce(w: BraidWord) -> BraidWord:
-    """Merge adjacent letters on the same strand pair; drop zero exponents."""
-    stack: list[BraidGen] = []
-    for g in w.letters:
-        if stack and (stack[-1].i, stack[-1].j) == (g.i, g.j):
-            e = stack[-1].exponent + g.exponent
-            stack.pop()
-            if e != 0:
-                stack.append(BraidGen(g.i, g.j, e))
-        else:
-            stack.append(g)
-    return BraidWord(w.n, tuple(stack))
-
-
 class RelationInstance(Record):
     __slots__ = _fields = ("family", "indices", "lhs", "rhs")
 
@@ -99,47 +85,29 @@ def relation_instances(n: int, *, family3_inverted: bool = False) -> list[Relati
                 gens[p] = BraidGen(*p)
         return BraidWord(n, tuple(gens[p] for p in pairs))
 
-    for i, j, k, l in itertools.combinations(idx, 4):
-        out.append(
-            RelationInstance(
-                "1", (i, j, k, l),
-                word((i, j), (k, l)),
-                word((k, l), (i, j)),
+    # family 1 on disjoint pairs i < j < k < l, then on nested pairs i < k < l < j:
+    # the places of i, j, k, l in the sorted quadruple
+    for places in ((0, 1, 2, 3), (0, 3, 1, 2)):
+        for quad in itertools.combinations(idx, 4):
+            i, j, k, l = (quad[p] for p in places)
+            out.append(
+                RelationInstance("1", (i, j, k, l), word((i, j), (k, l)), word((k, l), (i, j)))
             )
-        )
-    # second commutation pattern: nested pairs i < k < l < j
-    for a, b, c, d in itertools.combinations(idx, 4):
-        i, k, l, j = a, b, c, d
-        out.append(
-            RelationInstance(
-                "1", (i, j, k, l),
-                word((i, j), (k, l)),
-                word((k, l), (i, j)),
-            )
-        )
     for i, j, k in itertools.combinations(idx, 3):
         first = word((i, j), (i, k), (j, k))
         second = word((i, k), (j, k), (i, j))
         third = word((j, k), (i, j), (i, k))
         out.append(RelationInstance("2a", (i, j, k), first, second))
         out.append(RelationInstance("2b", (i, j, k), second, third))
+    family, e = ("3inv", -1) if family3_inverted else ("3", 1)
     for i, j, k, l in itertools.combinations(idx, 4):
-        if family3_inverted:
-            out.append(
-                RelationInstance(
-                    "3inv", (i, j, k, l),
-                    word((i, k), (j, k), (j, l), (j, k, -1)),
-                    word((j, k), (j, l), (j, k, -1), (i, k)),
-                )
+        out.append(
+            RelationInstance(
+                family, (i, j, k, l),
+                word((i, k), (j, k), (j, l), (j, k, e)),
+                word((j, k), (j, l), (j, k, e), (i, k)),
             )
-        else:
-            out.append(
-                RelationInstance(
-                    "3", (i, j, k, l),
-                    word((i, k), (j, k), (j, l), (j, k)),
-                    word((j, k), (j, l), (j, k), (i, k)),
-                )
-            )
+        )
     return out
 
 

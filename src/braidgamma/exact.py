@@ -34,5 +34,4 @@ def rat_from_str(text: str) -> Fraction:
 
 def rat_to_str(x: Fraction) -> str:
     """Reduced "p/q" form with positive denominator (q = 1 kept explicit)."""
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"

@@ -20,7 +20,6 @@ most 3*C(n,4) cyclic and C(n,4) order-free letters for the largest n used.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 
 from .errors import DuplicateIndexError, IndexRangeError
@@ -182,22 +181,7 @@ class BraidGen(Record):
         return base if self.exponent == 1 else f"{base}^{self.exponent}"
 
 
-def canonicalize_quad(raw) -> GammaGen:
-    """Canonical representative of the dihedral orbit of an ordered quadruple."""
-    return GammaGen(tuple(raw))
-
-
-def quads_of_subset(subset) -> list[GammaGen]:
-    """The 3 distinct cyclic quadruples on a 4-subset, lexicographically ordered."""
-    members = _check_indices(subset)
-    if len(members) != 4:
-        raise IndexRangeError(f"expected a 4-subset, got {len(members)} indices")
-    quads = sorted({GammaGen(p) for p in itertools.permutations(members)})
-    assert len(quads) == 3
-    return quads
-
-
-def select_quad(p: int, q: int, r: int, s: int, *, swap_pair: bool = False) -> GammaGen:
+def select_quad(p: int, q: int, r: int, s: int) -> GammaGen:
     """Quadruple for far points p, q and a close pair (r, s) anchored at s.
 
     The three points p, q, s sit on a common circle in ascending cyclic order;
@@ -205,15 +189,10 @@ def select_quad(p: int, q: int, r: int, s: int, *, swap_pair: bool = False) -> G
 
         (p,q,r,s) if p<q<s    (p,r,s,q) if p<s<q    (r,s,p,q) if s<p<q
         (q,p,r,s) if q<p<s    (q,r,s,p) if q<s<p    (r,s,q,p) if s<q<p
-
-    With swap_pair=True the close pair is read in the other order, i.e. r is
-    inserted immediately *after* the anchor s; the result is in general a
-    different generator (the moving point approaches the anchor from the
-    other side along the circle).
     """
     _check_indices((p, q, r, s))
     base = sorted((p, q, s))
     k = base.index(s)
-    base.insert(k + 1 if swap_pair else k, r)
+    base.insert(k, r)
     # four checked, distinct indices: GammaGen would check them again
     return _intern(GammaGen, _GAMMA_GENS, "cycle", _canonical_cycle(tuple(base)))

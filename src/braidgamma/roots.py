@@ -50,10 +50,6 @@ class AlgebraicRoot:
         self.exact = Fraction(exact) if exact is not None else None
         self.sigma = sigma
 
-    @classmethod
-    def rational(cls, value, poly=(0, 1)) -> "AlgebraicRoot":
-        return cls(poly, exact=value)
-
     def is_rational(self) -> bool:
         return self.exact is not None
 
@@ -80,11 +76,6 @@ class AlgebraicRoot:
             return sa or sb
         return sa if a * a > b * b * (c1 * c1 - 4 * c0 * c2) else sb
 
-    def compare_rational(self, q: Fraction) -> int:
-        """Sign of (root - q); never 0 for irrational roots."""
-        q = Fraction(q)
-        return self.linear_sign(-q.numerator, q.denominator)
-
     def compare(self, other: "AlgebraicRoot") -> int:
         # root - p/q has the sign of -p + q root, on ints for two rationals
         if other.exact is not None:
@@ -98,9 +89,6 @@ class AlgebraicRoot:
         while (a := self.refine(k)) == (b := other.refine(k)):
             k *= 2
         return sign(a - b)
-
-    def approx(self) -> float:
-        return self.refine(64) / (1 << 64)
 
     def __repr__(self):
         if self.exact is not None:
@@ -190,7 +178,7 @@ def isolate_unit_roots(coeffs) -> tuple[list[AlgebraicRoot], list[Fraction]]:
             return [], []
         root = Fraction(-c0, c1)
         if 0 < root < 1:
-            return [AlgebraicRoot.rational(root, (c0, c1))], []
+            return [AlgebraicRoot((c0, c1), exact=root)], []
         return [], []
 
     disc = c1 * c1 - 4 * c0 * c2
@@ -206,7 +194,7 @@ def isolate_unit_roots(coeffs) -> tuple[list[AlgebraicRoot], list[Fraction]]:
             Fraction(-c1 + s * sqrt, 2 * c2) for s in (1, -1)
         )
         return [
-            AlgebraicRoot.rational(r, (c0, c1, c2)) for r in roots if 0 < r < 1
+            AlgebraicRoot((c0, c1, c2), exact=r) for r in roots if 0 < r < 1
         ], []
 
     # irrational pair: sigma -1 left of the vertex v = -c1/(2 c2), +1 right

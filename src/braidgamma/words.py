@@ -179,11 +179,6 @@ def invert(w: Word) -> Word:
     return _rebuild(w, reversed(w.letters))
 
 
-def forget_to_g(w: GammaWord) -> GWord:
-    """Quotient a cyclic-quadruple word onto 4-subset generators."""
-    return GWord(tuple(GGen(letter.subset) for letter in w.letters))
-
-
 def _commute(x, y) -> bool:
     """Far commutation: letters in different slots, or sharing at most 2 indices."""
     if type(x) is tuple:
@@ -475,14 +470,14 @@ def _scan_word(text: str):
 
 def _parse(text: str, kind: str | None, r: int | None = None) -> Word:
     """The word of `text` in letters of `kind` (default: the first letter's;
-    GammaWord if empty), with r from the largest slot if None.  Syntax errors
-    anywhere come first, then the letters are checked in order."""
+    GammaWord if empty), with r from the largest slot (1 if none) if None.
+    Syntax errors anywhere come first, then the letters are checked in order."""
     scanned = _scan_word(text)
     if kind is None:
         kind = scanned[0][0] if scanned else "gamma"
     t = TARGETS[kind]
     if t.slotted and r is None:
-        r = max(payload[0] for got, payload, _ in scanned if got == kind) + 1
+        r = max((payload[0] for got, payload, _ in scanned if got == kind), default=0) + 1
     letters = []
     for got, payload, pos in scanned:
         if got != kind:
@@ -495,18 +490,6 @@ def _parse(text: str, kind: str | None, r: int | None = None) -> Word:
             raise WordSyntaxError(f"slot {slot} out of range for r={r}", pos)
         letters.append((slot, t.gen(quad)))
     return target_word(kind, r if t.slotted else 1, letters)
-
-
-def parse_gword(text: str) -> GWord:
-    return _parse(text, "g")
-
-
-def parse_gamma_word(text: str) -> GammaWord:
-    return _parse(text, "gamma")
-
-
-def parse_multi_word(text: str, r: int) -> MultiWord:
-    return _parse(text, "gammar", r)
 
 
 def parse_word(text: str, r: int | None = None, target: str | None = None) -> Word:

@@ -40,9 +40,7 @@ from braidgamma.words import (
     invariant,
     invariant_equal,
     invert,
-    parse_gamma_word,
-    parse_gword,
-    parse_multi_word,
+    parse_word,
     word_to_text,
 )
 
@@ -451,16 +449,16 @@ def test_criterion_10_parser_roundtrip():
             "a{%d,%d,%d,%d}" % tuple(rng.sample(range(1, 10), 4))
             for _ in range(rng.randrange(4))
         )
-        w = parse_gword(sprinkle(letters))
-        assert parse_gword(word_to_text(w)) == w
+        w = parse_word(sprinkle(letters), target="g")
+        assert parse_word(word_to_text(w), target="g") == w
         corpus += 1
     for _ in range(50):  # cyclic-quadruple words, canonicalized on read
         letters = " ".join(
             "d(%d,%d,%d,%d)" % tuple(rng.sample(range(1, 10), 4))
             for _ in range(rng.randrange(4))
         )
-        w = parse_gamma_word(sprinkle(letters))
-        assert parse_gamma_word(word_to_text(w)) == w
+        w = parse_word(sprinkle(letters), target="gamma")
+        assert parse_word(word_to_text(w), target="gamma") == w
         corpus += 1
     for _ in range(40):  # slot-tagged words
         r = rng.randrange(1, 4)
@@ -468,8 +466,8 @@ def test_criterion_10_parser_roundtrip():
             "[%d]d(%d,%d,%d,%d)" % (rng.randrange(r), *rng.sample(range(1, 10), 4))
             for _ in range(rng.randrange(4))
         )
-        w = parse_multi_word(sprinkle(letters), r)
-        assert parse_multi_word(word_to_text(w), r) == w
+        w = parse_word(sprinkle(letters), r, "gammar")
+        assert parse_word(word_to_text(w), r, "gammar") == w
         corpus += 1
     assert corpus == 200
     report(10, "200-word parser corpus round-trips")

@@ -6,7 +6,6 @@ from braidgamma.errors import IndexRangeError, WordSyntaxError
 from braidgamma.braids import (
     BraidWord,
     braid,
-    braid_free_reduce,
     braid_inverse,
     parse_braid,
     print_braid,
@@ -67,7 +66,16 @@ def test_braid_inverse():
             i, j = sorted(rng.sample(range(1, n + 1), 2))
             letters.append(BraidGen(i, j, rng.choice([-2, -1, 1, 2])))
         w = BraidWord(n, tuple(letters))
-        assert braid_free_reduce(w * braid_inverse(w)) == BraidWord(n)
+        # merge adjacent letters on one strand pair, dropping zero exponents
+        stack = []
+        for g in (w * braid_inverse(w)).letters:
+            if stack and (stack[-1].i, stack[-1].j) == (g.i, g.j):
+                e = stack.pop().exponent + g.exponent
+                if e:
+                    stack.append(BraidGen(g.i, g.j, e))
+            else:
+                stack.append(g)
+        assert stack == []
 
 
 def test_relation_instances_small():

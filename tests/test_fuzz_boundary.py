@@ -15,12 +15,7 @@ from braidgamma.braids import parse_braid
 from braidgamma.errors import BraidGammaError
 from braidgamma.exact import rat_from_str
 from braidgamma.geom2d import choreography_from_json
-from braidgamma.words import (
-    parse_gamma_word,
-    parse_gword,
-    parse_multi_word,
-    parse_word,
-)
+from braidgamma.words import parse_word
 
 SEEDED = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -100,11 +95,8 @@ def _only_boundary_errors(call, *args):
 @SEEDED
 @given(TEXT, SLOT_COUNT)
 def test_word_parsers_raise_only_braidgamma_errors(text, r):
-    _only_boundary_errors(parse_word, text, r)
-    _only_boundary_errors(parse_gword, text)
-    _only_boundary_errors(parse_gamma_word, text)
-    if r is not None:
-        _only_boundary_errors(parse_multi_word, text, r)
+    for target in (None, "g", "gamma", "gammar"):
+        _only_boundary_errors(parse_word, text, r, target)
 
 
 @SEEDED

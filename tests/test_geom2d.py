@@ -423,9 +423,9 @@ def test_event_count_matches_dense_sampling():
             assert got == changes
 
 
-def test_event_order_matches_float_roots():
-    # exact ordering across tuples agrees with floating-point root estimates
-    # whenever those are well separated
+def test_event_order_matches_root_floors():
+    # exact ordering across tuples agrees with floor(2^64 t), which
+    # refine computes apart from the comparisons, for every pair of events
     rng = random.Random(83)
     built = 0
     while built < 15:
@@ -440,10 +440,8 @@ def test_event_order_matches_float_roots():
         if len(events) < 2:
             continue
         built += 1
-        approx = [e.time.approx() for e in events]
-        for u, v in zip(approx, approx[1:]):
-            if abs(u - v) > 1e-9:
-                assert u < v
+        floors = [e.time.refine(64) for e in events]
+        assert floors == sorted(floors)
 
 
 # ---------------------------------------------------------------------------

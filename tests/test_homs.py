@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from braidgamma.braids import BraidWord, braid, parse_braid, relation_instances
 from braidgamma.errors import IndexRangeError
-from braidgamma.generators import BraidGen
+from braidgamma.generators import BraidGen, GGen
 from braidgamma.homs import (
     HomConfig,
     generator_image,
@@ -21,7 +21,6 @@ from braidgamma.words import (
     GammaWord,
     GWord,
     MultiWord,
-    forget_to_g,
     free_reduce,
     invariant,
     invariant_equal,
@@ -70,6 +69,11 @@ def test_passage_letters_contain_the_moving_pair():
                 assert i in letter.members and j in letter.members
 
 
+def forget(w):
+    """The letterwise map of words onto 4-subset letters."""
+    return GWord(tuple(GGen(x.subset) for x in w))
+
+
 def test_passage_forgetful_cross_check():
     # The 4-subset and cyclic-quadruple products share their index ranges, so
     # forgetting cyclic order recovers the 4-subset word letter for letter.
@@ -77,7 +81,7 @@ def test_passage_forgetful_cross_check():
         cfg_g = HomConfig(n, target="g")
         cfg_gam = HomConfig(n)
         for i, j in itertools.combinations(range(1, n + 1), 2):
-            assert forget_to_g(passage(cfg_gam, i, j)) == passage(cfg_g, i, j)
+            assert forget(passage(cfg_gam, i, j)) == passage(cfg_g, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +266,13 @@ def test_forgetting_doubled_assembly_recovers_g_image():
         for i, j in itertools.combinations(range(1, n + 1), 2):
             w = braid(n, (i, j))
             assert (
-                forget_to_g(map_braid(cfg_d, w, reduced=False)).letters
+                forget(map_braid(cfg_d, w, reduced=False)).letters
                 == map_braid(cfg_g, w, reduced=False).letters
             )
     # under the flip assembly the two images do not even share multisets;
     # the check CLI reports this, nothing reconciles it
     w = braid(5, (1, 3))
-    flip = forget_to_g(map_braid(HomConfig(5), w, reduced=False))
+    flip = forget(map_braid(HomConfig(5), w, reduced=False))
     phi = map_braid(HomConfig(5, target="g"), w, reduced=False)
     assert sorted(flip.letters) != sorted(phi.letters)
 

@@ -65,7 +65,8 @@ def test_irrational_roots_and_order():
     assert len(roots) == 1
     r = roots[0]
     assert not r.is_rational()
-    assert abs(r.approx() - (1 - math.sqrt(0.5))) < 1e-6
+    # floor(2^64 (1 - 1/sqrt 2)) = 2^64 - ceil(sqrt(2^127)), sqrt(2^127) irrational
+    assert r.refine(64) == (1 << 64) - math.isqrt(1 << 127) - 1
     # both roots of 8t^2 - 8t + 1 are irrational and inside (0,1)
     roots, _ = isolate_unit_roots((1, -8, 8))
     assert len(roots) == 2
@@ -88,12 +89,12 @@ def test_cross_polynomial_comparison():
             except EndpointZero:
                 continue
             all_roots.extend(roots)
-        # pairwise comparisons agree with float approximations well separated
+        # pairwise comparisons agree with floor(2^64 root) wherever those differ
         for x in all_roots:
             for y in all_roots:
                 c = x.compare(y)
-                fx, fy = x.approx(), y.approx()
-                if abs(fx - fy) > 1e-9:
+                fx, fy = x.refine(64), y.refine(64)
+                if fx != fy:
                     assert c == (1 if fx > fy else -1)
 
 
@@ -199,7 +200,7 @@ def test_exact_operations_match_an_independent_oracle():
             assert x.compare(y) == _oracle_compare(x, y), (x, y)
         for _ in range(20):
             q = Fraction(rng.randrange(-5, 70), rng.randrange(1, 60))
-            assert x.compare_rational(q) == _oracle_linear_sign(x, -q, 1), (x, q)
+            assert x.linear_sign(-q.numerator, q.denominator) == _oracle_linear_sign(x, -q, 1), (x, q)
             alpha, beta = rng.randrange(-300, 301), rng.randrange(-300, 301)
             assert x.linear_sign(alpha, beta) == _oracle_linear_sign(x, alpha, beta)
 
@@ -260,7 +261,8 @@ def test_dyadic_level_matches_a_full_scan():
         found, _ = isolate_unit_roots((rng.randrange(1, 10**6), c1, rng.randrange(1, 10**6)))
         pool.extend(found)
     # rationals, dyadic ones on cell ends
-    pool += [AlgebraicRoot.rational(Fraction(rng.randrange(1, q), q)) for q in (64, 97) * 10]
+    values = [Fraction(rng.randrange(1, q), q) for q in (64, 97) * 10]
+    pool += [AlgebraicRoot((-v.numerator, v.denominator), exact=v) for v in values]
     for _ in range(300):
         times = rng.sample(pool, rng.randrange(1, 8))
         times += rng.choices(times, k=rng.randrange(0, 3))  # repeated times
@@ -306,7 +308,7 @@ def test_irrational_roots_built_only_when_kept():
         tried += 1
         both = (AlgebraicRoot((c0, c1, c2), sigma=s) for s in (-1, 1))
         want = [(r.poly, r.sigma) for r in both
-                if r.compare_rational(0) > 0 > r.compare_rational(1)]
+                if r.linear_sign(0, 1) > 0 > r.linear_sign(-1, 1)]
         roots, tangencies = isolate_unit_roots((c0, c1, c2))
         assert tangencies == []
         assert [(r.poly, r.sigma) for r in roots] == want, (c0, c1, c2)
@@ -321,9 +323,9 @@ def test_rational_compare_and_linear_sign_match_fractions():
     values = [Fraction(rng.randrange(-50, 51), rng.randrange(1, 40)) for _ in range(150)]
     values += [Fraction(0), Fraction(1, 2), Fraction(2, 4)]
     for x in values:
-        rx = AlgebraicRoot.rational(x, (-x.numerator, x.denominator))
+        rx = AlgebraicRoot((-x.numerator, x.denominator), exact=x)
         for y in rng.sample(values, 30) + [x]:
-            ry = AlgebraicRoot.rational(y, (-3 * y.numerator, 3 * y.denominator))
+            ry = AlgebraicRoot((-3 * y.numerator, 3 * y.denominator), exact=y)
             assert rx.compare(ry) == (x > y) - (x < y), (x, y)
         for _ in range(10):
             alpha = rng.choice([rng.randrange(-99, 100), Fraction(rng.randrange(-99, 100), 7)])

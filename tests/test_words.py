@@ -5,22 +5,18 @@ import pytest
 
 from braidgamma import gf2
 from braidgamma.errors import GroupMismatchError, IndexRangeError, WordSyntaxError
-from braidgamma.generators import GammaGen, GGen, quads_of_subset
+from braidgamma.generators import GammaGen, GGen
 from braidgamma.words import (
     GammaWord,
     GWord,
     MultiWord,
     TARGETS,
     commute_normalize,
-    forget_to_g,
     free_reduce,
     gamma_columns,
     invariant,
     invariant_equal,
     invert,
-    parse_gamma_word,
-    parse_gword,
-    parse_multi_word,
     parse_word,
     pentagon_faces,
     pentagon_rows,
@@ -270,7 +266,7 @@ def test_invariant_equal_examples():
     assert not invariant_equal(w, w * GammaWord((D(1, 2, 3, 4),)), 5)
     assert invariant_equal(w, invert(w), 5)
     with pytest.raises(GroupMismatchError):
-        invariant_equal(w, forget_to_g(w), 5)
+        invariant_equal(w, GWord(tuple(GGen(x.subset) for x in w)), 5)
     with pytest.raises(GroupMismatchError):
         invariant_equal(MultiWord(2), MultiWord(3), 5)
 
@@ -292,8 +288,8 @@ def test_gamma_defining_relations_have_equal_invariants():
             assert invariant_equal(GammaWord(pentagon_faces(order)), empty, n)
         # dihedral identification is definitional: same canonical letter
         for subset in itertools.combinations(range(1, n + 1), 4):
-            for perm in itertools.permutations(subset):
-                assert GammaGen(perm) in quads_of_subset(subset)
+            quads = {GammaGen(perm) for perm in itertools.permutations(subset)}
+            assert len(quads) == 3 and all(q.subset == subset for q in quads)
 
 
 def test_g_invariant_is_plain_parity():
@@ -324,17 +320,8 @@ def test_multiword_invariant_is_per_slot():
 
 
 # ---------------------------------------------------------------------------
-# forget / commute-normalize
+# commute-normalize
 # ---------------------------------------------------------------------------
-
-
-def test_forget_to_g():
-    assert forget_to_g(GammaWord((D(1, 2, 3, 4),))) == GWord((A(1, 2, 3, 4),))
-    assert forget_to_g(GammaWord((D(1, 2, 4, 3),))) == GWord((A(1, 2, 3, 4),))
-    rng = random.Random(17)
-    for _ in range(40):
-        w = random_gamma_word(rng, 7, rng.randrange(12))
-        assert len(forget_to_g(w)) == len(w)
 
 
 def test_commute_normalize_examples():
@@ -374,13 +361,13 @@ def test_commute_normalize_crosses_slots():
 
 def test_parse_and_print_roundtrip():
     text = "d(1,2,3,4) d(1,3,2,5)"
-    assert word_to_text(parse_gamma_word(text)) == text
-    assert word_to_text(parse_gamma_word("  d(2,3,4,1)   d(1,3,2,5) ")) == text
-    assert word_to_text(parse_gword("a{4,1,3,2}")) == "a{1,2,3,4}"
-    assert word_to_text(parse_multi_word("[0]d(1,2,3,4) [2]d(2,3,4,5)", 3)) == (
+    assert word_to_text(parse_word(text, target="gamma")) == text
+    assert word_to_text(parse_word("  d(2,3,4,1)   d(1,3,2,5) ", target="gamma")) == text
+    assert word_to_text(parse_word("a{4,1,3,2}", target="g")) == "a{1,2,3,4}"
+    assert word_to_text(parse_word("[0]d(1,2,3,4) [2]d(2,3,4,5)", 3, "gammar")) == (
         "[0]d(1,2,3,4) [2]d(2,3,4,5)"
     )
-    assert parse_gamma_word("") == GammaWord()
+    assert parse_word("", target="gamma") == GammaWord()
     assert word_to_text(GammaWord()) == ""
 
 
@@ -389,6 +376,16 @@ def test_parse_word_infers_kind():
     assert isinstance(parse_word("d(1,2,3,4)"), GammaWord)
     w = parse_word("[1]d(1,2,3,4)")
     assert isinstance(w, MultiWord) and w.r == 2
+
+
+def test_parse_word_infers_r_for_gammar():
+    # r comes from the largest slot; with no slotted letter it is 1
+    assert parse_word("", target="gammar") == MultiWord(1)
+    assert parse_word("[0]d(1,2,3,4) [2]d(2,3,4,5)", target="gammar").r == 3
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word("d(1,2,3,4)", target="gammar")
+    assert err.value.position == 0
+    assert str(err.value).startswith("only [slot]d(...) letters are allowed in this word")
 
 
 def test_target_word_builds_each_target_from_the_table():
@@ -404,30 +401,30 @@ def test_target_word_builds_each_target_from_the_table():
 
 
 def test_parse_error_names_the_expected_letter_shape():
-    for parse, text, shape in (
-        (parse_gword, "a{1,2,3,4} d(1,2,3,4)", "a{...}"),
-        (parse_gamma_word, "d(1,2,3,4) a{1,2,3,4}", "d(...)"),
-        (lambda t: parse_multi_word(t, 2), "[0]d(1,2,3,4) d(1,2,3,4)", "[slot]d(...)"),
+    for target, r, text, shape in (
+        ("g", None, "a{1,2,3,4} d(1,2,3,4)", "a{...}"),
+        ("gamma", None, "d(1,2,3,4) a{1,2,3,4}", "d(...)"),
+        ("gammar", 2, "[0]d(1,2,3,4) d(1,2,3,4)", "[slot]d(...)"),
     ):
         with pytest.raises(WordSyntaxError) as err:
-            parse(text)
+            parse_word(text, r, target)
         assert err.value.position == text.index(" ") + 1
         assert str(err.value).startswith(f"only {shape} letters are allowed in this word")
 
 
 def test_parse_errors_carry_positions():
     with pytest.raises(WordSyntaxError) as err:
-        parse_gamma_word("d(1,2,3")
+        parse_word("d(1,2,3", target="gamma")
     assert err.value.position == 7
     with pytest.raises(WordSyntaxError) as err:
-        parse_gamma_word("d(1,2,3,4) x")
+        parse_word("d(1,2,3,4) x", target="gamma")
     assert err.value.position == 11
     with pytest.raises(WordSyntaxError):
-        parse_gword("d(1,2,3,4)")
+        parse_word("d(1,2,3,4)", target="g")
     with pytest.raises(WordSyntaxError):
-        parse_multi_word("[5]d(1,2,3,4)", 2)
+        parse_word("[5]d(1,2,3,4)", 2, "gammar")
     with pytest.raises(WordSyntaxError):
-        parse_gamma_word("d(1,2,,4)")
+        parse_word("d(1,2,,4)", target="gamma")
 
 
 # ---------------------------------------------------------------------------
