@@ -60,64 +60,6 @@ class _Parser(argparse.ArgumentParser):
         raise BraidGammaError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="braidgamma", description=__doc__)
-    top.set_defaults(n=None, target=None, r=1)  # what run() checks, for every subcommand
-    sub = top.add_subparsers(dest="subcommand", required=True)
-
-    def command(name, run, help, *, n=False, target="gamma", hom=False):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
-        if n:
-            p.add_argument("-n", type=int, required=True, help="strand count")
-        p.add_argument("--target", choices=("g", "gamma", "gammar"), default=target)
-        p.add_argument("--r", type=int, default=1, help="slot count for target gammar")
-        if hom:
-            p.add_argument("--mode", choices=("literal", "traced"), default="literal")
-            p.add_argument("--assembly", choices=("flip", "doubled"), default="flip")
-        p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-        p.add_argument("--out", default=None, help="write output here instead of stdout")
-        return p
-
-    p_map = command("map", _cmd_map, "image of a braid word under the chosen map", n=True, hom=True)
-    p_map.add_argument("word", nargs="?", default=None, help="braid word text")
-    p_map.add_argument("--in", dest="infile", default=None, help="file with the braid word")
-
-    p_check = command("check", _cmd_check, "verify relation preservation", n=True, hom=True)
-    p_check.add_argument(
-        "--relation3",
-        choices=("printed", "inverted", "both"),
-        default="printed",
-        help="which form of the third relation family to check",
-    )
-    p_check.add_argument(
-        "--compare-modes",
-        action="store_true",
-        help="also report literal vs traced images (generators plus seeded words)",
-    )
-    p_check.add_argument("--seed", type=int, default=0, help="seed for --compare-modes words")
-
-    p_trace = command("trace", _cmd_trace, "trace a choreography JSON file")
-    p_trace.add_argument("choreo", help="choreography JSON path")
-
-    p_inv = command("invariant", _cmd_invariant, "invariant class of a group word",
-                    n=True, target=None)
-    p_inv.add_argument("word", nargs="?", default=None)
-    p_inv.add_argument("--in", dest="infile", default=None)
-
-    p_canon = command("canon", _cmd_canon, "canonicalize a group word", target=None)
-    p_canon.add_argument("word")
-
-    p_render = sub.add_parser("render", help="render one SVG frame of a choreography")
-    p_render.set_defaults(run=_cmd_render)
-    p_render.add_argument("choreo", help="choreography JSON path")
-    p_render.add_argument("--t", required=True, help='frame time, rational "p/q"')
-    p_render.add_argument("--circle", default=None, help='overlay circumcircle of "j,p,q"')
-    p_render.add_argument("--out", required=True, help="SVG file to write")
-
-    return top
-
-
 def _json_text(value, pad: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, without
     the pure-Python encoder that an indent selects: dicts (str keys), lists
@@ -416,8 +358,77 @@ def _cmd_render(args) -> int:
     return 0
 
 
+# name: (handler, help, the shared flags or None, the subcommand's own
+# arguments as (flags, keywords)).  The shared flags are (-n required,
+# --target default, --mode and --assembly), then --r, --format and --out.
+_SUBCOMMANDS = {
+    "map": (_cmd_map, "image of a braid word under the chosen map", (True, "gamma", True), (
+        (("word",), dict(nargs="?", default=None, help="braid word text")),
+        (("--in",), dict(dest="infile", default=None, help="file with the braid word")),
+    )),
+    "check": (_cmd_check, "verify relation preservation", (True, "gamma", True), (
+        (("--relation3",), dict(
+            choices=("printed", "inverted", "both"),
+            default="printed",
+            help="which form of the third relation family to check",
+        )),
+        (("--compare-modes",), dict(
+            action="store_true",
+            help="also report literal vs traced images (generators plus seeded words)",
+        )),
+        (("--seed",), dict(type=int, default=0, help="seed for --compare-modes words")),
+    )),
+    "trace": (_cmd_trace, "trace a choreography JSON file", (False, "gamma", False), (
+        (("choreo",), dict(help="choreography JSON path")),
+    )),
+    "invariant": (_cmd_invariant, "invariant class of a group word", (True, None, False), (
+        (("word",), dict(nargs="?", default=None)),
+        (("--in",), dict(dest="infile", default=None)),
+    )),
+    "canon": (_cmd_canon, "canonicalize a group word", (False, None, False), (
+        (("word",), {}),
+    )),
+    "render": (_cmd_render, "render one SVG frame of a choreography", None, (
+        (("choreo",), dict(help="choreography JSON path")),
+        (("--t",), dict(required=True, help='frame time, rational "p/q"')),
+        (("--circle",), dict(default=None, help='overlay circumcircle of "j,p,q"')),
+        (("--out",), dict(required=True, help="SVG file to write")),
+    )),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `only` alone, which parses an
+    argv that starts with `only` as the full parser does, errors included."""
+    top = _Parser(prog="braidgamma", description=__doc__)
+    top.set_defaults(n=None, target=None, r=1)  # what run() checks, for every subcommand
+    sub = top.add_subparsers(dest="subcommand", required=True)
+    for name, (handler, help, shared, own) in _SUBCOMMANDS.items():
+        if only not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=handler)
+        if shared is not None:
+            n, target, hom = shared
+            if n:
+                p.add_argument("-n", type=int, required=True, help="strand count")
+            p.add_argument("--target", choices=("g", "gamma", "gammar"), default=target)
+            p.add_argument("--r", type=int, default=1, help="slot count for target gammar")
+            if hom:
+                p.add_argument("--mode", choices=("literal", "traced"), default="literal")
+                p.add_argument("--assembly", choices=("flip", "doubled"), default="flip")
+            p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
+            p.add_argument("--out", default=None, help="write output here instead of stdout")
+        for flags, keywords in own:
+            p.add_argument(*flags, **keywords)
+    return top
+
+
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a named subcommand needs only its own parser
+    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = _build_parser(only).parse_args(argv)
     # every flag is checked before any computation starts
     if args.n is not None:
         cap = _max_n()

@@ -108,7 +108,11 @@ class _Letter(Record):
 
     __slots__ = ()
 
-    # interning makes equal letters one object, so identity is equality
+    # interning makes equal letters one object, so identity is equality.
+    # Still, a class that defines any rich comparison in Python (here __lt__
+    # and the three total_ordering adds) sends every comparison through
+    # CPython's slot_tp_richcompare, `==` included: about ten times the cost
+    # of `is`.  So the word layer compares letters with `is` (free_reduce).
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 

@@ -44,7 +44,15 @@ from . import geom2d
 from .braids import BraidWord
 from .errors import IndexRangeError
 from .generators import GGen, Record, _set, select_quad
-from .words import InvariantClass, check_target, free_reduce, invariant, invert, target_word
+from .words import (
+    InvariantClass,
+    _rebuild,
+    check_target,
+    free_reduce,
+    invariant,
+    invert,
+    target_word,
+)
 
 MAX_IMAGE_LETTERS = 1 << 22
 
@@ -184,7 +192,8 @@ def map_braid(cfg: HomConfig, w: BraidWord, *, reduced: bool = True):
         if len(letters) + len(img.letters) * abs(g.exponent) > MAX_IMAGE_LETTERS:
             raise IndexRangeError(f"image longer than the cap of {MAX_IMAGE_LETTERS} letters")
         letters.extend(img.letters * abs(g.exponent))
-    out = target_word(cfg.target, cfg.r, letters)
+    # the letters come from generator images, checked when those were built
+    out = _rebuild(target_word(cfg.target, cfg.r, ()), letters)
     return free_reduce(out) if reduced else out
 
 

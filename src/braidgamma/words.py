@@ -5,6 +5,10 @@ inversion is reversal and free reduction is cancellation of adjacent equal
 letters.  The three word types differ only in their letters (`GGen`,
 `GammaGen`, `(slot, GammaGen)`), and every letter answers the same questions:
 its 4-subset, its place in one total order, and its text (`letter_text`).
+Every letter is interned: `GGen` and `GammaGen` by their constructors, and
+each `(slot, GammaGen)` pair by `MultiWord`, which swaps it for the one
+tuple per distinct pair.  So the word layer compares letters by identity:
+`free_reduce` tests `is`, and `invariant` counts letters in a `Counter`.
 Equality of group elements is not decidable here in general; the package
 commits to two certificates:
 
@@ -21,6 +25,7 @@ commits to two certificates:
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import itertools
@@ -76,9 +81,14 @@ class GammaWord(_Word):
         _set(self, "letters", letters)
 
 
+# the one (slot, GammaGen) tuple per distinct slot letter, as GammaGen keeps
+# one object per quadruple: at most r*3*C(n,4) pairs for the largest r and n
+_SLOT_LETTERS: dict = {}
+
+
 class MultiWord(_Word):
     """A word in an r-fold product: each letter is (slot, cyclic quadruple),
-    with an int slot in 0..r-1."""
+    with an int slot in 0..r-1, stored as the interned pair."""
 
     kind = "gammar"
     __slots__ = _fields = ("r", "letters")
@@ -86,6 +96,7 @@ class MultiWord(_Word):
     def __init__(self, r: int, letters: tuple[tuple[int, GammaGen], ...] = ()):
         check_target(self.kind, r)
         letter = None
+        interned = []
         try:
             for letter in letters:
                 slot, gen = letter
@@ -93,13 +104,15 @@ class MultiWord(_Word):
                     raise TypeError
                 if not 0 <= slot < r:
                     raise IndexRangeError(f"slot {slot} out of range for r={r}")
+                pair = slot, gen
+                interned.append(_SLOT_LETTERS.setdefault(pair, pair))
         except (TypeError, ValueError):
             # not a pair, or not an int slot with a cyclic quadruple
             raise GroupMismatchError(
                 f"a MultiWord cannot hold the letter {letter_text(letter)}"
             ) from None
         _set(self, "r", r)
-        _set(self, "letters", letters)
+        _set(self, "letters", tuple(interned))
 
 
 Word = GWord | GammaWord | MultiWord
@@ -127,6 +140,8 @@ def check_target(target: str, r: int) -> _Target:
     """The table entry of `target`, after the one check of the target and r."""
     if not isinstance(target, str) or target not in TARGETS:
         raise IndexRangeError(f"target must be one of {tuple(TARGETS)}, got {target!r}")
+    if type(r) is not int:  # bool too: True would pass as r = 1
+        raise IndexRangeError(f"r must be an int, got {r!r}")
     if r < 1:
         raise IndexRangeError(f"need r >= 1, got {r}")
     if r != 1 and not TARGETS[target].slotted:
@@ -167,7 +182,7 @@ def free_reduce(w: Word) -> Word:
     """
     stack = []
     for letter in w.letters:
-        if stack and stack[-1] == letter:
+        if stack and stack[-1] is letter:  # letters are interned; see _Letter
             stack.pop()
         else:
             stack.append(letter)
@@ -369,8 +384,8 @@ def invariant(w: Word, n: int) -> InvariantClass:
     index = _column_index(w.kind, n, w.r)
     bits = 0
     try:
-        for letter in w.letters:
-            bits ^= 1 << index[letter]
+        for letter, count in collections.Counter(w.letters).items():
+            bits |= (count & 1) << index[letter]
     except KeyError:
         # a letter outside the columns: name the first one
         _check_letters(w, n)
@@ -468,13 +483,20 @@ def _scan_word(text: str):
             raise WordSyntaxError(f"unexpected character {ch!r}", i)
 
 
-def _parse(text: str, kind: str | None, r: int | None = None) -> Word:
-    """The word of `text` in letters of `kind` (default: the first letter's;
-    GammaWord if empty), with r from the largest slot (1 if none) if None.
-    Syntax errors anywhere come first, then the letters are checked in order."""
+def parse_word(text: str, r: int | None = None, target: str | None = None) -> Word:
+    """Parse a word of `target`; if None, of the first letter's kind (empty ->
+    GammaWord).  A given r is checked with the target before the text is read
+    (with an inferred kind, once it is known); for gammar it defaults to one
+    more than the largest slot, 1 if none.  Syntax errors anywhere come
+    first, then the letters are checked in order."""
+    if target is not None:
+        check_target(target, 1 if r is None else r)
     scanned = _scan_word(text)
+    kind = target
     if kind is None:
         kind = scanned[0][0] if scanned else "gamma"
+        if r is not None:
+            check_target(kind, r)
     t = TARGETS[kind]
     if t.slotted and r is None:
         r = max((payload[0] for got, payload, _ in scanned if got == kind), default=0) + 1
@@ -490,13 +512,6 @@ def _parse(text: str, kind: str | None, r: int | None = None) -> Word:
             raise WordSyntaxError(f"slot {slot} out of range for r={r}", pos)
         letters.append((slot, t.gen(quad)))
     return target_word(kind, r if t.slotted else 1, letters)
-
-
-def parse_word(text: str, r: int | None = None, target: str | None = None) -> Word:
-    """Parse a word of `target`; if None, of the first letter's kind (empty -> GammaWord)."""
-    if target is not None:
-        check_target(target, 1)
-    return _parse(text, target, r)
 
 
 def letter_text(letter) -> str:

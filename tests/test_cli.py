@@ -422,6 +422,61 @@ def test_usage_errors_exit_3(capsys, argv, message):
     assert captured.err.startswith(f"error: {message}")
 
 
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["check", "--help"],
+        ["map", "-h"],
+        ["render", "--help"],
+        [],
+        ["map", "b(1,2)"],
+        ["check", "-n", "x"],
+        ["check", "-n", "4", "--target", "foo"],
+        ["canon"],
+        ["frobnicate"],
+        ["-n", "4", "map"],
+        ["canon", "d(1,2,3,4)", "extra"],
+    ],
+)
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    # help, usage errors and the unknown-subcommand message, byte for byte
+    lazy = _outcome(capsys, argv)
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: full())
+    assert _outcome(capsys, argv) == lazy
+
+
+def test_a_named_subcommand_builds_only_its_parser(capsys, monkeypatch):
+    built = []
+    full = cli._build_parser
+
+    def build(only=None):
+        parser = full(only)
+        (action,) = [a for a in parser._actions if a.dest == "subcommand"]
+        built.append(list(action.choices))
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", build)
+    assert main(["canon", "d(2,3,4,1)"]) == 0
+    assert main(["frobnicate"]) == 3
+    assert main([]) == 3
+    every = ["map", "check", "trace", "invariant", "canon", "render"]
+    assert built == [["canon"], every, every]
+    # the unknown-subcommand message names every subcommand, in table order
+    assert "frobnicate" in capsys.readouterr().err
+    assert list(cli._SUBCOMMANDS) == every
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--help"])

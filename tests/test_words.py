@@ -11,6 +11,7 @@ from braidgamma.words import (
     GWord,
     MultiWord,
     TARGETS,
+    check_target,
     commute_normalize,
     free_reduce,
     gamma_columns,
@@ -386,6 +387,25 @@ def test_parse_word_infers_r_for_gammar():
         parse_word("d(1,2,3,4)", target="gammar")
     assert err.value.position == 0
     assert str(err.value).startswith("only [slot]d(...) letters are allowed in this word")
+
+
+def test_parse_word_checks_r_with_the_target():
+    for text, r, target in (
+        ("d(1,2,3,4)", 3, "gamma"),  # r > 1 for an unslotted target
+        ("a{1,2,3,4}", 2, None),  # ... also when the kind is inferred
+        ("[0]d(1,2,3,4)", 0, "gammar"),  # r = 0 as for the empty text
+        ("", 0, "gammar"),
+        ("[0]d(1,2,3,4)", True, "gammar"),  # a bool is not an r
+        ("[0]d(1,2,3,4)", 1.0, "gammar"),
+    ):
+        with pytest.raises(IndexRangeError):
+            parse_word(text, r, target)
+    for r in (True, False, 1.0, "2"):
+        with pytest.raises(IndexRangeError, match="r must be an int"):
+            check_target("gammar", r)
+    with pytest.raises(IndexRangeError, match="r must be an int, got True"):
+        MultiWord(True)
+    assert parse_word("[1]d(1,2,3,4)", 2, "gammar").r == 2
 
 
 def test_target_word_builds_each_target_from_the_table():
