@@ -358,15 +358,14 @@ def _cmd_render(args) -> int:
     return 0
 
 
-# name: (handler, help, the shared flags or None, the subcommand's own
-# arguments as (flags, keywords)).  The shared flags are (-n required,
-# --target default, --mode and --assembly), then --r, --format and --out.
+# name: (handler, help, the keywords of _add_shared_flags or None, the
+# subcommand's own arguments as (flags, keywords))
 _SUBCOMMANDS = {
-    "map": (_cmd_map, "image of a braid word under the chosen map", (True, "gamma", True), (
+    "map": (_cmd_map, "image of a braid word under the chosen map", dict(n=True, hom=True), (
         (("word",), dict(nargs="?", default=None, help="braid word text")),
         (("--in",), dict(dest="infile", default=None, help="file with the braid word")),
     )),
-    "check": (_cmd_check, "verify relation preservation", (True, "gamma", True), (
+    "check": (_cmd_check, "verify relation preservation", dict(n=True, hom=True), (
         (("--relation3",), dict(
             choices=("printed", "inverted", "both"),
             default="printed",
@@ -378,14 +377,14 @@ _SUBCOMMANDS = {
         )),
         (("--seed",), dict(type=int, default=0, help="seed for --compare-modes words")),
     )),
-    "trace": (_cmd_trace, "trace a choreography JSON file", (False, "gamma", False), (
+    "trace": (_cmd_trace, "trace a choreography JSON file", {}, (
         (("choreo",), dict(help="choreography JSON path")),
     )),
-    "invariant": (_cmd_invariant, "invariant class of a group word", (True, None, False), (
+    "invariant": (_cmd_invariant, "invariant class of a group word", dict(n=True, target=None), (
         (("word",), dict(nargs="?", default=None)),
         (("--in",), dict(dest="infile", default=None)),
     )),
-    "canon": (_cmd_canon, "canonicalize a group word", (False, None, False), (
+    "canon": (_cmd_canon, "canonicalize a group word", dict(target=None), (
         (("word",), {}),
     )),
     "render": (_cmd_render, "render one SVG frame of a choreography", None, (
@@ -395,6 +394,18 @@ _SUBCOMMANDS = {
         (("--out",), dict(required=True, help="SVG file to write")),
     )),
 }
+
+
+def _add_shared_flags(p, *, n=False, target="gamma", hom=False):
+    if n:
+        p.add_argument("-n", type=int, required=True, help="strand count")
+    p.add_argument("--target", choices=("g", "gamma", "gammar"), default=target)
+    p.add_argument("--r", type=int, default=1, help="slot count for target gammar")
+    if hom:
+        p.add_argument("--mode", choices=("literal", "traced"), default="literal")
+        p.add_argument("--assembly", choices=("flip", "doubled"), default="flip")
+    p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
+    p.add_argument("--out", default=None, help="write output here instead of stdout")
 
 
 def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -409,16 +420,7 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=handler)
         if shared is not None:
-            n, target, hom = shared
-            if n:
-                p.add_argument("-n", type=int, required=True, help="strand count")
-            p.add_argument("--target", choices=("g", "gamma", "gammar"), default=target)
-            p.add_argument("--r", type=int, default=1, help="slot count for target gammar")
-            if hom:
-                p.add_argument("--mode", choices=("literal", "traced"), default="literal")
-                p.add_argument("--assembly", choices=("flip", "doubled"), default="flip")
-            p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-            p.add_argument("--out", default=None, help="write output here instead of stdout")
+            _add_shared_flags(p, **shared)
         for flags, keywords in own:
             p.add_argument(*flags, **keywords)
     return top
