@@ -30,6 +30,7 @@ from .generators import BraidGen
 from .homs import HomConfig, image_invariant, map_braid
 from .roots import dyadic_level
 from .words import (
+    check_target,
     free_reduce,
     invariant,
     invariant_equal,
@@ -228,24 +229,21 @@ def _cmd_trace(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = _hom(args)
-    variants = {"printed": (False,), "inverted": (True,), "both": (False, True)}[
-        args.relation3
+    # families 1, 2a, 2b and 3 (or 3inv); "both" then adds the 3inv instances
+    instances = relation_instances(args.n, family3_inverted=args.relation3 == "inverted")
+    if args.relation3 == "both":
+        inverted = relation_instances(args.n, family3_inverted=True)
+        instances += [inst for inst in inverted if inst.family == "3inv"]
+    results = [
+        {
+            "family": inst.family,
+            "indices": list(inst.indices),
+            "lhs": print_braid(inst.lhs),
+            "rhs": print_braid(inst.rhs),
+            "ok": image_invariant(cfg, inst.lhs) == image_invariant(cfg, inst.rhs),
+        }
+        for inst in instances
     ]
-    results = []
-    for inverted in variants:
-        for inst in relation_instances(args.n, family3_inverted=inverted):
-            if inverted and inst.family != "3inv":
-                continue
-            ok = image_invariant(cfg, inst.lhs) == image_invariant(cfg, inst.rhs)
-            results.append(
-                {
-                    "family": inst.family,
-                    "indices": list(inst.indices),
-                    "lhs": print_braid(inst.lhs),
-                    "rhs": print_braid(inst.rhs),
-                    "ok": ok,
-                }
-            )
     failed = sum(1 for r in results if not r["ok"])
     payload = {
         "n": args.n,
@@ -277,11 +275,11 @@ def _cmd_check(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _compare_modes(lit: HomConfig, seed: int) -> list[dict]:
-    """Literal vs traced images: every generator, then a few seeded random
-    words.  Disagreements are reported, never reconciled."""
-    n = lit.n
-    tra = HomConfig(n, lit.target, lit.r, "traced", lit.assembly)
+def _compare_modes(cfg: HomConfig, seed: int) -> list[dict]:
+    """Literal vs traced images, whatever cfg's mode: every generator, then a
+    few seeded random words.  Disagreements are reported, never reconciled."""
+    n = cfg.n
+    lit, tra = (HomConfig(n, cfg.target, cfg.r, m, cfg.assembly) for m in ("literal", "traced"))
     inputs = [
         BraidWord(n, (BraidGen(i, j),)) for i, j in itertools.combinations(range(1, n + 1), 2)
     ]
@@ -436,10 +434,7 @@ def run(argv=None) -> int:
         cap = _max_n()
         if not 1 <= args.n <= cap:
             raise BraidGammaError(f"n={args.n} outside 1..{cap} (cap from BRAIDGAMMA_MAX_N)")
-    if args.r < 1:
-        raise BraidGammaError(f"need --r >= 1, got {args.r}")
-    if args.target != "gammar" and args.r != 1:
-        raise BraidGammaError("--r above 1 needs --target gammar")
+    check_target(args.target or "gamma", args.r)  # the one check of --r, its cap included
     return args.run(args)
 
 

@@ -15,8 +15,9 @@ commits to two certificates:
   * `invariant` — the GF(2) occurrence-parity vector of a word, reduced
     modulo the row space spanned by the pentagon relations (for cyclic
     quadruples) or by nothing (for 4-subset generators, whose 5-term
-    relation is a square and dies under abelianization).  Equal invariants
-    are a *necessary* condition for equality in the group, never sufficient.
+    relation is a square and dies under abelianization); gammar's slots are
+    copies, each reduced on its own.  Equal invariants are a *necessary*
+    condition for equality in the group, never sufficient.
   * `commute_normalize` — the exact normal form modulo the involution and
     far-commutation relations alone, a right-angled Coxeter group.  Equal
     normal forms certify equality; unequal ones certify nothing, since the
@@ -134,6 +135,7 @@ TARGETS = {
     "gamma": _Target(GammaWord, GammaGen, "d(...)", False),
     "gammar": _Target(MultiWord, GammaGen, "[slot]d(...)", True),
 }
+MAX_R = 1024  # the largest r that check_target lets through
 
 
 def check_target(target: str, r: int) -> _Target:
@@ -142,8 +144,8 @@ def check_target(target: str, r: int) -> _Target:
         raise IndexRangeError(f"target must be one of {tuple(TARGETS)}, got {target!r}")
     if type(r) is not int:  # bool too: True would pass as r = 1
         raise IndexRangeError(f"r must be an int, got {r!r}")
-    if r < 1:
-        raise IndexRangeError(f"need r >= 1, got {r}")
+    if not 1 <= r <= MAX_R:
+        raise IndexRangeError(f"need 1 <= r <= {MAX_R}, got {r}")
     if r != 1 and not TARGETS[target].slotted:
         raise IndexRangeError("r > 1 requires target 'gammar'")
     return TARGETS[target]
@@ -270,16 +272,9 @@ def g_columns(n: int) -> tuple[GGen, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _columns(kind: str, n: int, r: int) -> tuple:
-    """The invariant's coordinate letters; for gammar, a block per slot."""
-    t = TARGETS[kind]
-    cols = g_columns(n) if t.gen is GGen else gamma_columns(n)
-    return tuple((slot, g) for slot in range(r) for g in cols) if t.slotted else cols
-
-
-@functools.lru_cache(maxsize=None)
-def _column_index(kind: str, n: int, r: int) -> dict:
-    return {letter: k for k, letter in enumerate(_columns(kind, n, r))}
+def _column_index(gen: type, n: int) -> dict:
+    """Column of each letter of type `gen` on indices <= n: one slot's block."""
+    return {g: k for k, g in enumerate(g_columns(n) if gen is GGen else gamma_columns(n))}
 
 
 def pentagon_faces(order: tuple[int, int, int, int, int]) -> tuple[GammaGen, ...]:
@@ -372,32 +367,39 @@ class InvariantClass(Record):
 
     def nonzero_letters(self):
         """The letters (or slot-tagged letters) whose coordinate is 1."""
-        cols = _columns(self.kind, self.n, self.r)
-        return [cols[k] for k in range(len(cols)) if self.bits >> k & 1]
+        cols = g_columns(self.n) if self.kind == "g" else gamma_columns(self.n)
+        out, rest = [], self.bits & ((1 << self.r * len(cols)) - 1)  # bits past the columns
+        while rest:  # one step per set bit, lowest first: slot-major order
+            slot, k = divmod((rest & -rest).bit_length() - 1, len(cols))
+            out.append((slot, cols[k]) if self.kind == "gammar" else cols[k])
+            rest &= rest - 1
+        return out
 
     def __str__(self):
         return " + ".join(map(letter_text, self.nonzero_letters())) or "0"
 
 
 def invariant(w: Word, n: int) -> InvariantClass:
-    """Occurrence-parity vector of w, reduced modulo the relation row space."""
-    index = _column_index(w.kind, n, w.r)
-    bits = 0
+    """Occurrence-parity vector of w, reduced modulo the relation row space.
+    Slots are copies: only the blocks of the slots w uses are built and
+    reduced, so no table or loop depends on r."""
+    t = TARGETS[w.kind]
+    index = _column_index(t.gen, n)
+    counts = collections.Counter(w.letters)
+    blocks = {}  # slot -> parity bits of its letters
     try:
-        for letter, count in collections.Counter(w.letters).items():
-            bits |= (count & 1) << index[letter]
+        if t.slotted:
+            for (slot, gen), count in counts.items():
+                blocks[slot] = blocks.get(slot, 0) | (count & 1) << index[gen]
+        else:
+            blocks[0] = sum((count & 1) << index[gen] for gen, count in counts.items())
     except KeyError:
         # a letter outside the columns: name the first one
         _check_letters(w, n)
         raise
-    if w.kind != "g":
-        basis = _pentagon_basis(n)
-        width = len(gamma_columns(n))
-        mask = (1 << width) - 1
-        bits = sum(
-            gf2.reduce(bits >> (slot * width) & mask, basis) << (slot * width)
-            for slot in range(w.r)
-        )
+    if t.gen is GammaGen:  # 4-subset letters have no relator rows
+        blocks = {slot: gf2.reduce(b, _pentagon_basis(n)) for slot, b in blocks.items()}
+    bits = sum(b << slot * len(index) for slot, b in blocks.items())
     return InvariantClass(n, w.kind, w.r, bits)
 
 

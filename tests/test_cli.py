@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from braidgamma.geom2d import (
     generator_choreography,
 )
 from braidgamma.geom3d import pt3
+from braidgamma.words import MAX_R
 
 
 @pytest.fixture()
@@ -67,7 +69,7 @@ def test_map_parse_error_has_position(capsys):
 
 @pytest.mark.parametrize(
     "target, r, message",
-    [("gamma", "3", "--r above 1 needs --target gammar"), ("g", "0", "need --r >= 1, got 0")],
+    [("gamma", "3", "r > 1 requires target 'gammar'"), ("g", "0", "need 1 <= r <= 1024, got 0")],
 )
 def test_r_is_checked_for_every_target(capsys, target, r, message):
     assert main(["map", "-n", "5", "--target", target, "--r", r, "b(1,2)"]) == 3
@@ -166,6 +168,56 @@ def test_check_passes(capsys):
     assert code == 0
     families = {r["family"] for r in data["instances"]}
     assert "3" in families and "3inv" in families
+
+
+def test_check_relation3_inverted_checks_every_family(capsys):
+    code, printed = run_json(capsys, ["check", "-n", "5", "--format", "json"])
+    code_inv, inverted = run_json(
+        capsys, ["check", "-n", "5", "--relation3", "inverted", "--format", "json"]
+    )
+    assert code == code_inv == 0
+    assert len(inverted["instances"]) == len(printed["instances"]) == 35
+    assert {r["family"] for r in inverted["instances"]} == {"1", "2a", "2b", "3inv"}
+    for a, b in zip(printed["instances"], inverted["instances"]):
+        assert (a["family"] == "3") == (b["family"] == "3inv")
+        if a["family"] != "3":
+            assert a == b
+    _, both = run_json(capsys, ["check", "-n", "5", "--relation3", "both", "--format", "json"])
+    inv3 = [r for r in inverted["instances"] if r["family"] == "3inv"]
+    assert both["instances"] == printed["instances"] + inv3
+
+
+@pytest.mark.parametrize("target", [("gamma",), ("g",), ("gammar", "--r", "2")])
+def test_compare_modes_is_literal_against_traced_in_either_mode(capsys, target):
+    argv = ["check", "-n", "5", "--target", *target, "--compare-modes", "--format", "json"]
+    _, plain = run_json(capsys, argv)
+    _, traced = run_json(capsys, argv + ["--mode", "traced"])
+    assert traced["mode"] == "traced"
+    assert traced["compare_modes"] == plain["compare_modes"]
+    if target == ("gamma",):
+        assert not any(row["letters_equal"] for row in plain["compare_modes"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "-n", "5", "[100000000000000000000000000000]d(1,2,3,4)"],
+        ["map", "-n", "5", "--target", "gammar", "--r", "5000", "b(1,2)"],
+        ["check", "-n", "5", "--target", "gammar", "--r", "1025"],
+    ],
+)
+def test_r_above_max_r_exits_3_before_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"r <= {MAX_R}" in err
+    assert peak < 1 << 20
 
 
 def test_check_compare_modes(capsys):

@@ -56,13 +56,24 @@ def reference_reduce(letters):
     return stack
 
 
+def reference_columns(kind, n, r):
+    """The coordinate letters in bit order: for gammar, r slot-major blocks
+    of `gamma_columns(n)`, each letter tagged with its slot."""
+    if kind == "g":
+        return list(g_columns(n))
+    if kind == "gamma":
+        return list(gamma_columns(n))
+    return [(slot, g) for slot in range(r) for g in gamma_columns(n)]
+
+
 def reference_bits(w, n):
     """One XOR per letter, then each slot's block reduced modulo the
     pentagon rows."""
-    cols = words._columns(w.kind, n, w.r)
+    cols = reference_columns(w.kind, n, w.r)
+    column = {letter: k for k, letter in enumerate(cols)}
     bits = 0
     for letter in w.letters:
-        bits ^= 1 << cols.index(letter)
+        bits ^= 1 << column[letter]
     if w.kind == "g":
         return bits
     width = len(gamma_columns(n))
@@ -71,6 +82,16 @@ def reference_bits(w, n):
     for slot in range(w.r):
         out |= gf2.reduce(bits >> (slot * width) & ((1 << width) - 1), basis) << (slot * width)
     return out
+
+
+@st.composite
+def sparse_slot_words(draw):
+    """(word, n): letters only in slots 0 and r - 1, with r up to MAX_R."""
+    r = draw(st.sampled_from([2, 3, 64, 1000, words.MAX_R - 1, words.MAX_R]))
+    n = draw(st.integers(4, 6))
+    picks = draw(st.lists(st.tuples(st.sampled_from([0, r - 1]),
+                                    st.sampled_from(gamma_columns(n))), max_size=12))
+    return MultiWord(r, tuple(picks)), n
 
 
 @SEEDED
@@ -97,6 +118,18 @@ def test_fresh_slot_pairs_reduce_as_parsed_letters(case):
     assert invariant(parsed, n) == invariant(w, n)
     for a, b in zip(parsed.letters, w.letters):
         assert a is b
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sparse_slot_words())
+def test_sparse_high_slots_match_the_reference(case):
+    w, n = case
+    cls = invariant(w, n)
+    assert cls.bits == reference_bits(w, n)
+    cols = reference_columns(w.kind, n, w.r)
+    letters = [cols[k] for k in range(len(cols)) if cls.bits >> k & 1]
+    assert cls.nonzero_letters() == letters
+    assert str(cls) == (" + ".join(f"[{slot}]{g}" for slot, g in letters) or "0")
 
 
 def test_a_fresh_tuple_cancels_its_equal():

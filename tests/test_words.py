@@ -6,9 +6,12 @@ import pytest
 from braidgamma import gf2
 from braidgamma.errors import GroupMismatchError, IndexRangeError, WordSyntaxError
 from braidgamma.generators import GammaGen, GGen
+from braidgamma.homs import HomConfig, letter_slot
 from braidgamma.words import (
+    MAX_R,
     GammaWord,
     GWord,
+    InvariantClass,
     MultiWord,
     TARGETS,
     check_target,
@@ -320,6 +323,15 @@ def test_multiword_invariant_is_per_slot():
     assert not invariant(mixed, 5).is_zero()
 
 
+def test_nonzero_letters_name_no_letter_for_bits_past_the_columns():
+    assert InvariantClass(5, "gamma", 1, 1 << 15).nonzero_letters() == []
+    assert InvariantClass(3, "gamma", 1, 1).nonzero_letters() == []  # no columns at all
+    assert InvariantClass(4, "g", 1, 0b11).nonzero_letters() == [A(1, 2, 3, 4)]
+    assert InvariantClass(4, "gammar", 2, 1 << 3 | 1 << 6).nonzero_letters() == [
+        (1, gamma_columns(4)[0])
+    ]
+
+
 # ---------------------------------------------------------------------------
 # commute-normalize
 # ---------------------------------------------------------------------------
@@ -406,6 +418,27 @@ def test_parse_word_checks_r_with_the_target():
     with pytest.raises(IndexRangeError, match="r must be an int, got True"):
         MultiWord(True)
     assert parse_word("[1]d(1,2,3,4)", 2, "gammar").r == 2
+
+
+def test_r_above_max_r_is_refused_everywhere():
+    big = MAX_R + 1
+    d = D(1, 2, 3, 4)
+    for build in (
+        lambda: check_target("gammar", big),
+        lambda: HomConfig(5, "gammar", big),
+        lambda: MultiWord(big),
+        lambda: target_word("gammar", big, (1 / 0 for _ in range(1))),
+        lambda: parse_word("[0]d(1,2,3,4)", big, "gammar"),
+        lambda: parse_word(f"[{MAX_R}]d(1,2,3,4)"),  # the inferred r is one more
+        lambda: parse_word(f"[{10 ** 29}]d(1,2,3,4)", target="gammar"),
+        lambda: letter_slot(1, 2, 3, 4, big),
+    ):
+        with pytest.raises(IndexRangeError, match=f"need 1 <= r <= {MAX_R}"):
+            build()
+    w = parse_word(f"[{MAX_R - 1}]d(1,2,3,4) [0]d(1,2,3,4)")
+    assert w.r == MAX_R
+    assert HomConfig(5, "gammar", MAX_R).r == MAX_R
+    assert str(invariant(w, 5)) == str(invariant(MultiWord(MAX_R, ((MAX_R - 1, d), (0, d))), 5))
 
 
 def test_target_word_builds_each_target_from_the_table():
