@@ -28,8 +28,9 @@ cyclic-quadruple targets default to "flip".  Past that choice only `passage`
 Passage words and generator images are memoised for the life of the process,
 keyed by (HomConfig, i, j).  Words and letters are immutable, so every caller
 shares the cached objects.  The cache holds at most C(n,2) generator images,
-C(n,2) generator classes (their reduced invariant bits) and n(n-1) passage
-words per distinct HomConfig in use.
+2*C(n,2) reduced image letter lists (each image's and its reversal, which
+`map_braid` folds seam by seam), C(n,2) generator classes (their reduced
+invariant bits) and n(n-1) passage words per distinct HomConfig in use.
 
 `invariant` is a homomorphism to GF(2) vectors, so the class of an image is
 the XOR of its letters' generator classes, one per odd exponent:
@@ -175,26 +176,83 @@ def _traced_events(n: int, i: int, j: int):
     return tuple(geom2d.trace(geom2d.generator_choreography(n, i, j)))
 
 
+@functools.lru_cache(maxsize=None)
+def _reduced_image(cfg: HomConfig, i: int, j: int):
+    """The free-reduced letters of b(i,j)'s image and their reversal, the
+    reduced image of b(i,j)^-1: two lists that no caller mutates."""
+    red = list(free_reduce(generator_image(cfg, i, j)).letters)
+    return red, red[::-1]
+
+
+def _seam(stack: list, inverse: list) -> int:
+    """How many letters cancel when a reduced word v is appended to the
+    reduced `stack`, given `inverse`, the reversal of v: the length of the
+    common suffix of the two lists.  Blocks of doubling length are compared
+    as slices, then the first unequal block is bisected, so a seam of k
+    letters costs O(log k) Python steps."""
+    end, m = len(stack), len(inverse)
+    top = min(end, m)
+    if not top or stack[-1] is not inverse[-1]:  # most seams cancel nothing
+        return 0
+    lo, step = 1, 2  # the last lo letters of both lists agree
+    while lo < top:
+        hi = lo + step if lo + step < top else top
+        if stack[end - hi:end - lo] != inverse[m - hi:m - lo]:
+            break
+        lo, step = hi, 2 * step
+    else:
+        return lo
+    while hi - lo > 1:  # the first disagreement lies in [lo, hi)
+        mid = (lo + hi) // 2
+        if stack[end - mid:end - lo] == inverse[m - mid:m - lo]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def map_braid(cfg: HomConfig, w: BraidWord, *, reduced: bool = True):
     """Image of a braid word: letterwise substitution, inverses by reversal.
 
-    The letters of all images are gathered first and the word is built once,
-    so the cost is linear in the length of the image.  An image longer than
-    MAX_IMAGE_LETTERS raises IndexRangeError before it is built.
+    The reduced image is folded from the cached reduced generator images:
+    each is appended |exponent| times onto a reduced list, and only the seam
+    between the two cancels (free reduction is confluent, so this is the
+    free reduction of the raw image).  With reduced=False the raw image is
+    returned, carrying the reduced word in its memo `_reduced`, which
+    `free_reduce` returns.  An image longer than MAX_IMAGE_LETTERS raises
+    IndexRangeError before anything is built.
     """
     if w.n > cfg.n:
         raise IndexRangeError(f"braid word has n={w.n} but config has n={cfg.n}")
-    letters = []
+    images, size = [], 0
     for g in w.letters:
-        img = generator_image(cfg, g.i, g.j)
-        if g.exponent < 0:
-            img = invert(img)
-        if len(letters) + len(img.letters) * abs(g.exponent) > MAX_IMAGE_LETTERS:
+        img = generator_image(cfg, g.i, g.j).letters
+        size += len(img) * abs(g.exponent)
+        if size > MAX_IMAGE_LETTERS:
             raise IndexRangeError(f"image longer than the cap of {MAX_IMAGE_LETTERS} letters")
-        letters.extend(img.letters * abs(g.exponent))
+        images.append(img)
     # the letters come from generator images, checked when those were built
-    out = _rebuild(target_word(cfg.target, cfg.r, ()), letters)
-    return free_reduce(out) if reduced else out
+    out = target_word(cfg.target, cfg.r, ())
+    if not reduced:
+        letters = []
+        for g, img in zip(w.letters, images):
+            letters.extend((img if g.exponent > 0 else img[::-1]) * abs(g.exponent))
+        out = _rebuild(out, letters)
+        del letters
+    stack = []
+    for g in w.letters:
+        image, inverse = _reduced_image(cfg, g.i, g.j)
+        if g.exponent < 0:
+            image, inverse = inverse, image
+        for _ in range(abs(g.exponent)):
+            k = _seam(stack, inverse)
+            del stack[len(stack) - k:]
+            stack.extend(image[k:] if k else image)
+    red = _rebuild(out, stack)
+    if reduced:
+        return red
+    _set(out, "_reduced", red)  # never red itself: see the words docstring
+    return out
 
 
 @functools.lru_cache(maxsize=None)

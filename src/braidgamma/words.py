@@ -9,6 +9,10 @@ Every letter is interned: `GGen` and `GammaGen` by their constructors, and
 each `(slot, GammaGen)` pair by `MultiWord`, which swaps it for the one
 tuple per distinct pair.  So the word layer compares letters by identity:
 `free_reduce` tests `is`, and `invariant` counts letters in a `Counter`.
+An unreduced image from `homs.map_braid` carries its reduced word in the
+memo slot `_reduced`, which `free_reduce` returns; the memo is no field, so
+equality, hash, repr and pickle ignore it, and a reduced word never points
+at itself (a reference cycle would leave every image to the cyclic GC).
 Equality of group elements is not decidable here in general; the package
 commits to two certificates:
 
@@ -41,9 +45,10 @@ from .generators import GammaGen, GGen, Record, _set
 
 
 class _Word(Record):
-    """The methods the three word types share; each holds `letters`."""
+    """The methods the three word types share; each holds `letters`, and
+    may hold the memo `_reduced` (see the module docstring)."""
 
-    __slots__ = ()
+    __slots__ = ("_reduced",)
 
     def __mul__(self, other):
         _check_same_target(self, other, "concatenate")
@@ -180,8 +185,13 @@ def free_reduce(w: Word) -> Word:
     """Delete adjacent equal letters until none remain.
 
     Involutive cancellation is confluent, so the result does not depend on
-    deletion order; a single stack pass computes it.
+    deletion order; a single stack pass computes it.  A word that carries
+    its reduced form (the memo `_reduced`, set by `homs.map_braid`) returns
+    that instead.
     """
+    red = getattr(w, "_reduced", None)
+    if red is not None:
+        return red
     stack = []
     for letter in w.letters:
         if stack and stack[-1] is letter:  # letters are interned; see _Letter
@@ -489,8 +499,8 @@ def parse_word(text: str, r: int | None = None, target: str | None = None) -> Wo
     """Parse a word of `target`; if None, of the first letter's kind (empty ->
     GammaWord).  A given r is checked with the target before the text is read
     (with an inferred kind, once it is known); for gammar it defaults to one
-    more than the largest slot, 1 if none.  Syntax errors anywhere come
-    first, then the letters are checked in order."""
+    more than the largest slot, 1 if none, and at most MAX_R.  Syntax errors
+    anywhere come first, then the letters are checked in order."""
     if target is not None:
         check_target(target, 1 if r is None else r)
     scanned = _scan_word(text)
@@ -500,8 +510,10 @@ def parse_word(text: str, r: int | None = None, target: str | None = None) -> Wo
         if r is not None:
             check_target(kind, r)
     t = TARGETS[kind]
-    if t.slotted and r is None:
-        r = max((payload[0] for got, payload, _ in scanned if got == kind), default=0) + 1
+    inferred = t.slotted and r is None
+    if inferred:  # a slot of MAX_R or more then fails at its tag, below
+        top = max((payload[0] for got, payload, _ in scanned if got == kind), default=0)
+        r = min(top + 1, MAX_R)
     letters = []
     for got, payload, pos in scanned:
         if got != kind:
@@ -511,7 +523,8 @@ def parse_word(text: str, r: int | None = None, target: str | None = None) -> Wo
             continue
         slot, quad = payload
         if not 0 <= slot < r:
-            raise WordSyntaxError(f"slot {slot} out of range for r={r}", pos)
+            bound = f"r <= {MAX_R}" if inferred else f"r={r}"
+            raise WordSyntaxError(f"slot {slot} out of range for {bound}", pos)
         letters.append((slot, t.gen(quad)))
     return target_word(kind, r if t.slotted else 1, letters)
 

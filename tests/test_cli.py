@@ -220,6 +220,20 @@ def test_r_above_max_r_exits_3_before_allocating(capsys, argv):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "-n", "5", "[5000]d(1,2,3,4)"],
+        ["canon", "[5000]d(1,2,3,4)"],
+    ],
+)
+def test_an_inferred_r_names_the_slot_past_max_r(capsys, argv):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: slot 5000 out of range for r <= {MAX_R} (at position 0)\n"
+
+
 def test_check_compare_modes(capsys):
     code, data = run_json(
         capsys,

@@ -1,13 +1,18 @@
+import copy
+import gc
 import itertools
+import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidgamma import homs
 from braidgamma.braids import BraidWord, braid, parse_braid, relation_instances
 from braidgamma.errors import IndexRangeError
-from braidgamma.generators import BraidGen, GGen
+from braidgamma.generators import BraidGen, GammaGen, GGen
 from braidgamma.homs import (
     HomConfig,
     generator_image,
@@ -346,3 +351,102 @@ def test_image_invariant_rejects_a_longer_braid_word():
     for fn in (image_invariant, map_braid):
         with pytest.raises(IndexRangeError, match="braid word has n=6 but config has n=5"):
             fn(HomConfig(5), w)
+
+
+# ---------------------------------------------------------------------------
+# the seam fold and the reduced-word memo
+# ---------------------------------------------------------------------------
+
+_FOLD_CONFIGS = [
+    HomConfig(n, target, r, mode, assembly)
+    for mode, sizes in (("literal", range(4, 8)), ("traced", range(3, 6)))
+    for n in sizes
+    for target, r in (("g", 1), ("gamma", 1), ("gammar", 1), ("gammar", 2), ("gammar", 3))
+    for assembly in ("flip", "doubled")
+]
+
+
+def _stack_reduce(letters) -> list:
+    """Free reduction by an `==` stack over the raw letters: no seams, no `is`."""
+    stack = []
+    for x in letters:
+        if stack and stack[-1] == x:
+            stack.pop()
+        else:
+            stack.append(x)
+    return stack
+
+
+def _interned(x) -> bool:
+    if type(x) is tuple:
+        return MultiWord(x[0] + 1, (x,)).letters[0] is x and _interned(x[1])
+    return x is (GGen(x.members) if type(x) is GGen else GammaGen(x.cycle))
+
+
+def _never(*args):
+    raise AssertionError("built after the cap was exceeded")
+
+
+@st.composite
+def fold_cases(draw):
+    """A config and a braid word u v v^-1 s over a few strand pairs, so that
+    seams cancel within images, across whole images and across powers."""
+    cfg = draw(st.sampled_from(_FOLD_CONFIGS))
+    pairs = list(itertools.combinations(range(1, cfg.n + 1), 2))
+    pool = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))
+    exponent = st.sampled_from([e for k in range(1, 7) for e in (k, -k)])
+    part = st.lists(st.tuples(st.sampled_from(pool), exponent), max_size=4)
+    u, v, s = draw(part), draw(part), draw(part)
+    terms = u + v + [(ij, -e) for ij, e in reversed(v)] + s
+    return cfg, BraidWord(cfg.n, tuple(BraidGen(i, j, e) for (i, j), e in terms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fold_cases())
+def test_the_seam_fold_is_the_free_reduction_of_the_raw_image(case):
+    cfg, w = case
+    raw = map_braid(cfg, w, reduced=False)
+    expected = _stack_reduce(raw.letters)
+    for got in (map_braid(cfg, w), free_reduce(raw)):
+        assert type(got) is type(raw) and got.r == raw.r
+        assert len(got.letters) == len(expected)
+        assert all(a is b for a, b in zip(got.letters, expected))
+    assert all(_interned(x) for x in set(raw.letters))
+    if raw.letters:
+        with mock.patch.object(homs, "MAX_IMAGE_LETTERS", len(raw.letters) - 1), \
+                mock.patch.object(homs, "_rebuild", _never), \
+                mock.patch.object(homs, "_seam", _never):
+            for reduced in (True, False):
+                with pytest.raises(IndexRangeError, match="image longer than the cap"):
+                    map_braid(cfg, w, reduced=reduced)
+
+
+def test_the_memo_is_not_a_field():
+    cfg = HomConfig(6, target="gammar", r=2)
+    raw = map_braid(cfg, parse_braid("b(1,4)^2 b(2,5)^-1 b(1,4)^-1", 6), reduced=False)
+    red = free_reduce(raw)
+    assert raw._reduced is red and len(red) < len(raw)
+    fresh = MultiWord(2, raw.letters)
+    assert raw == fresh and hash(raw) == hash(fresh) and repr(raw) == repr(fresh)
+    assert raw != red
+    for twin in (copy.copy(raw), copy.deepcopy(raw), pickle.loads(pickle.dumps(raw))):
+        assert twin == raw and free_reduce(twin) == red
+    # a word built by hand carries no memo and is reduced letter by letter
+    assert free_reduce(fresh) == red and free_reduce(fresh) is not red
+    assert not hasattr(red, "_reduced")
+
+
+def test_mapping_leaves_no_reference_cycle():
+    cfg = HomConfig(8)
+    w = parse_braid(" ".join(f"b({i},{j})^2" for i, j in itertools.combinations(range(1, 9), 2)), 8)
+    map_braid(cfg, w, reduced=False)  # fill the caches first
+    gc.collect()
+    gc.disable()
+    try:
+        raw = map_braid(cfg, w, reduced=False)
+        red, cls = free_reduce(raw), invariant(free_reduce(raw), 8)
+        assert len(raw) > 5_000 and len(red) < len(raw)
+        del raw, red, cls
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -429,8 +429,6 @@ def test_r_above_max_r_is_refused_everywhere():
         lambda: MultiWord(big),
         lambda: target_word("gammar", big, (1 / 0 for _ in range(1))),
         lambda: parse_word("[0]d(1,2,3,4)", big, "gammar"),
-        lambda: parse_word(f"[{MAX_R}]d(1,2,3,4)"),  # the inferred r is one more
-        lambda: parse_word(f"[{10 ** 29}]d(1,2,3,4)", target="gammar"),
         lambda: letter_slot(1, 2, 3, 4, big),
     ):
         with pytest.raises(IndexRangeError, match=f"need 1 <= r <= {MAX_R}"):
@@ -439,6 +437,25 @@ def test_r_above_max_r_is_refused_everywhere():
     assert w.r == MAX_R
     assert HomConfig(5, "gammar", MAX_R).r == MAX_R
     assert str(invariant(w, 5)) == str(invariant(MultiWord(MAX_R, ((MAX_R - 1, d), (0, d))), 5))
+
+
+def test_an_inferred_r_reports_a_slot_past_max_r_at_its_tag():
+    """With r inferred, a slot of MAX_R or more is a syntax error at its slot
+    tag, as a slot at or above a given r is, not an r the text never names."""
+    for text, slot, pos in (
+        (f"[{MAX_R}]d(1,2,3,4)", MAX_R, 0),
+        ("[5000]d(1,2,3,4)", 5000, 0),
+        (f"[0]d(1,2,3,4)  [{10 ** 29}]d(1,2,3,4)", 10 ** 29, 15),
+    ):
+        for target in (None, "gammar"):
+            with pytest.raises(WordSyntaxError) as err:
+                parse_word(text, target=target)
+            assert str(err.value) == f"slot {slot} out of range for r <= {MAX_R} (at position {pos})"
+            assert err.value.position == pos
+    assert str(pytest.raises(WordSyntaxError, parse_word, "[5]d(1,2,3,4)", 2).value) == (
+        "slot 5 out of range for r=2 (at position 0)"
+    )
+    assert parse_word(f"[{MAX_R - 1}]d(1,2,3,4)").r == MAX_R
 
 
 def test_target_word_builds_each_target_from_the_table():
