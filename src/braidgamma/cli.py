@@ -4,10 +4,13 @@ Exact event times never print as floats: a rational root prints as "p/q",
 an irrational one as its integer polynomial, its branch and a dyadic cell
 [m/2^k, (m+1)/2^k].  Per planar segment, k is the least k >= 1 at which every
 cell isolates its root and consecutive distinct times do not overlap, so the
-printout depends on the roots alone and certifies their order.  Set
-BRAIDGAMMA_MAX_N to lift or lower the strand-count cap (default 10).  Each
-subcommand takes only the flags it reads: any other flag, like every usage
-error and every bad input, prints "error: ..." and exits with code 3.
+printout depends on the roots alone and certifies their order.  Planar and
+spatial events print through one printer, their JSON keys their fields.
+`invariant` and `canon` leave r to `parse_word`: without --r it is one more
+than the largest slot tag.  Set BRAIDGAMMA_MAX_N to lift or lower the
+strand-count cap (default 10).  Each subcommand takes only the flags it
+reads: any other flag, like every usage error and every bad input, prints
+"error: ..." and exits with code 3.
 """
 
 from __future__ import annotations
@@ -117,31 +120,22 @@ def _read_word_arg(args) -> str:
     raise BraidGammaError("provide a word argument or --in FILE")
 
 
+def _image(word, n: int) -> tuple[dict, list[str]]:
+    """The word, reduced and invariant entries of an image's payload, and
+    their three text lines."""
+    red = free_reduce(word)
+    cls = invariant(red, n)
+    word_text, red_text = word_to_text(word), word_to_text(red)
+    payload = {"word": word_text, "reduced": red_text, "invariant": _invariant_payload(cls)}
+    return payload, [f"word:      {word_text}", f"reduced:   {red_text}", f"invariant: {cls}"]
+
+
 def _cmd_map(args) -> int:
     braid_word = parse_braid(_read_word_arg(args), args.n)
-    raw = map_braid(_hom(args), braid_word, reduced=False)
-    red = free_reduce(raw)
-    cls = invariant(red, args.n)
-    payload = {
-        "input": print_braid(braid_word),
-        "n": args.n,
-        "target": args.target,
-        "r": args.r,
-        "mode": args.mode,
-        "word": word_to_text(raw),
-        "reduced": word_to_text(red),
-        "invariant": _invariant_payload(cls),
-    }
-    _emit(
-        args,
-        payload,
-        [
-            f"input:     {payload['input']}",
-            f"word:      {payload['word']}",
-            f"reduced:   {payload['reduced']}",
-            f"invariant: {cls}",
-        ],
-    )
+    image, lines = _image(map_braid(_hom(args), braid_word, reduced=False), args.n)
+    text = print_braid(braid_word)
+    payload = {"input": text, "n": args.n, "target": args.target, "r": args.r, "mode": args.mode}
+    _emit(args, {**payload, **image}, [f"input:     {text}", *lines])
     return 0
 
 
@@ -157,72 +151,48 @@ def _time_payload(root, k: int) -> dict:
     }
 
 
+def _event_payload(e, level: dict | None) -> dict:
+    """The JSON of a planar or spatial event: its fields, letters as text.  A
+    planar time prints in the dyadic cell of its segment's level (`level`,
+    segment -> k); a spatial time (level None) as p/q, beside the event's
+    special flag."""
+    payload = {field: getattr(e, field) for field in e._fields}
+    payload["subset"] = str(e.subset)
+    payload["quad"] = None if e.quad is None else str(e.quad)
+    if level is None:
+        payload["time"] = rat_to_str(e.time)
+        payload["special"] = e.special
+    else:
+        payload["time"] = _time_payload(e.time, level[e.segment])
+    return payload
+
+
 def _cmd_trace(args) -> int:
     ch = geom2d.load_choreography(args.choreo)
-    dim3 = ch.dim == 3
-    if ch.n > _max_n():
-        raise BraidGammaError(f"choreography has n={ch.n} above the cap {_max_n()}")
-    if dim3 and args.target == "gammar":
+    cap = _max_n()
+    if ch.n > cap:
+        raise BraidGammaError(f"choreography has n={ch.n} above the cap {cap}")
+    if ch.dim == 3 and args.target == "gammar":
         raise BraidGammaError("target gammar needs inside counts; spatial traces have none")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UnstableWarning)
-        if dim3:
-            events = geom3d.trace3(ch)
-            ev_payload = [
-                {
-                    "segment": e.segment,
-                    "time": rat_to_str(e.time),
-                    "subset": str(e.subset),
-                    "quad": str(e.quad) if e.quad is not None else None,
-                    "convex": e.convex,
-                    "one_sided": e.one_sided,
-                    "special": e.special,
-                    "side": e.side,
-                }
-                for e in events
-            ]
-        else:
-            events = geom2d.trace(ch)
-            # one cell width per segment, fixed by its distinct times alone
-            level = {
-                seg: dyadic_level([e.time for e in group])
-                for seg, group in itertools.groupby(events, key=lambda e: e.segment)
-            }
-            ev_payload = [
-                {
-                    "segment": e.segment,
-                    "time": _time_payload(e.time, level[e.segment]),
-                    "quad": str(e.quad),
-                    "subset": str(e.subset),
-                    "inside": e.inside,
-                    "collinear_wall": e.collinear_wall,
-                }
-                for e in events
-            ]
-    word = geom2d.events_to_word(events, args.target, args.r)
-    red = free_reduce(word)
-    cls = invariant(red, ch.n)
-    payload = {
-        "n": ch.n,
-        "dim": ch.dim,
-        "loop": ch.loop,
-        "target": args.target,
-        "events": ev_payload,
-        "word": word_to_text(word),
-        "reduced": word_to_text(red),
-        "invariant": _invariant_payload(cls),
-        "warnings": [str(w.message) for w in caught],
-    }
+        events = (geom3d.trace3 if ch.dim == 3 else geom2d.trace)(ch)
+    level = None
+    if ch.dim == 2:  # one cell width per segment, fixed by its distinct times alone
+        level = {
+            seg: dyadic_level([e.time for e in group])
+            for seg, group in itertools.groupby(events, key=lambda e: e.segment)
+        }
+    ev_payload = [_event_payload(e, level) for e in events]
+    image, image_lines = _image(geom2d.events_to_word(events, args.target, args.r), ch.n)
+    warned = [str(w.message) for w in caught]
+    payload = {"n": ch.n, "dim": ch.dim, "loop": ch.loop, "target": args.target}
+    payload |= {"events": ev_payload, **image, "warnings": warned}
     lines = []  # json output prints the payload alone
     if args.fmt != "json":
         lines = [f"{len(ev_payload)} events"]
         lines += [f"  {json.dumps(e, sort_keys=True)}" for e in ev_payload]
-        lines += [
-            f"word:      {payload['word']}",
-            f"reduced:   {payload['reduced']}",
-            f"invariant: {cls}",
-        ]
-        lines += [f"warning: {w}" for w in payload["warnings"]]
+        lines += image_lines + [f"warning: {w}" for w in warned]
     _emit(args, payload, lines)
     return 0
 
@@ -307,13 +277,8 @@ def _compare_modes(cfg: HomConfig, seed: int) -> list[dict]:
     return out
 
 
-def _group_word(args, text: str):
-    """The word of --target, or without the flag of its first letter's kind."""
-    return parse_word(text, args.r if args.target == "gammar" else None, args.target)
-
-
 def _cmd_invariant(args) -> int:
-    word = _group_word(args, _read_word_arg(args))
+    word = parse_word(_read_word_arg(args), args.r, args.target)
     cls = invariant(word, args.n)
     payload = {
         "n": args.n,
@@ -327,7 +292,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    word = _group_word(args, args.word)
+    word = parse_word(args.word, args.r, args.target)
     payload = {"word": word_to_text(word)}
     _emit(args, payload, [payload["word"]])
     return 0
@@ -398,7 +363,9 @@ def _add_shared_flags(p, *, n=False, target="gamma", hom=False):
     if n:
         p.add_argument("-n", type=int, required=True, help="strand count")
     p.add_argument("--target", choices=("g", "gamma", "gammar"), default=target)
-    p.add_argument("--r", type=int, default=1, help="slot count for target gammar")
+    # where the target is inferred from the word (target=None), so is r
+    p.add_argument("--r", type=int, default=None if target is None else 1,
+                   help="slot count for target gammar")
     if hom:
         p.add_argument("--mode", choices=("literal", "traced"), default="literal")
         p.add_argument("--assembly", choices=("flip", "doubled"), default="flip")
@@ -434,7 +401,8 @@ def run(argv=None) -> int:
         cap = _max_n()
         if not 1 <= args.n <= cap:
             raise BraidGammaError(f"n={args.n} outside 1..{cap} (cap from BRAIDGAMMA_MAX_N)")
-    check_target(args.target or "gamma", args.r)  # the one check of --r, its cap included
+    # the one check of a given --r, its cap included
+    check_target(args.target or "gamma", 1 if args.r is None else args.r)
     return args.run(args)
 
 

@@ -62,7 +62,7 @@ from .errors import (
 )
 from .exact import rat_from_str, rat_to_str, sign
 from .generators import GammaGen, GGen, Record, _set
-from .roots import AlgebraicRoot, ConstantZero, EndpointZero, isolate_unit_roots
+from .roots import AlgebraicRoot, ConstantZero, EndpointZero, isolate_unit_roots, time_key
 from .words import target_word
 
 if TYPE_CHECKING:
@@ -461,15 +461,10 @@ def wall_crossings(ch: Choreography, raw, coeffs, nouns, build) -> list:
 
 def _group_by_time(found):
     found.sort(key=functools.cmp_to_key(lambda u, v: u[0].compare(v[0])))
-    groups: list[list[tuple[AlgebraicRoot, tuple]]] = []
-    for item in found:
-        if groups and groups[-1][0][0].compare(item[0]) == 0:
-            groups[-1].append(item)
-        else:
-            groups.append([item])
-    for group in groups:
-        group.sort(key=lambda item: item[1])
-    return groups
+    return [
+        sorted(group, key=lambda item: item[1])
+        for _, group in itertools.groupby(found, key=lambda item: time_key(item[0]))
+    ]
 
 
 def trace(ch: Choreography) -> list[Event]:

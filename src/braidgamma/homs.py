@@ -69,6 +69,8 @@ class HomConfig(Record):
         formula_mode: str = "literal",  # "literal" | "traced"
         assembly: str = "flip",  # "flip" | "doubled"
     ):
+        if type(n) is not int:  # bool too, as check_target does for r
+            raise IndexRangeError(f"n must be an int, got {n!r}")
         if n < 1:
             raise IndexRangeError(f"need n >= 1, got {n}")
         check_target(target, r)

@@ -96,9 +96,10 @@ class AlgebraicRoot:
         return f"AlgebraicRoot({self.poly}, sigma={self.sigma:+d})"
 
 
-def _key(t: AlgebraicRoot):
-    """Equal for equal times: the same rational, or the same content-free
-    polynomial and branch."""
+def time_key(t: AlgebraicRoot):
+    """Equal exactly for equal times: the same rational, or the same
+    content-free polynomial and branch (distinct irreducible quadratics share
+    no root, and a rational never equals an irrational)."""
     return t.exact if t.exact is not None else (t.poly, t.sigma)
 
 
@@ -132,7 +133,7 @@ def dyadic_level(times) -> int:
     m = refine(k), isolate each irrational root of `times` (roots in (0, 1),
     sorted) and keep consecutive distinct times apart: their open cells, a
     rational taken as a point, are disjoint."""
-    distinct = [t for i, t in enumerate(times) if i == 0 or _key(times[i - 1]) != _key(t)]
+    distinct = [t for i, t in enumerate(times) if i == 0 or time_key(times[i - 1]) != time_key(t)]
     # Cells shrink into each other as k grows, so each condition, once met,
     # holds at every larger k: the answer is the largest of their least k,
     # found by raising one k until each condition holds in turn.

@@ -376,9 +376,12 @@ class InvariantClass(Record):
         return InvariantClass(self.n, self.kind, self.r, self.bits ^ other.bits)
 
     def nonzero_letters(self):
-        """The letters (or slot-tagged letters) whose coordinate is 1."""
+        """The letters (or slot-tagged letters) whose coordinate is 1.  A bit
+        past the columns names no letter: IndexRangeError, never a mask."""
         cols = g_columns(self.n) if self.kind == "g" else gamma_columns(self.n)
-        out, rest = [], self.bits & ((1 << self.r * len(cols)) - 1)  # bits past the columns
+        if self.bits >> self.r * len(cols):  # a negative int shifts to -1
+            raise IndexRangeError(f"bits past the {self.r * len(cols)} columns of the class")
+        out, rest = [], self.bits
         while rest:  # one step per set bit, lowest first: slot-major order
             slot, k = divmod((rest & -rest).bit_length() - 1, len(cols))
             out.append((slot, cols[k]) if self.kind == "gammar" else cols[k])

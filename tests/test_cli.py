@@ -286,6 +286,28 @@ def test_group_word_kind_with_and_without_target(capsys):
     assert code == 0 and data["kind"] == "gammar" and data["r"] == 2
 
 
+@pytest.mark.parametrize("word", ["[1]d(1,2,3,4)", "[2]d(1,2,3,4)"])
+def test_gammar_without_r_infers_r_from_the_slots(capsys, word):
+    assert main(["canon", "--target", "gammar", word]) == 0
+    assert capsys.readouterr().out == f"{word}\n"
+    code, data = run_json(
+        capsys, ["invariant", "-n", "5", "--target", "gammar", "--format", "json", word]
+    )
+    assert code == 0 and data["kind"] == "gammar" and data["r"] == int(word[1]) + 1
+    assert data["word"] == word
+
+
+@pytest.mark.parametrize("word", ["[1]d(1,2,3,4)", "[2]d(1,2,3,4)"])
+@pytest.mark.parametrize("target", [["--target", "gammar"], []])
+@pytest.mark.parametrize("command", [["canon"], ["invariant", "-n", "5"]])
+def test_an_explicit_r_still_refuses_a_slot_past_it(capsys, command, target, word):
+    # a given r is never replaced by an inferred one, with or without --target
+    assert main([*command, *target, "--r", "1", word]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: slot {word[1]} out of range for r=1 (at position 0)\n"
+
+
 def test_render_deterministic(tmp_path, choreo_path):
     out1 = tmp_path / "f1.svg"
     out2 = tmp_path / "f2.svg"

@@ -295,6 +295,13 @@ def test_hom_config_validation():
         generator_image(HomConfig(4), 3, 2)
 
 
+@pytest.mark.parametrize("n", [4.5, True, "5"])
+def test_hom_config_refuses_an_n_that_is_not_an_int(n):
+    # True would pass as n = 1, and 4.5 would build a map; "5" fails the same way
+    with pytest.raises(IndexRangeError, match="n must be an int"):
+        HomConfig(n)
+
+
 @pytest.mark.parametrize("assembly", ["flip", "doubled"])
 @pytest.mark.parametrize("target", ["g", "gamma", "gammar"])
 def test_check_parity_needs_no_free_reduce(target, assembly):

@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from braidgamma.geom2d import _group_by_time
 from braidgamma.roots import (
     AlgebraicRoot,
     ConstantZero,
@@ -332,3 +335,60 @@ def test_rational_compare_and_linear_sign_match_fractions():
             beta = rng.randrange(-99, 100)
             v = alpha + beta * x
             assert rx.linear_sign(alpha, beta) == (v > 0) - (v < 0), (x, alpha, beta)
+
+
+def _group_by_compare(found):
+    """_group_by_time as first written: a time joins the group before it when
+    compare calls the two equal."""
+    found.sort(key=functools.cmp_to_key(lambda u, v: u[0].compare(v[0])))
+    groups = []
+    for item in found:
+        if groups and groups[-1][0][0].compare(item[0]) == 0:
+            groups[-1].append(item)
+        else:
+            groups.append([item])
+    for group in groups:
+        group.sort(key=lambda item: item[1])
+    return groups
+
+
+# (6t - 2)(2t - 1) has the rational root 1/3 of 3t - 1 and 1/2 of 2t - 1;
+# 2t^2 - 4t + 1 has one irrational root in (0, 1), also a root of its multiples
+_SHARED_TIMES = [(-1, 3, 0), (2, -10, 12), (1, -2, 0), (1, -4, 2), (-3, 12, -6), (2, -8, 4)]
+_POLY = st.one_of(
+    st.sampled_from(_SHARED_TIMES),
+    st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_POLY, st.integers(-3, 3).filter(bool), st.integers(1, 4)), max_size=8))
+@example([((-1, 3, 0), 1, 2), ((2, -10, 12), 1, 1), ((2, -10, 12), -2, 3)])
+@example([((1, -4, 2), 1, 3), ((-3, 12, -6), 1, 1), ((2, -8, 4), 3, 2), ((1, -2, 0), 1, 1)])
+@example([((1, -5, 5), 1, 1), ((2, -10, 10), -1, 2)])  # both branches, no time between
+def test_group_by_time_matches_grouping_by_compare(draws):
+    # times from scaled polynomials, a rational time from a linear and a
+    # quadratic polynomial, and an irrational time from proportional ones
+    found = []
+    for poly, scale, first in draws:
+        try:
+            roots, _ = isolate_unit_roots(tuple(scale * c for c in poly))
+        except (ConstantZero, EndpointZero):
+            continue
+        # a triple per root: static points first..first+2, repeats included
+        found += [(root, (first, first + 1, first + 2)) for root in roots]
+    assert _group_by_time(list(found)) == _group_by_compare(list(found))
+
+
+def test_equal_times_from_different_polynomials_share_a_group():
+    (third,), _ = isolate_unit_roots((-1, 3, 0))
+    (sixth_third, half), _ = isolate_unit_roots((2, -10, 12))
+    (irr,), _ = isolate_unit_roots((1, -4, 2))
+    (irr3,), _ = isolate_unit_roots((-3, 12, -6))
+    found = [(half, (1, 2, 3)), (irr3, (2, 3, 4)), (sixth_third, (2, 3, 4)), (third, (1, 2, 3)),
+             (irr, (1, 2, 3))]
+    groups = _group_by_time(found)
+    assert [[triple for _, triple in group] for group in groups] == [
+        [(1, 2, 3), (2, 3, 4)], [(1, 2, 3), (2, 3, 4)], [(1, 2, 3)]
+    ]
+    assert [group[0][0] for group in groups] == [irr, third, half]  # 1 - 1/sqrt(2) < 1/3

@@ -324,10 +324,22 @@ def test_multiword_invariant_is_per_slot():
 
 
 def test_nonzero_letters_name_no_letter_for_bits_past_the_columns():
-    assert InvariantClass(5, "gamma", 1, 1 << 15).nonzero_letters() == []
-    assert InvariantClass(3, "gamma", 1, 1).nonzero_letters() == []  # no columns at all
-    assert InvariantClass(4, "g", 1, 0b11).nonzero_letters() == [A(1, 2, 3, 4)]
-    assert InvariantClass(4, "gammar", 2, 1 << 3 | 1 << 6).nonzero_letters() == [
+    # such a class is unequal to the zero class, so it must not print as 0
+    past = [
+        InvariantClass(5, "gamma", 1, 1 << 15),
+        InvariantClass(3, "gamma", 1, 1),  # no columns at all
+        InvariantClass(4, "g", 1, 0b11),  # one column
+        InvariantClass(4, "gammar", 2, 1 << 3 | 1 << 6),  # 2 slots of 3 columns
+        InvariantClass(4, "g", 1, -1),  # a negative int has bits past any column
+    ]
+    for cls in past:
+        with pytest.raises(IndexRangeError, match="bits past the"):
+            cls.nonzero_letters()
+        with pytest.raises(IndexRangeError, match="bits past the"):
+            str(cls)
+    assert past[0] != InvariantClass(5, "gamma", 1, 0)
+    assert InvariantClass(4, "g", 1, 0b1).nonzero_letters() == [A(1, 2, 3, 4)]
+    assert InvariantClass(4, "gammar", 2, 1 << 3).nonzero_letters() == [
         (1, gamma_columns(4)[0])
     ]
 
