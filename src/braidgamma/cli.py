@@ -401,8 +401,9 @@ def run(argv=None) -> int:
         cap = _max_n()
         if not 1 <= args.n <= cap:
             raise BraidGammaError(f"n={args.n} outside 1..{cap} (cap from BRAIDGAMMA_MAX_N)")
-    # the one check of a given --r, its cap included
-    check_target(args.target or "gamma", 1 if args.r is None else args.r)
+    # the one check of a given --r, its cap included (parse_word's, if no --target)
+    if args.target is not None:
+        check_target(args.target, 1 if args.r is None else args.r)
     return args.run(args)
 
 

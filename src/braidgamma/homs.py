@@ -27,14 +27,14 @@ cyclic-quadruple targets default to "flip".  Past that choice only `passage`
 
 Passage words and generator images are memoised for the life of the process,
 keyed by (HomConfig, i, j).  Words and letters are immutable, so every caller
-shares the cached objects.  The cache holds at most C(n,2) generator images,
-2*C(n,2) reduced image letter lists (each image's and its reversal, which
-`map_braid` folds seam by seam), C(n,2) generator classes (their reduced
-invariant bits) and n(n-1) passage words per distinct HomConfig in use.
+shares the cached objects.  Per distinct HomConfig in use the cache holds
+n(n-1) passage words and, per generator, its image, its class (reduced
+invariant bits) and its record for `map_braid` (see `_record`).
 
 `invariant` is a homomorphism to GF(2) vectors, so the class of an image is
 the XOR of its letters' generator classes, one per odd exponent:
-`image_invariant` computes it without building the image.
+`image_invariant` computes it without building the image, and `map_braid`
+stores it on the image it builds.
 """
 
 from __future__ import annotations
@@ -179,34 +179,40 @@ def _traced_events(n: int, i: int, j: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _reduced_image(cfg: HomConfig, i: int, j: int):
-    """The free-reduced letters of b(i,j)'s image and their reversal, the
-    reduced image of b(i,j)^-1: two lists that no caller mutates."""
-    red = list(free_reduce(generator_image(cfg, i, j)).letters)
-    return red, red[::-1]
+def _record(cfg: HomConfig, i: int, j: int) -> tuple:
+    """b(i,j)'s record for `map_braid`: (raw, raw^-1, red, red^-1, class, t),
+    its image's letters and free-reduced letters (a list no caller mutates),
+    each with its reversal, the bits of `_generator_class`, and t = |X| where
+    red = X C X^-1 with C cyclically reduced."""
+    image = generator_image(cfg, i, j)
+    raw, red = image.letters, list(free_reduce(image).letters)
+    t = 0
+    while len(red) - 2 * t > 1 and red[t] is red[-1 - t]:
+        t += 1
+    return raw, raw[::-1], red, red[::-1], _generator_class(cfg, i, j), t
 
 
-def _seam(stack: list, inverse: list) -> int:
-    """How many letters cancel when a reduced word v is appended to the
-    reduced `stack`, given `inverse`, the reversal of v: the length of the
-    common suffix of the two lists.  Blocks of doubling length are compared
-    as slices, then the first unequal block is bisected, so a seam of k
-    letters costs O(log k) Python steps."""
-    end, m = len(stack), len(inverse)
-    top = min(end, m)
-    if not top or stack[-1] is not inverse[-1]:  # most seams cancel nothing
+def _seam(stack: list, v: list) -> int:
+    """How many letters cancel when the reduced word v is appended to the
+    reduced `stack`: the length of the longest suffix of the stack whose
+    reversal begins v.  Blocks of doubling length are compared as slices,
+    v's read backwards, then the first unequal block is bisected, so a seam
+    of k letters costs O(log k) Python steps."""
+    end = len(stack)
+    top = min(end, len(v))
+    if not top or stack[-1] is not v[0]:  # most seams cancel nothing
         return 0
-    lo, step = 1, 2  # the last lo letters of both lists agree
+    lo, step = 1, 2  # the last lo letters of the stack reverse the first lo of v
     while lo < top:
         hi = lo + step if lo + step < top else top
-        if stack[end - hi:end - lo] != inverse[m - hi:m - lo]:
+        if stack[end - hi:end - lo] != v[hi - 1:lo - 1:-1]:
             break
         lo, step = hi, 2 * step
     else:
         return lo
     while hi - lo > 1:  # the first disagreement lies in [lo, hi)
         mid = (lo + hi) // 2
-        if stack[end - mid:end - lo] == inverse[m - mid:m - lo]:
+        if stack[end - mid:end - lo] == v[mid - 1:lo - 1:-1]:
             lo = mid
         else:
             hi = mid
@@ -216,41 +222,52 @@ def _seam(stack: list, inverse: list) -> int:
 def map_braid(cfg: HomConfig, w: BraidWord, *, reduced: bool = True):
     """Image of a braid word: letterwise substitution, inverses by reversal.
 
-    The reduced image is folded from the cached reduced generator images:
-    each is appended |exponent| times onto a reduced list, and only the seam
-    between the two cancels (free reduction is confluent, so this is the
-    free reduction of the raw image).  With reduced=False the raw image is
-    returned, carrying the reduced word in its memo `_reduced`, which
-    `free_reduce` returns.  An image longer than MAX_IMAGE_LETTERS raises
-    IndexRangeError before anything is built.
+    The reduced image is folded from the cached reduced generator images
+    onto a list that is always reduced, cancelling only at each seam (free
+    reduction is confluent).  A power b^e is one block: if b's reduced image
+    is X C X^-1 with C cyclically reduced, b^e reduces to X C^e X^-1, or for
+    |C| = 1 to b's image (e odd) or nothing (e even).  The reduced word
+    carries its class, the XOR of the odd powers' generator classes, in the
+    memo `_class`.  With reduced=False the raw image is returned, carrying
+    the reduced word in the memo `_reduced`.  An image longer than
+    MAX_IMAGE_LETTERS raises IndexRangeError before anything is built.
     """
     if w.n > cfg.n:
         raise IndexRangeError(f"braid word has n={w.n} but config has n={cfg.n}")
-    images, size = [], 0
+    records, size = [], 0
     for g in w.letters:
-        img = generator_image(cfg, g.i, g.j).letters
-        size += len(img) * abs(g.exponent)
+        rec = _record(cfg, g.i, g.j)
+        size += len(rec[0]) * abs(g.exponent)
         if size > MAX_IMAGE_LETTERS:
             raise IndexRangeError(f"image longer than the cap of {MAX_IMAGE_LETTERS} letters")
-        images.append(img)
+        records.append(rec)
     # the letters come from generator images, checked when those were built
     out = target_word(cfg.target, cfg.r, ())
     if not reduced:
         letters = []
-        for g, img in zip(w.letters, images):
-            letters.extend((img if g.exponent > 0 else img[::-1]) * abs(g.exponent))
+        for g, rec in zip(w.letters, records):
+            letters.extend((rec[0] if g.exponent > 0 else rec[1]) * abs(g.exponent))
         out = _rebuild(out, letters)
         del letters
-    stack = []
-    for g in w.letters:
-        image, inverse = _reduced_image(cfg, g.i, g.j)
-        if g.exponent < 0:
-            image, inverse = inverse, image
-        for _ in range(abs(g.exponent)):
-            k = _seam(stack, inverse)
-            del stack[len(stack) - k:]
-            stack.extend(image[k:] if k else image)
+    stack, bits = [], 0
+    for g, (_, _, forward, backward, cls, t) in zip(w.letters, records):
+        image, e = (forward, g.exponent) if g.exponent > 0 else (backward, -g.exponent)
+        if e & 1:
+            bits ^= cls
+        if e > 1:
+            m = len(image) - t  # C is image[t:m]
+            if m - t > 1:
+                block = image[t:m] * e
+                block[:0] = image[:t]
+                block += image[m:]
+                image = block
+            elif not e & 1:  # an involution: even powers vanish
+                continue
+        k = _seam(stack, image)
+        del stack[len(stack) - k:]
+        stack.extend(image[k:] if k else image)
     red = _rebuild(out, stack)
+    _set(red, "_class", InvariantClass(cfg.n, cfg.target, cfg.r, bits))
     if reduced:
         return red
     _set(out, "_reduced", red)  # never red itself: see the words docstring

@@ -9,10 +9,12 @@ Every letter is interned: `GGen` and `GammaGen` by their constructors, and
 each `(slot, GammaGen)` pair by `MultiWord`, which swaps it for the one
 tuple per distinct pair.  So the word layer compares letters by identity:
 `free_reduce` tests `is`, and `invariant` counts letters in a `Counter`.
-An unreduced image from `homs.map_braid` carries its reduced word in the
-memo slot `_reduced`, which `free_reduce` returns; the memo is no field, so
-equality, hash, repr and pickle ignore it, and a reduced word never points
-at itself (a reference cycle would leave every image to the cyclic GC).
+A word from `homs.map_braid` carries two memo slots: an unreduced image
+its reduced word in `_reduced`, which `free_reduce` returns, and the reduced
+word its `InvariantClass` in `_class`, which `invariant` returns for the
+same n.  A memo is no field, so equality, hash, repr, copy and pickle ignore
+it, and a reduced word never points at itself (a reference cycle would
+leave every image to the cyclic GC).
 Equality of group elements is not decidable here in general; the package
 commits to two certificates:
 
@@ -46,9 +48,9 @@ from .generators import GammaGen, GGen, Record, _set
 
 class _Word(Record):
     """The methods the three word types share; each holds `letters`, and
-    may hold the memo `_reduced` (see the module docstring)."""
+    may hold the memos `_reduced` and `_class` (see the module docstring)."""
 
-    __slots__ = ("_reduced",)
+    __slots__ = ("_reduced", "_class")
 
     def __mul__(self, other):
         _check_same_target(self, other, "concatenate")
@@ -395,7 +397,11 @@ class InvariantClass(Record):
 def invariant(w: Word, n: int) -> InvariantClass:
     """Occurrence-parity vector of w, reduced modulo the relation row space.
     Slots are copies: only the blocks of the slots w uses are built and
-    reduced, so no table or loop depends on r."""
+    reduced, so no table or loop depends on r.  A memo `_class` (see the
+    module docstring) answers for its own n only."""
+    memo = getattr(getattr(w, "_reduced", w), "_class", None)
+    if memo is not None and memo.n == n:
+        return memo
     t = TARGETS[w.kind]
     index = _column_index(t.gen, n)
     counts = collections.Counter(w.letters)

@@ -297,6 +297,20 @@ def test_gammar_without_r_infers_r_from_the_slots(capsys, word):
     assert data["word"] == word
 
 
+@pytest.mark.parametrize("command", [["canon"], ["invariant", "-n", "5", "--format", "json"]])
+def test_an_explicit_r_without_target_is_checked_against_the_words_kind(capsys, command):
+    # the word's kind, not a default target, decides whether r > 1 is allowed
+    assert main([*command, "--r", "2", "[1]d(1,2,3,4)"]) == 0
+    out = capsys.readouterr().out
+    if command == ["canon"]:
+        assert out == "[1]d(1,2,3,4)\n"
+    else:
+        data = json.loads(out)
+        assert data["kind"] == "gammar" and data["r"] == 2 and data["word"] == "[1]d(1,2,3,4)"
+    assert main([*command, "--r", "2", "d(1,2,3,4)"]) == 3
+    assert capsys.readouterr().err == "error: r > 1 requires target 'gammar'\n"
+
+
 @pytest.mark.parametrize("word", ["[1]d(1,2,3,4)", "[2]d(1,2,3,4)"])
 @pytest.mark.parametrize("target", [["--target", "gammar"], []])
 @pytest.mark.parametrize("command", [["canon"], ["invariant", "-n", "5"]])

@@ -345,12 +345,35 @@ def braid_words(n_max):
     return words()
 
 
+def memo_free(w):
+    """A copy of w without memos, whose invariant is recounted letter by letter."""
+    return MultiWord(w.r, w.letters) if type(w) is MultiWord else type(w)(w.letters)
+
+
 @pytest.mark.parametrize("cfg", _CONFIGS, ids=str)
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_image_invariant_is_the_invariant_of_the_image(cfg, data):
     w = data.draw(braid_words(cfg.n))
-    assert image_invariant(cfg, w) == invariant(map_braid(cfg, w, reduced=False), cfg.n)
+    raw = map_braid(cfg, w, reduced=False)
+    expected = invariant(memo_free(raw), cfg.n)
+    assert image_invariant(cfg, w) == expected
+    # the class that map_braid carries out, through the raw word and the reduced one
+    assert invariant(raw, cfg.n) == expected == invariant(map_braid(cfg, w), cfg.n)
+
+
+def test_the_class_memo_answers_for_its_n_only():
+    cfg = HomConfig(6, target="gammar", r=2)
+    raw = map_braid(cfg, parse_braid("b(1,4)^3 b(2,5)^-1 b(3,6)^2", 6), reduced=False)
+    red = free_reduce(raw)
+    assert invariant(raw, 6) is red._class and invariant(red, 6) is red._class
+    for n in (7, 8):  # more columns: recounted, not the 6-strand memo
+        for w in (raw, red):
+            got = invariant(w, n)
+            assert got.n == n and got == invariant(memo_free(red), n) != red._class
+    # fewer strands than the letters use: the letter check, not the memo
+    with pytest.raises(IndexRangeError, match="> n=5"):
+        invariant(red, 5)
 
 
 def test_image_invariant_rejects_a_longer_braid_word():
@@ -366,11 +389,14 @@ def test_image_invariant_rejects_a_longer_braid_word():
 
 _FOLD_CONFIGS = [
     HomConfig(n, target, r, mode, assembly)
-    for mode, sizes in (("literal", range(4, 8)), ("traced", range(3, 6)))
+    for mode, sizes in (("literal", range(4, 8)), ("traced", range(3, 7)))
     for n in sizes
     for target, r in (("g", 1), ("gamma", 1), ("gammar", 1), ("gammar", 2), ("gammar", 3))
     for assembly in ("flip", "doubled")
 ]
+# literal flip at n = 4 maps every b(i,j) but b(1,2) to an involution (its
+# reduced image is X C X^-1 with |C| = 1), whose even powers fold to nothing
+_INVOLUTION_CONFIGS = [HomConfig(4, target, r) for target, r in (("gamma", 1), ("gammar", 2))]
 
 
 def _stack_reduce(letters) -> list:
@@ -397,8 +423,9 @@ def _never(*args):
 @st.composite
 def fold_cases(draw):
     """A config and a braid word u v v^-1 s over a few strand pairs, so that
-    seams cancel within images, across whole images and across powers."""
-    cfg = draw(st.sampled_from(_FOLD_CONFIGS))
+    seams cancel within images, across whole images and across powers; half
+    of the configs map generators to involutions."""
+    cfg = draw(st.sampled_from(_FOLD_CONFIGS) | st.sampled_from(_INVOLUTION_CONFIGS))
     pairs = list(itertools.combinations(range(1, cfg.n + 1), 2))
     pool = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))
     exponent = st.sampled_from([e for k in range(1, 7) for e in (k, -k)])
@@ -414,10 +441,12 @@ def test_the_seam_fold_is_the_free_reduction_of_the_raw_image(case):
     cfg, w = case
     raw = map_braid(cfg, w, reduced=False)
     expected = _stack_reduce(raw.letters)
+    expected_class = invariant(memo_free(raw), cfg.n)
     for got in (map_braid(cfg, w), free_reduce(raw)):
         assert type(got) is type(raw) and got.r == raw.r
         assert len(got.letters) == len(expected)
         assert all(a is b for a, b in zip(got.letters, expected))
+        assert invariant(got, cfg.n) == expected_class
     assert all(_interned(x) for x in set(raw.letters))
     if raw.letters:
         with mock.patch.object(homs, "MAX_IMAGE_LETTERS", len(raw.letters) - 1), \
@@ -428,19 +457,41 @@ def test_the_seam_fold_is_the_free_reduction_of_the_raw_image(case):
                     map_braid(cfg, w, reduced=reduced)
 
 
+def _twins(w):
+    return copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))
+
+
 def test_the_memo_is_not_a_field():
     cfg = HomConfig(6, target="gammar", r=2)
     raw = map_braid(cfg, parse_braid("b(1,4)^2 b(2,5)^-1 b(1,4)^-1", 6), reduced=False)
     red = free_reduce(raw)
     assert raw._reduced is red and len(red) < len(raw)
+    assert red._class == invariant(memo_free(red), 6) and not red._class.is_zero()
     fresh = MultiWord(2, raw.letters)
     assert raw == fresh and hash(raw) == hash(fresh) and repr(raw) == repr(fresh)
     assert raw != red
-    for twin in (copy.copy(raw), copy.deepcopy(raw), pickle.loads(pickle.dumps(raw))):
+    for twin in _twins(raw):
         assert twin == raw and free_reduce(twin) == red
+    fresh_red = MultiWord(2, red.letters)
+    assert red == fresh_red and hash(red) == hash(fresh_red) and repr(red) == repr(fresh_red)
+    for twin in _twins(red):
+        assert twin == red and not hasattr(twin, "_class")
     # a word built by hand carries no memo and is reduced letter by letter
     assert free_reduce(fresh) == red and free_reduce(fresh) is not red
-    assert not hasattr(red, "_reduced")
+    assert not hasattr(red, "_reduced") and not hasattr(raw, "_class")
+
+
+@pytest.mark.parametrize("target, r", [("gamma", 1), ("gammar", 2)])
+def test_an_involutive_generator_folds_its_powers(target, r):
+    cfg = HomConfig(4, target=target, r=r)  # literal flip
+    image = map_braid(cfg, parse_braid("b(1,3)", 4))
+    assert len(image) == 1  # an involution
+    for e in (2, -2, 4):
+        even = map_braid(cfg, parse_braid(f"b(1,3)^{e}", 4))
+        assert even.letters == () and invariant(even, 4).is_zero()
+    for e in (3, -3, 5):
+        odd = map_braid(cfg, parse_braid(f"b(1,3)^{e}", 4))
+        assert odd == image and invariant(odd, 4) == invariant(memo_free(image), 4)
 
 
 def test_mapping_leaves_no_reference_cycle():
@@ -457,3 +508,24 @@ def test_mapping_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_conjugate_of_one_letter_folds_like_an_involution():
+    # no generator image of the package has the form X c X^-1 with |X| > 0,
+    # so one is put in place of b(1,2)'s: a b c b a, with a b a b c b a b a
+    # in another generator to cancel across the block
+    a, b, c = GammaGen((1, 2, 3, 4)), GammaGen((1, 2, 3, 5)), GammaGen((1, 2, 4, 5))
+    images = {(1, 2): GammaWord((a, b, c, b, a)), (1, 3): GammaWord((a, b, a, b, c, b, a, b, a))}
+    cfg = HomConfig(5, assembly="doubled")
+    homs._record.cache_clear()
+    homs._generator_class.cache_clear()
+    try:
+        with mock.patch.object(homs, "generator_image", lambda cfg, i, j: images[i, j]):
+            for text in ("b(1,2)^2", "b(1,2)^-3", "b(1,2)^3 b(1,3)^2", "b(1,3) b(1,2)^4 b(1,3)"):
+                w = parse_braid(text, 5)
+                raw = map_braid(cfg, w, reduced=False)
+                assert list(map_braid(cfg, w).letters) == _stack_reduce(raw.letters)
+                assert invariant(map_braid(cfg, w), 5) == invariant(memo_free(raw), 5)
+    finally:  # the made-up images must not outlive the test
+        homs._record.cache_clear()
+        homs._generator_class.cache_clear()
