@@ -511,9 +511,9 @@ def test_mapping_leaves_no_reference_cycle():
 
 
 def test_a_conjugate_of_one_letter_folds_like_an_involution():
-    # no generator image of the package has the form X c X^-1 with |X| > 0,
-    # so one is put in place of b(1,2)'s: a b c b a, with a b a b c b a b a
-    # in another generator to cancel across the block
+    # no generator image at literal n <= 10 or traced n <= 7 reduces to
+    # X c X^-1 with |X| > 0, so made-up ones stand in for b(1,2)'s and
+    # b(1,3)'s, the latter to cancel across a vanished block
     a, b, c = GammaGen((1, 2, 3, 4)), GammaGen((1, 2, 3, 5)), GammaGen((1, 2, 4, 5))
     images = {(1, 2): GammaWord((a, b, c, b, a)), (1, 3): GammaWord((a, b, a, b, c, b, a, b, a))}
     cfg = HomConfig(5, assembly="doubled")
