@@ -25,16 +25,19 @@ The 4-subset target always uses "doubled" (its only printed form); the
 cyclic-quadruple targets default to "flip".  Past that choice only `passage`
 (which letter) looks at the target; `words.target_word` builds every word.
 
-Passage words and generator images are memoised for the life of the process,
-keyed by (HomConfig, i, j).  Words and letters are immutable, so every caller
-shares the cached objects.  Per distinct HomConfig in use the cache holds
-n(n-1) passage words and, per generator, its image, its class (reduced
-invariant bits) and its record for `map_braid` (see `_record`).
+Passage words, their classes (reduced invariant bits) and, per generator,
+its image, its class and its record for `map_braid` are memoised for the
+life of the process, keyed by (HomConfig, i, j).  Words and letters are
+immutable, so every caller shares the cached objects.
 
-`invariant` is a homomorphism to GF(2) vectors, so the class of an image is
-the XOR of its letters' generator classes, one per odd exponent:
-`image_invariant` computes it without building the image, and `map_braid`
-stores it on the image it builds.
+`invariant` is a homomorphism to GF(2) vectors, and a word and its inverse
+have the same parities.  So a literal generator's class is the XOR of the
+classes of the passages that occur an odd number of times in its image,
+which is never built for it: under "doubled" and for "g" each occurs twice
+and the class is 0.  A traced generator's class, and a record's (`_record`),
+count their own image.  A braid word's class is the XOR of its letters'
+generator classes, one per odd exponent: `image_invariant` computes it
+without building the image, and `map_braid` stores it on the image it builds.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .words import (
     check_target,
     free_reduce,
     invariant,
-    invert,
     target_word,
 )
 
@@ -59,7 +61,8 @@ MAX_IMAGE_LETTERS = 1 << 22
 
 
 class HomConfig(Record):
-    __slots__ = _fields = ("n", "target", "r", "formula_mode", "assembly")
+    _fields = ("n", "target", "r", "formula_mode", "assembly")
+    __slots__ = (*_fields, "_hash")  # every cache lookup hashes the config
 
     def __init__(
         self,
@@ -83,6 +86,10 @@ class HomConfig(Record):
         _set(self, "r", r)
         _set(self, "formula_mode", formula_mode)
         _set(self, "assembly", assembly)
+        _set(self, "_hash", hash(self._values(self)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def inside_count(a: int, b: int, c: int) -> int:
@@ -156,21 +163,27 @@ def passage(cfg: HomConfig, mover: int, anchor: int):
     return target_word(cfg.target, cfg.r, letters)
 
 
+def _parts(cfg: HomConfig, i: int, j: int) -> list:
+    """b(i,j)'s literal image as its passages (mover, anchor, inverted), in
+    product order: P(i,k) doubled, P(k,i) in the flip (see module docstring)."""
+    if not 1 <= i < j <= cfg.n:
+        raise IndexRangeError(f"need 1 <= i < j <= n, got ({i},{j}) with n={cfg.n}")
+    at = (lambda k: (k, i)) if cfg.target != "g" and cfg.assembly == "flip" else (lambda k: (i, k))
+    return ([(i, k, False) for k in range(i + 1, j + 1)] + [(*at(j), False)]
+            + [(*at(k), True) for k in range(j - 1, i, -1)])
+
+
 @functools.lru_cache(maxsize=None)
 def generator_image(cfg: HomConfig, i: int, j: int):
     """Image of the braid letter b(i,j), unreduced (cached; see module docstring)."""
-    if not 1 <= i < j <= cfg.n:
-        raise IndexRangeError(f"need 1 <= i < j <= n, got ({i},{j}) with n={cfg.n}")
+    parts = _parts(cfg, i, j)
     if cfg.formula_mode == "traced":
         return geom2d.events_to_word(_traced_events(cfg.n, i, j), cfg.target, cfg.r)
-    # the passage at k: P(i,k) doubled, P(k,i) in the flip
-    if cfg.target == "g" or cfg.assembly == "doubled":
-        at = lambda k: passage(cfg, i, k)
-    else:
-        at = lambda k: passage(cfg, k, i)
-    parts = [passage(cfg, i, k) for k in range(i + 1, j + 1)] + [at(j)]
-    parts += [invert(at(k)) for k in range(j - 1, i, -1)]
-    return target_word(cfg.target, cfg.r, (letter for part in parts for letter in part.letters))
+    letters = []
+    for mover, anchor, inverted in parts:
+        word = passage(cfg, mover, anchor).letters
+        letters += word[::-1] if inverted else word  # an inverse is a reversal
+    return target_word(cfg.target, cfg.r, letters)
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,14 +195,14 @@ def _traced_events(n: int, i: int, j: int):
 def _record(cfg: HomConfig, i: int, j: int) -> tuple:
     """b(i,j)'s record for `map_braid`: (raw, raw^-1, red, red^-1, class, t),
     its image's letters and free-reduced letters (a list no caller mutates),
-    each with its reversal, the bits of `_generator_class`, and t = |X| where
+    each with its reversal, the image's class bits, and t = |X| where
     red = X C X^-1 with C cyclically reduced."""
     image = generator_image(cfg, i, j)
     raw, red = image.letters, list(free_reduce(image).letters)
     t = 0
     while len(red) - 2 * t > 1 and red[t] is red[-1 - t]:
         t += 1
-    return raw, raw[::-1], red, red[::-1], _generator_class(cfg, i, j), t
+    return raw, raw[::-1], red, red[::-1], invariant(image, cfg.n).bits, t
 
 
 def _seam(stack: list, v: list) -> int:
@@ -275,8 +288,20 @@ def map_braid(cfg: HomConfig, w: BraidWord, *, reduced: bool = True):
 
 
 @functools.lru_cache(maxsize=None)
+def _passage_class(cfg: HomConfig, mover: int, anchor: int) -> int:
+    return invariant(passage(cfg, mover, anchor), cfg.n).bits
+
+
+@functools.lru_cache(maxsize=None)
 def _generator_class(cfg: HomConfig, i: int, j: int) -> int:
-    return invariant(generator_image(cfg, i, j), cfg.n).bits
+    if cfg.formula_mode == "traced":
+        return invariant(generator_image(cfg, i, j), cfg.n).bits
+    bits, odd = 0, set()  # the passages that occur an odd number of times
+    for mover, anchor, _ in _parts(cfg, i, j):
+        odd ^= {(mover, anchor)}
+    for pair in odd:
+        bits ^= _passage_class(cfg, *pair)
+    return bits
 
 
 def image_invariant(cfg: HomConfig, w: BraidWord) -> InvariantClass:

@@ -271,11 +271,11 @@ def commute_normalize(w: Word, n: int | None = None) -> Word:
 @functools.lru_cache(maxsize=None)
 def gamma_columns(n: int) -> tuple[GammaGen, ...]:
     """All canonical cyclic quadruples on indices <= n, lexicographic order."""
-    return tuple(sorted(
-        GammaGen(cycle)
+    return tuple(map(GammaGen, sorted(  # canonical cycles: tuples compare in C
+        cycle
         for i, j, k, l in itertools.combinations(range(1, n + 1), 4)
         for cycle in ((i, j, k, l), (i, j, l, k), (i, k, j, l))
-    ))
+    )))
 
 
 @functools.lru_cache(maxsize=None)

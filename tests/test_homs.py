@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidgamma import homs
+from braidgamma import cli, homs
 from braidgamma.braids import BraidWord, braid, parse_braid, relation_instances
 from braidgamma.errors import IndexRangeError
 from braidgamma.generators import BraidGen, GammaGen, GGen
@@ -295,6 +295,16 @@ def test_hom_config_validation():
         generator_image(HomConfig(4), 3, 2)
 
 
+def test_equal_configs_hash_equal_also_through_a_pickle():
+    # the hash is stored at construction; equality, repr and pickle stay by fields
+    for args in ((5,), (6, "gammar", 3, "traced", "doubled")):
+        a, b = HomConfig(*args), HomConfig(*args)
+        c = pickle.loads(pickle.dumps(a))
+        assert a == b == c and hash(a) == hash(b) == hash(c) == hash(homs.HomConfig._values(a))
+        assert repr(c) == repr(a) and copy.copy(a) == a and {a: 1}[c] == 1
+    assert HomConfig(5) != HomConfig(5, assembly="doubled")
+
+
 @pytest.mark.parametrize("n", [4.5, True, "5"])
 def test_hom_config_refuses_an_n_that_is_not_an_int(n):
     # True would pass as n = 1, and 4.5 would build a map; "5" fails the same way
@@ -374,6 +384,50 @@ def test_the_class_memo_answers_for_its_n_only():
     # fewer strands than the letters use: the letter check, not the memo
     with pytest.raises(IndexRangeError, match="> n=5"):
         invariant(red, 5)
+
+
+_CLASS_CONFIGS = [
+    HomConfig(n, target, r, mode, assembly)
+    for n in (4, 5, 6, 7)
+    for target, r in _TARGETS
+    for assembly in ("flip", "doubled")
+    for mode in ("literal", "traced")
+    if mode == "literal" or n <= 6
+]
+
+
+@pytest.mark.parametrize("cfg", _CLASS_CONFIGS, ids=str)
+def test_a_generator_class_is_the_recount_of_its_image(cfg):
+    # literal classes are composed from passage classes, traced ones counted
+    for i, j in itertools.combinations(range(1, cfg.n + 1), 2):
+        recount = invariant(memo_free(generator_image(cfg, i, j)), cfg.n).bits
+        assert homs._generator_class(cfg, i, j) == recount
+        if cfg.formula_mode == "literal" and (cfg.target == "g" or cfg.assembly == "doubled"):
+            assert recount == 0  # every passage occurs twice
+    with pytest.raises(IndexRangeError, match="1 <= i < j <= n"):
+        homs._generator_class(cfg, 2, 1)
+
+
+_HOM_CACHES = (homs.passage, homs.generator_image, homs._passage_class,
+               homs._generator_class, homs._record)
+
+
+@pytest.mark.parametrize("assembly", ["flip", "doubled"])
+@pytest.mark.parametrize("target, r", _TARGETS)
+def test_a_literal_check_builds_no_generator_image(target, r, assembly, capsys):
+    for cache in _HOM_CACHES:
+        cache.cache_clear()
+    argv = ["check", "-n", "6", "--target", target, "--r", str(r), "--assembly", assembly]
+    assert cli.run(argv) == 0
+    assert "passed 85 / 85" in capsys.readouterr().out
+    assert homs.generator_image.cache_info().currsize == 0
+    assert homs._record.cache_info().currsize == 0
+    if target == "g" or assembly == "doubled":  # every class is 0: nothing counted
+        assert homs.passage.cache_info().currsize == 0
+        assert homs._passage_class.cache_info().currsize == 0
+    else:  # the flip: each of the n(n-1) passages counted once
+        info = homs._passage_class.cache_info()
+        assert info.misses == info.currsize == 30
 
 
 def test_image_invariant_rejects_a_longer_braid_word():

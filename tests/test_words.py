@@ -17,6 +17,7 @@ from braidgamma.words import (
     check_target,
     commute_normalize,
     free_reduce,
+    g_columns,
     gamma_columns,
     invariant,
     invariant_equal,
@@ -85,6 +86,13 @@ def test_invert():
 # ---------------------------------------------------------------------------
 # pentagon rows and the invariant
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_gamma_columns_are_in_letter_order(n):
+    # the columns sort as cycle tuples; the letters' own __lt__ agrees
+    cols = gamma_columns(n)
+    assert cols == tuple(sorted(cols)) and len(set(cols)) == len(cols) == 3 * len(g_columns(n))
 
 
 def test_pentagon_rows_small():
