@@ -300,7 +300,7 @@ def test_equal_configs_hash_equal_also_through_a_pickle():
     for args in ((5,), (6, "gammar", 3, "traced", "doubled")):
         a, b = HomConfig(*args), HomConfig(*args)
         c = pickle.loads(pickle.dumps(a))
-        assert a == b == c and hash(a) == hash(b) == hash(c) == hash(homs.HomConfig._values(a))
+        assert a == b == c and hash(a) == hash(b) == hash(c) == hash(HomConfig._values(a))
         assert repr(c) == repr(a) and copy.copy(a) == a and {a: 1}[c] == 1
     assert HomConfig(5) != HomConfig(5, assembly="doubled")
 
