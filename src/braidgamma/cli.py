@@ -116,7 +116,10 @@ def _read_word_arg(args) -> str:
         return args.word
     if args.infile is not None:
         with open(args.infile, "r", encoding="utf-8") as fh:
-            return fh.read()
+            try:
+                return fh.read()
+            except UnicodeDecodeError as exc:
+                raise BraidGammaError(f"{args.infile} is not UTF-8 text: {exc}") from None
     raise BraidGammaError("provide a word argument or --in FILE")
 
 

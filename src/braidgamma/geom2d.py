@@ -23,19 +23,22 @@ triangle of the other three).  The planar builder passes orientation signs
 that are linear in t, as only the mover moves; the spatial tracer passes
 orientations of the projected points, and there None means not convex.
 
-The segment loop, `wall_crossings`, serves the spatial tracer too: each
-dimension passes its wall determinant, its coefficient function and its
-event builder.  Plans hold rationals, but each segment is traced on one
+The segment loop, `wall_crossings`, serves the spatial tracer too, with one
+wall determinant: lifting (x, y) to (x, y, x^2 + y^2) on the paraboloid
+(`_lift`; Edelsbrunner and Seidel 1986) makes orient3d of four lifted points
+their incircle determinant, so each dimension passes a lift into 3-space and
+an event builder.  Plans hold rationals, but each segment is traced on one
 integer grid: its configuration and the mover's target scaled by twice the
 lcm of all their coordinate denominators (`_on_grid`; the factor 2 puts the
-midpoint sample of `_incircle_coeffs` on the grid).  Every determinant is
+midpoint sample of `_wall_coeffs` on the grid).  Every determinant is
 homogeneous, so the positive scale keeps its sign; `AlgebraicRoot` divides
 the content out of each polynomial, so roots and their printed dyadic cells
 are those of the rational plan; and the sign of alpha + beta * t at a root
 does not change when alpha and beta are scaled alike.  `validate` builds
 these grids and decides coincidence, waypoint collinearity and collisions
-on them; `wall_crossings` reuses them.  Fractions remain in the JSON codec
-and the order along a collinear wall.
+on them; `wall_crossings` reuses them, and the public predicates decide on
+a grid of their own.  Fractions remain in the JSON codec and the order
+along a collinear wall.
 
 On a collinear wall (three static points on one line) the incircle
 determinant is linear in the mover, so the event time is rational, the
@@ -108,20 +111,32 @@ def cyclic_order(ids, side):
     return None
 
 
-def _incircle_raw(a, b, c, p):
-    """The incircle determinant of four Pt2 or integer grid points."""
-    (ax, ay), (bx, by), (cx, cy), (px, py) = a, b, c, p
-    adx, ady = ax - px, ay - py
-    bdx, bdy = bx - px, by - py
-    cdx, cdy = cx - px, cy - py
-    ad2 = adx * adx + ady * ady
-    bd2 = bdx * bdx + bdy * bdy
-    cd2 = cdx * cdx + cdy * cdy
+def _sub(a, b):
+    (ax, ay, az), (bx, by, bz) = a, b
+    return (ax - bx, ay - by, az - bz)
+
+
+def _orient3d_raw(a, b, c, d):
+    """The orient3d determinant, the wall of both tracers, of four 3-tuples."""
+    u, v, w = _sub(a, d), _sub(b, d), _sub(c, d)
     return (
-        adx * (bdy * cd2 - bd2 * cdy)
-        - ady * (bdx * cd2 - bd2 * cdx)
-        + ad2 * (bdx * cdy - bdy * cdx)
+        u[0] * (v[1] * w[2] - v[2] * w[1])
+        - u[1] * (v[0] * w[2] - v[2] * w[0])
+        + u[2] * (v[0] * w[1] - v[1] * w[0])
     )
+
+
+def _lift(p):
+    """A planar point lifted onto the paraboloid z = x^2 + y^2."""
+    x, y = p
+    return (x, y, x * x + y * y)
+
+
+def _on_grid(points) -> list[tuple[int, ...]]:
+    """Rational points scaled by 2 * lcm of all their coordinate denominators,
+    as int tuples.  The coordinates are even, so midpoints stay on the grid."""
+    den = 2 * math.lcm(*(v.denominator for p in points for v in p))
+    return [tuple(v.numerator * (den // v.denominator) for v in p) for p in points]
 
 
 def incircle_sign(a: Pt2, b: Pt2, c: Pt2, p: Pt2) -> int:
@@ -132,9 +147,9 @@ def incircle_sign(a: Pt2, b: Pt2, c: Pt2, p: Pt2) -> int:
     sign then reports the side of their common line on which p lies, positive
     to the left of the walk a -> b -> c.
     """
-    s = sign(_incircle_raw(a, b, c, p))
-    o = orient2d(a, b, c)
-    return s if o >= 0 else -s
+    grid = _on_grid((a, b, c, p))
+    s = sign(_orient3d_raw(*map(_lift, grid)))
+    return s if orient2d(*grid[:3]) >= 0 else -s
 
 
 def circumcenter(a: Pt2, b: Pt2, c: Pt2) -> Pt2:
@@ -370,40 +385,30 @@ class Event(Record):
         _set(self, "collinear_wall", collinear_wall)
 
 
-def _on_grid(points) -> list[tuple[int, ...]]:
-    """Rational points scaled by 2 * lcm of all their coordinate denominators,
-    as int tuples.  The coordinates are even, so midpoints stay on the grid."""
-    den = 2 * math.lcm(*(v.denominator for p in points for v in p))
-    return [tuple(v.numerator * (den // v.denominator) for v in p) for p in points]
-
-
-def _incircle_coeffs(a, b, c, m0, m1):
-    """Integer coefficients of det(t) = incircle(a, b, c, M(t)), degree <= 2.
-
-    Only the mover's row of the lifted determinant depends on t, so the true
-    degree is at most two and interpolation at t = 0, 1/2, 1 is exact; the
-    midpoint of two grid points is a grid point.
-    """
-    p0 = _incircle_raw(a, b, c, m0)
-    ph = _incircle_raw(a, b, c, ((m0[0] + m1[0]) // 2, (m0[1] + m1[1]) // 2))
-    p1 = _incircle_raw(a, b, c, m1)
-    c2 = 2 * (p1 + p0 - 2 * ph)
+def _wall_coeffs(a, b, c, m0, mh, m1):
+    """Integer coefficients (c0, c1, c2) of orient3d(a, b, c, M(t)) in t, from
+    the mover M at t = 0, 1/2 and 1.  orient3d is affine in M, and M runs
+    along a line in space (c2 = 0) or, lifted from the plane, a parabola:
+    the degree is at most two, so the interpolation is exact."""
+    p0 = _orient3d_raw(a, b, c, m0)
+    p1 = _orient3d_raw(a, b, c, m1)
+    c2 = 2 * (p1 + p0 - 2 * _orient3d_raw(a, b, c, mh))
     return (p0, p1 - p0 - c2, c2)
 
 
-def wall_crossings(ch: Choreography, raw, coeffs, nouns, build) -> list:
+def wall_crossings(ch: Choreography, lift, nouns, build) -> list:
     """The one wall-crossing loop of both tracers, segment by segment.
 
     Each segment runs on the integer grid `validate` built for it (`_on_grid`
     of its configuration and the mover's target), so every determinant is
-    taken on ints.
-    raw(a, b, c, d) is the wall determinant of four points and coeffs(a, b,
-    c, m0, m1) the integer coefficients of raw(a, b, c, M(t)) in t (degree at
-    most two).  nouns = (how four static points sit on a wall, the wall) word
-    the errors.  build(seg, grid, mover, g0, g1, groups) makes the events of a
-    segment from its crossings, grouped by equal time and ordered by time,
-    each group a list of (root, static triple) ordered by triple; g0 and g1
-    are the mover's start and target on the grid.
+    taken on ints.  lift maps a grid point into 3-space, where the wall is
+    orient3d = 0: `_lift` onto the paraboloid in the plane, `tuple` in space.
+    The grid is lifted once per segment, and so is the mover at t = 0, 1/2
+    and 1 for `_wall_coeffs`.  nouns = (how four static points sit on a
+    wall, the wall) word the errors.  build(seg, grid, mover, g0, g1, groups)
+    makes the events of a segment from its crossings, grouped by equal time
+    and ordered by time, each group a list of (root, static triple) ordered
+    by triple; g0 and g1 are the mover's start and target on the grid.
     """
     static_wall, wall = nouns
     events = []
@@ -411,13 +416,14 @@ def wall_crossings(ch: Choreography, raw, coeffs, nouns, build) -> list:
     for seg, (move, (*grid, g1)) in enumerate(zip(ch.moves, ch.validate())):
         mover = move.point
         others = [k for k in range(1, ch.n + 1) if k != mover]
+        lifted = [lift(p) for p in grid]
         # A static quadruple without the previous mover kept its points, and
         # the previous segment cleared it (a grid only rescales, so a zero
         # determinant stays zero).  Same order, so the same first failure.
         for quad in itertools.combinations(others, 4):
             if moved is not None and moved not in quad:
                 continue
-            if raw(*(grid[k - 1] for k in quad)) == 0:
+            if _orient3d_raw(*(lifted[k - 1] for k in quad)) == 0:
                 raise DegenerateError(
                     f"four static points are {static_wall}", segment=seg, subsets=[quad]
                 )
@@ -425,12 +431,13 @@ def wall_crossings(ch: Choreography, raw, coeffs, nouns, build) -> list:
         g0 = grid[mover - 1]
         if g0 == g1:
             continue
+        path = [lifted[mover - 1], lift([(u + w) // 2 for u, w in zip(g0, g1)]), lift(g1)]
         found: list[tuple[AlgebraicRoot, tuple[int, int, int]]] = []
         for triple in itertools.combinations(others, 3):
-            a, b, c = (grid[k - 1] for k in triple)
+            a, b, c = (lifted[k - 1] for k in triple)
             subset = tuple(sorted(triple + (mover,)))
             try:
-                roots, tangencies = isolate_unit_roots(coeffs(a, b, c, g0, g1))
+                roots, tangencies = isolate_unit_roots(_wall_coeffs(a, b, c, *path))
             except ConstantZero:
                 raise DegenerateError(
                     f"tuple rides a common {wall} for a whole segment",
@@ -479,9 +486,7 @@ def trace(ch: Choreography) -> list[Event]:
             for root, triple in group
         ]
 
-    return wall_crossings(
-        ch, _incircle_raw, _incircle_coeffs, ("concyclic or collinear", "circle"), build
-    )
+    return wall_crossings(ch, _lift, ("concyclic or collinear", "circle"), build)
 
 
 def _build_event(n, seg, grid, mover, g0, g1, root, triple):
@@ -504,7 +509,8 @@ def _build_event(n, seg, grid, mover, g0, g1, root, triple):
             return root.linear_sign(o0, o1 - o0)
 
         cycle = cyclic_order(subset, side)
-        inside = sum(1 for k in bystanders if sign(_incircle_raw(a, b, c, grid[k - 1])) == sd)
+        wall = [_lift(p) for p in (a, b, c)]
+        inside = sum(1 for k in bystanders if sign(_orient3d_raw(*wall, _lift(grid[k - 1]))) == sd)
         return Event(seg, root, GammaGen(cycle), GGen(subset), inside)
 
     # Collinear wall: a, b, c collinear make incircle linear in the mover,
@@ -676,4 +682,8 @@ def choreography_from_json(data: dict) -> Choreography:
 
 def load_choreography(path: str) -> Choreography:
     with open(path, "r", encoding="utf-8") as fh:
-        return choreography_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
+            raise ValidationError(f"malformed choreography JSON: {exc}") from None
+    return choreography_from_json(data)

@@ -7,9 +7,10 @@ determinant of any 4-tuple is linear in time, so every event time is an
 exact rational.
 
 The segment loop (integer grid, static degeneracy scan, root isolation,
-grouping by time) is `geom2d.wall_crossings`, shared with the planar tracer;
-this module supplies its wall, the orient3d determinant, and the event
-builder, which classifies each event as special or not.  At an event time
+grouping by time) is `geom2d.wall_crossings`, shared with the planar tracer.
+Its wall is the orient3d determinant `geom2d._orient3d_raw`; in space the
+lift is the identity (`tuple`), and this module supplies the event builder,
+which classifies each event as special or not.  At an event time
 t = p/q the mover, q g0 + p (g1 - g0), lies on the segment's grid scaled by
 q; orient3d is homogeneous and collinearity and convex position are
 invariant under a positive scale, so every test runs on ints and decides as
@@ -45,7 +46,8 @@ from fractions import Fraction
 from .errors import CollinearTripleError, ValidationError
 from .exact import sign
 from .generators import GammaGen, GGen, Record, _set
-from .geom2d import Choreography, cyclic_order, events_to_word, orient2d, wall_crossings
+from .geom2d import Choreography, _on_grid, _orient3d_raw, _sub, cyclic_order, events_to_word
+from .geom2d import orient2d, wall_crossings
 from .words import GammaWord
 
 
@@ -73,30 +75,9 @@ def _cross(u, v):
     )
 
 
-def _sub(a, b):
-    (ax, ay, az), (bx, by, bz) = a, b
-    return (ax - bx, ay - by, az - bz)
-
-
-def _orient3d_raw(a, b, c, d):
-    """The orient3d determinant of four Pt3 or integer grid points."""
-    u, v, w = _sub(a, d), _sub(b, d), _sub(c, d)
-    return (
-        u[0] * (v[1] * w[2] - v[2] * w[1])
-        - u[1] * (v[0] * w[2] - v[2] * w[0])
-        + u[2] * (v[0] * w[1] - v[1] * w[0])
-    )
-
-
 def orient3d_sign(a: Pt3, b: Pt3, c: Pt3, d: Pt3) -> int:
     """Sign of det with rows (x, y, z, 1); zero iff the points are coplanar."""
-    return sign(_orient3d_raw(a, b, c, d))
-
-
-def _orient3d_coeffs(a, b, c, m0, m1):
-    """Integer coefficients of orient3d(a, b, c, M(t)), which is linear in t."""
-    p0 = _orient3d_raw(a, b, c, m0)
-    return (p0, _orient3d_raw(a, b, c, m1) - p0, 0)
+    return sign(_orient3d_raw(*_on_grid((a, b, c, d))))
 
 
 def _collinear(a, b, c) -> bool:
@@ -161,7 +142,7 @@ def trace3(ch: Choreography) -> list[Event3]:
             events.extend(_build_event3(seg, grid, q, m, mover, triple, tau) for triple in triples)
         return events
 
-    return wall_crossings(ch, _orient3d_raw, _orient3d_coeffs, ("coplanar", "plane"), build)
+    return wall_crossings(ch, tuple, ("coplanar", "plane"), build)
 
 
 def _require_no_collinear_pair(grid, q, m, mover, triples, where: str) -> None:
@@ -197,14 +178,10 @@ def _build_event3(seg, grid, q, m, mover, triple, tau) -> Event3:
     at[mover] = m
     flat = {k: p[:axis] + p[axis + 1 :] for k, p in at.items()}
     cycle = cyclic_order(subset, lambda i, j, k: orient2d(flat[i], flat[j], flat[k]))
-    # A bystander d makes a static quadruple, whose orient3d, (a - d) . normal,
-    # keeps its sign on the unscaled grid.  It is never 0: a, b, c, d would
-    # be four coplanar static points, which wall_crossings rejects first.
-    side_signs = {
-        sign(sum(x * y for x, y in zip(_sub(a, d), normal)))
-        for k, d in enumerate(grid, start=1)
-        if k not in subset
-    }
+    # A bystander d makes a static quadruple, whose orient3d keeps its sign on
+    # the unscaled grid.  It is never 0: a, b, c, d would be four coplanar
+    # static points, which wall_crossings rejects first.
+    side_signs = {sign(_orient3d_raw(a, b, c, d)) for k, d in enumerate(grid, 1) if k not in subset}
     one_sided = len(side_signs) == 1
     side = side_signs.pop() if one_sided else 0
     quad = GammaGen(cycle) if cycle else None

@@ -156,6 +156,33 @@ def test_trace_rejects_loose_json(tmp_path, capsys, choreo_path, choreo3_path, e
         assert "malformed choreography JSON" in err or "bad rational literal" in err
 
 
+# Files that are no JSON document at all: bytes that are not UTF-8, a cut-off
+# object, and nesting deeper than the JSON decoder recurses.
+UNREADABLE = {
+    "not utf-8": b"\xff\xfe",
+    "cut off": b'{"dim": 2,',
+    "deep nesting": b"[" * 100000,
+}
+
+
+@pytest.mark.parametrize("command", ["trace", "render"])
+@pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_an_unreadable_choreography_file_exits_3(tmp_path, capsys, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    flags = ["--t", "0", "--out", str(tmp_path / "frame.svg")] if command == "render" else []
+    assert main([command, str(bad), *flags]) == 3
+    assert capsys.readouterr().err.startswith("error: malformed choreography JSON")
+
+
+@pytest.mark.parametrize("command", [["map", "-n", "4"], ["invariant", "-n", "4"]])
+def test_a_word_file_that_is_not_utf8_exits_3(tmp_path, capsys, command):
+    bad = tmp_path / "word.txt"
+    bad.write_bytes(b"b(1,2) \xff\xfe")
+    assert main([*command, "--in", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_check_passes(capsys):
     code, data = run_json(capsys, ["check", "-n", "4", "--format", "json"])
     assert code == 0

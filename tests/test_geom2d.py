@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidgamma.braids import parse_braid
 from braidgamma.errors import (
@@ -18,6 +20,9 @@ from braidgamma.geom2d import (
     Choreography,
     Move,
     Pt2,
+    _lift,
+    _orient3d_raw,
+    _wall_coeffs,
     base_config,
     braid_choreography,
     choreography_from_json,
@@ -45,6 +50,15 @@ from braidgamma.words import (
     pentagon_faces,
     word_to_text,
 )
+
+
+def incircle_det(a, b, c, p):
+    """The 3x3 incircle determinant, rows (dx, dy, dx^2 + dy^2) of a, b, c
+    relative to p, written out here as an oracle independent of the tracer."""
+    px, py = p
+    rows = [(x - px, y - py) for x, y in (a, b, c)]
+    (ax, ay, a2), (bx, by, b2), (cx, cy, c2) = ((x, y, x * x + y * y) for x, y in rows)
+    return ax * (by * c2 - b2 * cy) - ay * (bx * c2 - b2 * cx) + a2 * (bx * cy - by * cx)
 
 
 def rnd_pt(rng, span=12, den=8):
@@ -88,6 +102,36 @@ def test_incircle_against_circumcenter_oracle():
         expected = (r2 > d2) - (r2 < d2)
         assert incircle_sign(a, b, c, p) == expected
         checked += 1
+
+
+SEEDED = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+QUADS = st.one_of(
+    *(
+        st.lists(st.tuples(coord, coord), min_size=4, max_size=4)
+        for coord in (st.integers(-50, 50), st.fractions(-9, 9, max_denominator=12))
+    )
+)
+
+
+@SEEDED
+@given(QUADS)
+def test_orient3d_of_lifts_is_the_incircle_determinant(quad):
+    # the lifting map: equal as values, not only in sign, on int and Fraction
+    # quadruples, and on Pt2 points
+    assert _orient3d_raw(*map(_lift, quad)) == incircle_det(*quad)
+    pts = [pt2(x, y) for x, y in quad]
+    assert _orient3d_raw(*map(_lift, pts)) == incircle_det(*pts)
+
+
+@SEEDED
+@given(st.lists(st.tuples(*[st.integers(-40, 40)] * 3), min_size=5, max_size=5))
+def test_wall_coeffs_are_linear_on_a_spatial_segment(pts):
+    # a spatial mover runs along a line, so orient3d is linear in t: c2 == 0
+    a, b, c, m0, m1 = ((2 * x, 2 * y, 2 * z) for x, y, z in pts)
+    mh = tuple((u + w) // 2 for u, w in zip(m0, m1))
+    c0, c1, c2 = _wall_coeffs(a, b, c, m0, mh, m1)
+    assert c2 == 0
+    assert (c0, c0 + c1) == (_orient3d_raw(a, b, c, m0), _orient3d_raw(a, b, c, m1))
 
 
 def test_base_config_properties():
@@ -399,8 +443,6 @@ def test_event_count_matches_dense_sampling():
         except (ValidationError, DegenerateError):
             continue
         built += 1
-        from braidgamma.geom2d import _incircle_raw
-
         N = 256
         for triple in itertools.combinations(range(1, 5), 3):
             a, b, c = (pts[k - 1] for k in triple)
@@ -411,7 +453,7 @@ def test_event_count_matches_dense_sampling():
                     pts[4].x + t * (target.x - pts[4].x),
                     pts[4].y + t * (target.y - pts[4].y),
                 )
-                vals.append(_incircle_raw(a, b, c, m))
+                vals.append(incircle_det(a, b, c, m))
             changes = sum(
                 1
                 for u, v in zip(vals, vals[1:])

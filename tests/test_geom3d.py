@@ -23,8 +23,6 @@ from braidgamma.geom2d import (
 )
 from braidgamma.geom2d import wall_crossings
 from braidgamma.geom3d import (
-    _orient3d_coeffs,
-    _orient3d_raw,
     loop_word,
     orient3d_sign,
     pt3,
@@ -197,7 +195,7 @@ def full_scan_outcome(ch):
         return []
 
     try:
-        wall_crossings(ch, _orient3d_raw, _orient3d_coeffs, ("coplanar", "plane"), build)
+        wall_crossings(ch, tuple, ("coplanar", "plane"), build)
     except BraidGammaError as exc:
         return type(exc), str(exc)
     return None

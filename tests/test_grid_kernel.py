@@ -26,15 +26,16 @@ from braidgamma.geom2d import (
     Move,
     Pt2,
     _hits_inside,
-    _incircle_coeffs,
-    _incircle_raw,
+    _lift,
     _on_grid,
+    _orient3d_raw,
+    _wall_coeffs,
     choreography_to_json,
     incircle_sign,
     lerp,
     orient2d,
 )
-from braidgamma.geom3d import Pt3, _orient3d_raw, orient3d_sign
+from braidgamma.geom3d import Pt3, orient3d_sign
 
 SEEDED = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 COORD = st.fractions(min_value=-4, max_value=4, max_denominator=7)
@@ -53,13 +54,17 @@ def points(kind, count):
 def test_grid_incircle_signs_match_incircle_sign(pts, t):
     grid = _on_grid(pts)
     assert all(type(v) is int and v % 2 == 0 for p in grid for v in p)
-    a, b, c, m0, m1 = grid
-    s = sign(_incircle_raw(a, b, c, m0))
-    assert (s if orient2d(a, b, c) >= 0 else -s) == incircle_sign(*pts[:4])
-    # the coefficients in t, interpolated through the grid midpoint
-    c0, c1, c2 = _incircle_coeffs(a, b, c, m0, m1)
+    a, b, c, m0, m1 = map(_lift, grid)
+    s = sign(_orient3d_raw(a, b, c, m0))
+    assert s == sign(_orient3d_raw(*map(_lift, pts[:4])))
+    assert (s if orient2d(*grid[:3]) >= 0 else -s) == incircle_sign(*pts[:4])
+    # the coefficients in t, interpolated through the lifted grid midpoint
+    mh = _lift([(u + w) // 2 for u, w in zip(grid[3], grid[4])])
+    c0, c1, c2 = _wall_coeffs(a, b, c, m0, mh, m1)
     moved = lerp(pts[3], pts[4], t)
-    assert sign(c0 + c1 * t + c2 * t * t) == sign(_incircle_raw(*pts[:3], moved))
+    assert sign(c0 + c1 * t + c2 * t * t) == sign(
+        _orient3d_raw(*map(_lift, pts[:3]), _lift(moved))
+    )
 
 
 @SEEDED
