@@ -235,7 +235,7 @@ def _cmd_check(args) -> int:
     ]
     lines.append(f"passed {payload['passed']} / {len(results)}")
     if args.compare_modes:
-        rows = _compare_modes(cfg, args.seed)
+        rows = _compare_modes(cfg, args.assembly, args.seed)
         payload["compare_modes"] = rows
         for row in rows:
             lines.append(
@@ -248,11 +248,11 @@ def _cmd_check(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _compare_modes(cfg: HomConfig, seed: int) -> list[dict]:
-    """Literal vs traced images, whatever cfg's mode: every generator, then a
-    few seeded random words.  Disagreements are reported, never reconciled."""
+def _compare_modes(cfg: HomConfig, assembly: str, seed: int) -> list[dict]:
+    """Literal images in `assembly` vs traced ones, whatever cfg's mode: every
+    generator, then a few seeded random words.  Disagreements are reported, never reconciled."""
     n = cfg.n
-    lit, tra = (HomConfig(n, cfg.target, cfg.r, m, cfg.assembly) for m in ("literal", "traced"))
+    lit, tra = (HomConfig(n, cfg.target, cfg.r, m, assembly) for m in ("literal", "traced"))
     inputs = [
         BraidWord(n, (BraidGen(i, j),)) for i, j in itertools.combinations(range(1, n + 1), 2)
     ]

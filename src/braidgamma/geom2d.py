@@ -19,9 +19,10 @@ A cyclic quadruple is fixed by which pairs of its points are opposite, so
 `cyclic_order` reads the circular order off the one pair of crossing
 diagonals.  By Radon's theorem four points, no three collinear, have either
 exactly one such pair (convex position) or none (one point inside the
-triangle of the other three).  The planar builder passes orientation signs
-that are linear in t, as only the mover moves; the spatial tracer passes
-orientations of the projected points, and there None means not convex.
+triangle of the other three); in space None means not convex.  One
+labeller, `_labels`, reads the event labels of both tracers at the root:
+that order, whose orientations are linear in t as only the mover moves,
+and the side of the wall of each bystander, read on the lifted points.
 
 The segment loop, `wall_crossings`, serves the spatial tracer too, with one
 wall determinant: lifting (x, y) to (x, y, x^2 + y^2) on the paraboloid
@@ -37,14 +38,15 @@ are those of the rational plan; and the sign of alpha + beta * t at a root
 does not change when alpha and beta are scaled alike.  `validate` builds
 these grids and decides coincidence, waypoint collinearity and collisions
 on them; `wall_crossings` reuses them, and the public predicates decide on
-a grid of their own.  Fractions remain in the JSON codec and the order
-along a collinear wall.
+a grid of their own.  Fractions remain only in the JSON codec and the
+order along a collinear wall.
 
 On a collinear wall (three static points on one line) the incircle
 determinant is linear in the mover, so the event time is rational, the
 order is the exact order along the line, and the mover's side of the line
 flips there: the inside count is the number of bystanders on one side of
-the line, and must equal the number on the other.
+the line, and must equal the number on the other (lifted, the wall is
+the vertical plane over the line, so the labeller reads those sides).
 """
 
 from __future__ import annotations
@@ -194,10 +196,8 @@ def base_config(n: int) -> tuple[Pt2, ...]:
 
 
 def _base_config_ok(pts) -> bool:
+    # s == 0 below, for a sorted triple and a fourth point, is four concyclic
     n = len(pts)
-    for quad in itertools.combinations(range(n), 4):
-        if incircle_sign(pts[quad[0]], pts[quad[1]], pts[quad[2]], pts[quad[3]]) == 0:
-            return False
     for j, p, q in itertools.combinations(range(1, n + 1), 3):
         for k in range(1, n + 1):
             if k in (j, p, q):
@@ -262,7 +262,9 @@ class Choreography(Record):
         return len(tuple(self.start[0])) if self.start else 2
 
     def configs(self) -> list[tuple[Pt2 | Pt3, ...]]:
-        if self.n < 1 or len(self.start) != self.n:
+        if self.n < 1:
+            raise ValidationError(f"need n >= 1, got {self.n}")
+        if len(self.start) != self.n:
             raise ValidationError(f"expected {self.n} start points, got {len(self.start)}")
         out = [self.start]
         cur = list(self.start)
@@ -481,7 +483,7 @@ def trace(ch: Choreography) -> list[Event]:
 
     def build(seg, grid, mover, g0, g1, groups):
         return [
-            _build_event(ch.n, seg, grid, mover, g0, g1, root, triple)
+            _build_event(seg, grid, mover, g0, g1, root, triple)
             for group in groups
             for root, triple in group
         ]
@@ -489,29 +491,34 @@ def trace(ch: Choreography) -> list[Event]:
     return wall_crossings(ch, _lift, ("concyclic or collinear", "circle"), build)
 
 
-def _build_event(n, seg, grid, mover, g0, g1, root, triple):
-    # No bystander lies on the event circle or line: with the three static
-    # points of the event it would make four static points concyclic or
-    # collinear, which the static scan of wall_crossings rejects first.
-    a, b, c = (grid[k - 1] for k in triple)
+def _labels(root, grid, g1, mover, triple, lift, axis):
+    """An event's subset, the `cyclic_order` of its four points with
+    coordinate `axis` dropped (2 drops nothing), and the sign of orient3d of
+    the lifted triple and each lifted bystander; g1 is the mover's target."""
     subset = tuple(sorted(triple + (mover,)))
-    bystanders = [k for k in range(1, n + 1) if k not in subset]
+    at0 = {k: grid[k - 1][:axis] + grid[k - 1][axis + 1 :] for k in subset}
+    at1 = {**at0, mover: g1[:axis] + g1[axis + 1 :]}
+
+    def side(i, j, k):
+        # only the mover moves: the orientation is o0 + (o1 - o0) t
+        o0 = _orient2d_raw(at0[i], at0[j], at0[k])
+        o1 = _orient2d_raw(at1[i], at1[j], at1[k])
+        return root.linear_sign(o0, o1 - o0)
+
+    # No bystander lies on the wall: it would make four static points sit on
+    # a wall, which the static scan of wall_crossings rejects first.
+    wall = [lift(grid[k - 1]) for k in triple]
+    sides = [sign(_orient3d_raw(*wall, lift(p))) for k, p in enumerate(grid, 1) if k not in subset]
+    return subset, cyclic_order(subset, side), sides
+
+
+def _build_event(seg, grid, mover, g0, g1, root, triple):
+    subset, cycle, sides = _labels(root, grid, g1, mover, triple, _lift, 2)
+    a, b, c = (grid[k - 1] for k in triple)
     sd = orient2d(a, b, c)
     if sd:
-        # Four distinct concyclic points are in convex position.  Only the
-        # mover moves, so each orientation is linear in t: o0 + (o1 - o0) t.
-        grid1 = list(grid)
-        grid1[mover - 1] = g1
-
-        def side(i, j, k):
-            o0 = _orient2d_raw(grid[i - 1], grid[j - 1], grid[k - 1])
-            o1 = _orient2d_raw(grid1[i - 1], grid1[j - 1], grid1[k - 1])
-            return root.linear_sign(o0, o1 - o0)
-
-        cycle = cyclic_order(subset, side)
-        wall = [_lift(p) for p in (a, b, c)]
-        inside = sum(1 for k in bystanders if sign(_orient3d_raw(*wall, _lift(grid[k - 1]))) == sd)
-        return Event(seg, root, GammaGen(cycle), GGen(subset), inside)
+        # Four distinct concyclic points are in convex position.
+        return Event(seg, root, GammaGen(cycle), GGen(subset), sides.count(sd))
 
     # Collinear wall: a, b, c collinear make incircle linear in the mover,
     # so the root is rational and the mover crosses the line ab there.
@@ -526,9 +533,8 @@ def _build_event(n, seg, grid, mover, g0, g1, root, triple):
 
     cycle = tuple(sorted(subset, key=along))
     # The mover's side of the line ab flips at the root: on one side of the
-    # wall the bystanders inside are those left of ab, on the other those
-    # right of it, and the two counts must agree.
-    sides = [orient2d(a, b, grid[k - 1]) for k in bystanders]
+    # wall the bystanders inside are those on one side of ab, on the other
+    # those on the other side, and the two counts must agree.
     inside = sides.count(1)
     if inside != sides.count(-1):
         raise DegenerateError(

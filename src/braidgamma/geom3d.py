@@ -10,13 +10,10 @@ The segment loop (integer grid, static degeneracy scan, root isolation,
 grouping by time) is `geom2d.wall_crossings`, shared with the planar tracer.
 Its wall is the orient3d determinant `geom2d._orient3d_raw`; in space the
 lift is the identity (`tuple`), and this module supplies the event builder,
-which classifies each event as special or not.  At an event time
-t = p/q the mover, q g0 + p (g1 - g0), lies on the segment's grid scaled by
-q; orient3d is homogeneous and collinearity and convex position are
-invariant under a positive scale, so every test runs on ints and decides as
-it would on the rational plan.  Only the event's three static points are
-scaled with the mover; the bystanders' sides are static quadruples, read on
-the unscaled grid.
+which classifies each event as special or not.  Its labels come from the
+one labeller of both tracers, `geom2d._labels`, read at the root on the
+segment's integer grid: every orientation that involves the mover is
+linear in t, and the bystanders' sides are static quadruples.
 
 A mover that crosses the line through two other points a, b leaves the
 restricted space there and is reported as a collinear triple through the
@@ -46,8 +43,8 @@ from fractions import Fraction
 from .errors import CollinearTripleError, ValidationError
 from .exact import sign
 from .generators import GammaGen, GGen, Record, _set
-from .geom2d import Choreography, _on_grid, _orient3d_raw, _sub, cyclic_order, events_to_word
-from .geom2d import orient2d, wall_crossings
+from .geom2d import Choreography, _labels, _on_grid, _orient3d_raw, _sub, events_to_word
+from .geom2d import wall_crossings
 from .words import GammaWord
 
 
@@ -131,23 +128,20 @@ def trace3(ch: Choreography) -> list[Event3]:
     def build(seg, grid, mover, g0, g1, groups):
         events = []
         for group in groups:
-            tau = group[0][0].exact
-            # the grid scaled by tau's denominator holds the mover at tau too
-            p, q = tau.numerator, tau.denominator
-            m = tuple(q * u + p * (w - u) for u, w in zip(g0, g1))
+            root = group[0][0]
             triples = [triple for _, triple in group]
             _require_no_collinear_pair(
-                grid, q, m, mover, triples, f"at event time t={tau} of segment {seg}"
+                grid, root, g1, mover, triples, f"at event time t={root.exact} of segment {seg}"
             )
-            events.extend(_build_event3(seg, grid, q, m, mover, triple, tau) for triple in triples)
+            events.extend(_build_event3(seg, grid, g1, mover, root, triple) for triple in triples)
         return events
 
     return wall_crossings(ch, tuple, ("coplanar", "plane"), build)
 
 
-def _require_no_collinear_pair(grid, q, m, mover, triples, where: str) -> None:
+def _require_no_collinear_pair(grid, root, g1, mover, triples, where: str) -> None:
     """Raise CollinearTripleError naming the first triple through the mover
-    that is collinear with the mover at m, on the grid scaled by q.
+    that is collinear with the mover at root, as it runs to g1 on the grid.
     `triples` are the sorted static triples of the time group: only a pair
     in n - 3 of them can be collinear with the mover (see the module
     docstring), and pairs in lexicographic order give the sorted triples
@@ -157,35 +151,30 @@ def _require_no_collinear_pair(grid, q, m, mover, triples, where: str) -> None:
         for pair in ((a, b), (a, c), (b, c)):
             count[pair] = count.get(pair, 0) + 1
     need = len(grid) - 3
+    g0 = grid[mover - 1]
     for a, b in sorted(pair for pair, k in count.items() if k == need):
         pa = grid[a - 1]
-        # collinear on the scaled grid: q (b - a) is parallel to m - q a
-        if _cross(_sub(grid[b - 1], pa), _sub(m, tuple(q * v for v in pa))) == (0, 0, 0):
+        # (b - a) x (M(t) - a), linear in t, vanishes at the root
+        u = _sub(grid[b - 1], pa)
+        c0, c1 = _cross(u, _sub(g0, pa)), _cross(u, _sub(g1, pa))
+        if not any(root.linear_sign(x, y - x) for x, y in zip(c0, c1)):
             raise CollinearTripleError(f"points {tuple(sorted((a, b, mover)))} collinear {where}")
 
 
-def _build_event3(seg, grid, q, m, mover, triple, tau) -> Event3:
-    subset = tuple(sorted(triple + (mover,)))
-    a, b, c = (grid[k - 1] for k in triple)
+def _build_event3(seg, grid, g1, mover, root, triple) -> Event3:
     # Dropping the dominant coordinate of the plane's normal maps the plane
     # onto a coordinate plane bijectively and affinely, which keeps convex
     # position.  No three event points are collinear: validate checked the
-    # static triple, and trace3 the triples through the mover.  The static
-    # points scaled by q share a grid with the mover at tau.
+    # static triple, and trace3 the triples through the mover.
+    a, b, c = (grid[k - 1] for k in triple)
     normal = _cross(_sub(b, a), _sub(c, a))
     axis = max(range(3), key=lambda k: abs(normal[k]))
-    at = {k: tuple(q * v for v in grid[k - 1]) for k in triple}
-    at[mover] = m
-    flat = {k: p[:axis] + p[axis + 1 :] for k, p in at.items()}
-    cycle = cyclic_order(subset, lambda i, j, k: orient2d(flat[i], flat[j], flat[k]))
-    # A bystander d makes a static quadruple, whose orient3d keeps its sign on
-    # the unscaled grid.  It is never 0: a, b, c, d would be four coplanar
-    # static points, which wall_crossings rejects first.
-    side_signs = {sign(_orient3d_raw(a, b, c, d)) for k, d in enumerate(grid, 1) if k not in subset}
+    subset, cycle, sides = _labels(root, grid, g1, mover, triple, tuple, axis)
+    side_signs = set(sides)
     one_sided = len(side_signs) == 1
     side = side_signs.pop() if one_sided else 0
     quad = GammaGen(cycle) if cycle else None
-    return Event3(seg, tau, GGen(subset), quad, cycle is not None, one_sided, side)
+    return Event3(seg, root.exact, GGen(subset), quad, cycle is not None, one_sided, side)
 
 
 def loop_word(ch: Choreography) -> GammaWord:

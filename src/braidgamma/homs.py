@@ -85,6 +85,8 @@ class HomConfig(Record):
         _set(self, "target", target)
         _set(self, "r", r)
         _set(self, "formula_mode", formula_mode)
+        if target == "g" or formula_mode == "traced":
+            assembly = "doubled"  # no traced or "g" map has another: one key
         _set(self, "assembly", assembly)
         _set(self, "_hash", hash(self._values(self)))
 
@@ -168,7 +170,7 @@ def _parts(cfg: HomConfig, i: int, j: int) -> list:
     product order: P(i,k) doubled, P(k,i) in the flip (see module docstring)."""
     if not 1 <= i < j <= cfg.n:
         raise IndexRangeError(f"need 1 <= i < j <= n, got ({i},{j}) with n={cfg.n}")
-    at = (lambda k: (k, i)) if cfg.target != "g" and cfg.assembly == "flip" else (lambda k: (i, k))
+    at = (lambda k: (k, i)) if cfg.assembly == "flip" else (lambda k: (i, k))
     return ([(i, k, False) for k in range(i + 1, j + 1)] + [(*at(j), False)]
             + [(*at(k), True) for k in range(j - 1, i, -1)])
 

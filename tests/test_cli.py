@@ -433,6 +433,8 @@ def test_out_flag_writes_file(tmp_path, choreo_path):
     "plan, message",
     [
         ({"dim": 2, "n": 1, "points": [], "moves": []}, "expected 1 start points, got 0"),
+        ({"dim": 2, "n": 0, "points": [], "moves": []}, "need n >= 1, got 0"),
+        ({"dim": 2, "n": -2, "points": [], "moves": []}, "need n >= 1, got -2"),
         (
             {
                 "dim": 2,
@@ -444,12 +446,14 @@ def test_out_flag_writes_file(tmp_path, choreo_path):
         ),
     ],
 )
-def test_render_rejects_a_short_point_list(tmp_path, capsys, plan, message):
+def test_render_and_trace_reject_a_bad_point_count(tmp_path, capsys, plan, message):
     path, out = tmp_path / "short.json", tmp_path / "frame.svg"
     path.write_text(json.dumps(plan))
     assert main(["render", str(path), "--t", "0", "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+    assert main(["trace", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # (subcommand argv, a flag it does not read, with its value)

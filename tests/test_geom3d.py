@@ -127,6 +127,21 @@ def test_quad_letter_ignores_viewing_side():
     assert GammaGen(tuple(reversed(e.quad.cycle))) == e.quad
 
 
+def test_labels_on_a_vertical_wall():
+    # The wall of {1, 3, 4, 5} at t = 5/6 has normal (8, 4, 0): projected
+    # along z it is a line, so its cyclic order must be read with x dropped.
+    pts = (pt3(0, 0, 0), pt3(4, 0, 0), pt3(0, 0, 4), pt3(1, 3, 1), pt3(1, -2, 2))
+    ch = Choreography(5, pts, (Move(4, pt3(1, -3, 1)),))
+    events = trace3(ch)
+    got = [(e.time, e.subset.members, e.quad, e.convex, e.one_sided, e.side) for e in events]
+    assert got == [
+        (Fraction(1, 2), (1, 2, 3, 4), None, False, True, -1),
+        (Fraction(2, 3), (1, 2, 4, 5), None, False, True, 1),
+        (Fraction(5, 6), (1, 3, 4, 5), GammaGen((1, 3, 5, 4)), True, True, -1),
+    ]
+    assert str(events[2].quad) == "d(1,3,5,4)"
+
+
 def test_static_coplanar_quadruple_is_degenerate():
     pts = (A, B, C, pt3(7, 7, 0), pt3(1, 1, 5))
     ch = Choreography(5, pts, (Move(5, pt3(1, 1, 6)),))

@@ -430,6 +430,23 @@ def test_a_literal_check_builds_no_generator_image(target, r, assembly, capsys):
         assert info.misses == info.currsize == 30
 
 
+@pytest.mark.parametrize("kw", [{"target": "g"}, {"formula_mode": "traced"}])
+def test_an_assembly_that_changes_no_map_is_no_part_of_the_key(kw):
+    flip, doubled = (HomConfig(5, assembly=a, **kw) for a in ("flip", "doubled"))
+    assert flip == doubled and hash(flip) == hash(doubled)
+    assert flip.assembly == "doubled"
+    assert HomConfig(5, assembly="flip") != HomConfig(5, assembly="doubled")
+
+
+def test_a_traced_check_caches_one_class_per_generator_in_either_assembly(capsys):
+    for cache in _HOM_CACHES:
+        cache.cache_clear()
+    for assembly in ("flip", "doubled"):
+        cli.run(["check", "-n", "5", "--mode", "traced", "--assembly", assembly])
+        assert "passed 35 / 35" in capsys.readouterr().out
+    assert homs._generator_class.cache_info().currsize == 10  # C(5, 2), not twice over
+
+
 def test_image_invariant_rejects_a_longer_braid_word():
     w = BraidWord(6, (BraidGen(1, 2),))
     for fn in (image_invariant, map_braid):
