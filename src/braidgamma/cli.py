@@ -22,7 +22,6 @@ import os
 import random
 import sys
 import warnings
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import geom2d, geom3d
@@ -142,6 +141,12 @@ def _cmd_map(args) -> int:
     return 0
 
 
+def _dyadic_str(m: int, k: int) -> str:
+    """rat_to_str(Fraction(m, 2^k)), reduced by the trailing zero bits of m."""
+    z = min((m & -m).bit_length() - 1, k) if m else k
+    return f"{m >> z}/{1 << (k - z)}"
+
+
 def _time_payload(root, k: int) -> dict:
     """An exact time, or an irrational one with its dyadic cell of width 2^-k."""
     if root.is_rational():
@@ -149,7 +154,7 @@ def _time_payload(root, k: int) -> dict:
     m = root.refine(k)
     return {
         "poly": list(root.poly),
-        "interval": [rat_to_str(Fraction(m, 1 << k)), rat_to_str(Fraction(m + 1, 1 << k))],
+        "interval": [_dyadic_str(m, k), _dyadic_str(m + 1, k)],
         "branch": root.sigma,
     }
 

@@ -12,8 +12,9 @@ Equality of canonical forms then decides equality of generators.
 
 Letters are interned: `GammaGen(...)` and `GGen(...)` validate and
 canonicalize their argument, then return the one object that exists per
-distinct letter, so words, cached images and column tables share letters
-instead of copying them.  The tables live as long as the process and hold at
+distinct letter (`_letter`, which callers holding checked indices call
+directly), so words, cached images and column tables share letters instead
+of copying them.  The tables live as long as the process and hold at
 most 3*C(n,4) cyclic and C(n,4) order-free letters for the largest n used.
 """
 
@@ -93,12 +94,15 @@ _GAMMA_GENS: dict = {}
 _G_GENS: dict = {}
 
 
-def _intern(cls, table: dict, field: str, key: tuple[int, int, int, int]):
-    """The one instance of `cls` whose `field` is `key`, built on first use."""
+def _letter(cls, idxs: tuple[int, int, int, int]):
+    """The one GammaGen or GGen (cls) on four indices already checked to be
+    distinct positive ints, built on first use: a cycle, canonicalized here,
+    or an ascending subset.  The constructors check, then call this."""
+    table, key = (_GAMMA_GENS, _canonical_cycle(idxs)) if cls is GammaGen else (_G_GENS, idxs)
     self = table.get(key)
     if self is None:
         self = table[key] = object.__new__(cls)
-        _set(self, field, key)
+        _set(self, cls._fields[0], key)
     return self
 
 
@@ -129,8 +133,7 @@ class GammaGen(_Letter):
     _fields = ("cycle",)
 
     def __new__(cls, cycle):
-        cycle = _canonical_cycle(_check_quad(cycle, "a cyclic quadruple"))
-        return _intern(cls, _GAMMA_GENS, "cycle", cycle)
+        return _letter(cls, _check_quad(cycle, "a cyclic quadruple"))
 
     def __init__(self, cycle):
         pass  # set once, by __new__
@@ -149,8 +152,7 @@ class GGen(_Letter):
     __slots__ = _fields = ("members",)
 
     def __new__(cls, members):
-        members = tuple(sorted(_check_quad(members, "a 4-subset generator")))
-        return _intern(cls, _G_GENS, "members", members)
+        return _letter(cls, tuple(sorted(_check_quad(members, "a 4-subset generator"))))
 
     def __init__(self, members):
         pass  # set once, by __new__
@@ -199,4 +201,4 @@ def select_quad(p: int, q: int, r: int, s: int) -> GammaGen:
     k = base.index(s)
     base.insert(k, r)
     # four checked, distinct indices: GammaGen would check them again
-    return _intern(GammaGen, _GAMMA_GENS, "cycle", _canonical_cycle(tuple(base)))
+    return _letter(GammaGen, tuple(base))

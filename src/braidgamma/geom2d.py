@@ -21,17 +21,21 @@ diagonals.  By Radon's theorem four points, no three collinear, have either
 exactly one such pair (convex position) or none (one point inside the
 triangle of the other three); in space None means not convex.  One
 labeller, `_labels`, reads the event labels of both tracers at the root:
-that order, whose orientations are linear in t as only the mover moves,
-and the side of the wall of each bystander, read on the lifted points.
+that order, whose orientations are linear in t as only the mover moves and
+are each read once, and the side of the wall of each bystander.
 
 The segment loop, `wall_crossings`, serves the spatial tracer too, with one
-wall determinant: lifting (x, y) to (x, y, x^2 + y^2) on the paraboloid
-(`_lift`; Edelsbrunner and Seidel 1986) makes orient3d of four lifted points
-their incircle determinant, so each dimension passes a lift into 3-space and
-an event builder.  Plans hold rationals, but each segment is traced on one
-integer grid: its configuration and the mover's target scaled by twice the
-lcm of all their coordinate denominators (`_on_grid`; the factor 2 puts the
-midpoint sample of `_wall_coeffs` on the grid).  Every determinant is
+wall: lifting (x, y) to (x, y, x^2 + y^2) on the paraboloid (`_lift`;
+Edelsbrunner and Seidel 1986) makes orient3d of four lifted points their
+incircle determinant, so each dimension passes a lift into 3-space and an
+event builder.  A static triple's wall is its plane, built once per segment
+as the linear form orient3d(a, b, c, d) = h - N . d (`_plane`): the static
+scan, the wall coefficients and the bystanders' sides are its values, and N
+gives a planar triple's orient2d (N_z) and the spatial projection axis.
+Plans hold rationals, but each segment is traced on one integer grid: its
+configuration and the mover's target scaled by twice the lcm of all their
+coordinate denominators (`_on_grid`; the factor 2 puts the midpoint sample
+of `_wall_coeffs` on the grid).  Every determinant is
 homogeneous, so the positive scale keeps its sign; `AlgebraicRoot` divides
 the content out of each polynomial, so roots and their printed dyadic cells
 are those of the rational plan; and the sign of alpha + beta * t at a root
@@ -66,7 +70,7 @@ from .errors import (
     ValidationError,
 )
 from .exact import rat_from_str, rat_to_str, sign
-from .generators import GammaGen, GGen, Record, _set
+from .generators import GammaGen, GGen, Record, _letter, _set
 from .roots import AlgebraicRoot, ConstantZero, EndpointZero, isolate_unit_roots, time_key
 from .words import target_word
 
@@ -89,15 +93,10 @@ def pt2(x, y) -> Pt2:
     return Pt2(Fraction(x), Fraction(y))
 
 
-def _orient2d_raw(a, b, c):
-    """Twice the signed area of three Pt2 or integer grid points."""
-    (ax, ay), (bx, by), (cx, cy) = a, b, c
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
 def orient2d(a: Pt2, b: Pt2, c: Pt2) -> int:
-    """Sign of the signed area of (a, b, c): +1 counterclockwise."""
-    return sign(_orient2d_raw(a, b, c))
+    """Sign of the signed area of (a, b, c), Pt2 or grid points: +1 counterclockwise."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    return sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
 
 
 def cyclic_order(ids, side):
@@ -113,19 +112,25 @@ def cyclic_order(ids, side):
     return None
 
 
-def _sub(a, b):
-    (ax, ay, az), (bx, by, bz) = a, b
-    return (ax - bx, ay - by, az - bz)
+def _plane(a, b, c):
+    """The plane of three 3-tuples as the linear form (h, Nx, Ny, Nz) with
+    orient3d(a, b, c, d) = h - N . d: N = (b - a) x (c - a), h = N . a."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = a, b, c
+    ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
+    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    return (nx * ax + ny * ay + nz * az, nx, ny, nz)
+
+
+def _at(form, d):
+    """A plane's linear form at the 3-tuple d."""
+    h, nx, ny, nz = form
+    x, y, z = d
+    return h - nx * x - ny * y - nz * z
 
 
 def _orient3d_raw(a, b, c, d):
     """The orient3d determinant, the wall of both tracers, of four 3-tuples."""
-    u, v, w = _sub(a, d), _sub(b, d), _sub(c, d)
-    return (
-        u[0] * (v[1] * w[2] - v[2] * w[1])
-        - u[1] * (v[0] * w[2] - v[2] * w[0])
-        + u[2] * (v[0] * w[1] - v[1] * w[0])
-    )
+    return _at(_plane(a, b, c), d)
 
 
 def _lift(p):
@@ -387,14 +392,13 @@ class Event(Record):
         _set(self, "collinear_wall", collinear_wall)
 
 
-def _wall_coeffs(a, b, c, m0, mh, m1):
-    """Integer coefficients (c0, c1, c2) of orient3d(a, b, c, M(t)) in t, from
-    the mover M at t = 0, 1/2 and 1.  orient3d is affine in M, and M runs
+def _wall_coeffs(form, m0, mh, m1):
+    """Integer coefficients (c0, c1, c2) in t of a plane's form at the mover
+    M(t), from M at t = 0, 1/2 and 1.  The form is affine in M, and M runs
     along a line in space (c2 = 0) or, lifted from the plane, a parabola:
     the degree is at most two, so the interpolation is exact."""
-    p0 = _orient3d_raw(a, b, c, m0)
-    p1 = _orient3d_raw(a, b, c, m1)
-    c2 = 2 * (p1 + p0 - 2 * _orient3d_raw(a, b, c, mh))
+    p0, p1 = _at(form, m0), _at(form, m1)
+    c2 = 2 * (p1 + p0 - 2 * _at(form, mh))
     return (p0, p1 - p0 - c2, c2)
 
 
@@ -405,12 +409,13 @@ def wall_crossings(ch: Choreography, lift, nouns, build) -> list:
     of its configuration and the mover's target), so every determinant is
     taken on ints.  lift maps a grid point into 3-space, where the wall is
     orient3d = 0: `_lift` onto the paraboloid in the plane, `tuple` in space.
-    The grid is lifted once per segment, and so is the mover at t = 0, 1/2
-    and 1 for `_wall_coeffs`.  nouns = (how four static points sit on a
-    wall, the wall) word the errors.  build(seg, grid, mover, g0, g1, groups)
-    makes the events of a segment from its crossings, grouped by equal time
-    and ordered by time, each group a list of (root, static triple) ordered
-    by triple; g0 and g1 are the mover's start and target on the grid.
+    The grid, each static triple's plane (`_plane`) and the mover at t = 0,
+    1/2 and 1 for `_wall_coeffs` are lifted or built once per segment.
+    nouns = (how four static points sit on a wall, the wall) word the errors.
+    build(seg, grid, mover, g0, g1, groups) makes the events of a segment
+    from its crossings, grouped by equal time and ordered by time, each group
+    a list of (root, static triple, plane) ordered by triple; grid is the
+    lifted grid, g0 and g1 the mover's lifted start and target.
     """
     static_wall, wall = nouns
     events = []
@@ -419,13 +424,14 @@ def wall_crossings(ch: Choreography, lift, nouns, build) -> list:
         mover = move.point
         others = [k for k in range(1, ch.n + 1) if k != mover]
         lifted = [lift(p) for p in grid]
+        planes = {t: _plane(*(lifted[k - 1] for k in t)) for t in itertools.combinations(others, 3)}
         # A static quadruple without the previous mover kept its points, and
         # the previous segment cleared it (a grid only rescales, so a zero
         # determinant stays zero).  Same order, so the same first failure.
         for quad in itertools.combinations(others, 4):
             if moved is not None and moved not in quad:
                 continue
-            if _orient3d_raw(*(lifted[k - 1] for k in quad)) == 0:
+            if _at(planes[quad[:3]], lifted[quad[3] - 1]) == 0:
                 raise DegenerateError(
                     f"four static points are {static_wall}", segment=seg, subsets=[quad]
                 )
@@ -434,23 +440,21 @@ def wall_crossings(ch: Choreography, lift, nouns, build) -> list:
         if g0 == g1:
             continue
         path = [lifted[mover - 1], lift([(u + w) // 2 for u, w in zip(g0, g1)]), lift(g1)]
-        found: list[tuple[AlgebraicRoot, tuple[int, int, int]]] = []
-        for triple in itertools.combinations(others, 3):
-            a, b, c = (lifted[k - 1] for k in triple)
-            subset = tuple(sorted(triple + (mover,)))
+        found = []
+        for triple, form in planes.items():
             try:
-                roots, tangencies = isolate_unit_roots(_wall_coeffs(a, b, c, *path))
+                roots, tangencies = isolate_unit_roots(_wall_coeffs(form, *path))
             except ConstantZero:
                 raise DegenerateError(
                     f"tuple rides a common {wall} for a whole segment",
                     segment=seg,
-                    subsets=[subset],
+                    subsets=[tuple(sorted(triple + (mover,)))],
                 ) from None
             except EndpointZero as exc:
                 raise DegenerateError(
                     "wall contact exactly at a waypoint",
                     segment=seg,
-                    subsets=[subset],
+                    subsets=[tuple(sorted(triple + (mover,)))],
                     window=f"t={exc.where}",
                 ) from None
             for tau in tangencies:
@@ -458,18 +462,22 @@ def wall_crossings(ch: Choreography, lift, nouns, build) -> list:
                     UnstableWarning(
                         "tangential wall contact crosses nothing and emits nothing",
                         segment=seg,
-                        subset=subset,
+                        subset=tuple(sorted(triple + (mover,))),
                         time=tau,
                     )
                 )
-            found.extend((root, triple) for root in roots)
+            found.extend((root, triple, form) for root in roots)
         if found:
-            events.extend(build(seg, grid, mover, g0, g1, _group_by_time(found)))
+            events.extend(build(seg, lifted, mover, path[0], path[2], _group_by_time(found)))
     return events
 
 
 def _group_by_time(found):
-    found.sort(key=functools.cmp_to_key(lambda u, v: u[0].compare(v[0])))
+    if all(item[0].exact is not None for item in found):
+        # all rational, as always in space: stable, so the compare sort's order
+        found.sort(key=lambda item: item[0].exact)
+    else:
+        found.sort(key=functools.cmp_to_key(lambda u, v: u[0].compare(v[0])))
     return [
         sorted(group, key=lambda item: item[1])
         for _, group in itertools.groupby(found, key=lambda item: time_key(item[0]))
@@ -482,49 +490,56 @@ def trace(ch: Choreography) -> list[Event]:
         raise ValidationError("trace needs a planar choreography; use geom3d.trace3")
 
     def build(seg, grid, mover, g0, g1, groups):
-        return [
-            _build_event(seg, grid, mover, g0, g1, root, triple)
-            for group in groups
-            for root, triple in group
-        ]
+        return [_build_event(seg, grid, mover, g0, g1, *item) for group in groups for item in group]
 
     return wall_crossings(ch, _lift, ("concyclic or collinear", "circle"), build)
 
 
-def _labels(root, grid, g1, mover, triple, lift, axis):
+def _labels(root, grid, g1, mover, triple, form, axis):
     """An event's subset, the `cyclic_order` of its four points with
-    coordinate `axis` dropped (2 drops nothing), and the sign of orient3d of
-    the lifted triple and each lifted bystander; g1 is the mover's target."""
+    coordinate `axis` of the lifted grid dropped (in the plane 2 drops the
+    paraboloid's), and the sign of the static triple's plane form at each
+    lifted bystander; g1 is the mover's lifted target."""
     subset = tuple(sorted(triple + (mover,)))
-    at0 = {k: grid[k - 1][:axis] + grid[k - 1][axis + 1 :] for k in subset}
-    at1 = {**at0, mover: g1[:axis] + g1[axis + 1 :]}
+    flat = {k: grid[k - 1][:axis] + grid[k - 1][axis + 1 :] for k in subset}
+    (x0, y0), (x1, y1) = flat[mover], g1[:axis] + g1[axis + 1 :]
+    ex, ey = x1 - x0, y1 - y0
+    memo = {}  # triple sum, which no other triple of the subset has -> sign
 
     def side(i, j, k):
-        # only the mover moves: the orientation is o0 + (o1 - o0) t
-        o0 = _orient2d_raw(at0[i], at0[j], at0[k])
-        o1 = _orient2d_raw(at1[i], at1[j], at1[k])
-        return root.linear_sign(o0, o1 - o0)
+        # one read per triple, kept as its sign in ascending order: odd orders flip it
+        odd = (i > j) ^ (i > k) ^ (j > k)
+        s = memo.get(i + j + k)
+        if s is None:
+            # a rotation keeps the orientation: with the mover last it is
+            # o + (dx ey - dy ex) t, as only the mover moves
+            i, j, k = (j, k, i) if i == mover else (k, i, j) if j == mover else (i, j, k)
+            (ax, ay), (bx, by), (cx, cy) = flat[i], flat[j], flat[k]
+            dx, dy = bx - ax, by - ay
+            o = dx * (cy - ay) - dy * (cx - ax)
+            s = root.linear_sign(o, dx * ey - dy * ex) if k == mover else sign(o)
+            s = memo[i + j + k] = -s if odd else s
+        return -s if odd else s
 
     # No bystander lies on the wall: it would make four static points sit on
     # a wall, which the static scan of wall_crossings rejects first.
-    wall = [lift(grid[k - 1]) for k in triple]
-    sides = [sign(_orient3d_raw(*wall, lift(p))) for k, p in enumerate(grid, 1) if k not in subset]
+    sides = [sign(_at(form, p)) for k, p in enumerate(grid, 1) if k not in subset]
     return subset, cyclic_order(subset, side), sides
 
 
-def _build_event(seg, grid, mover, g0, g1, root, triple):
-    subset, cycle, sides = _labels(root, grid, g1, mover, triple, _lift, 2)
-    a, b, c = (grid[k - 1] for k in triple)
-    sd = orient2d(a, b, c)
+def _build_event(seg, grid, mover, g0, g1, root, triple, form):
+    subset, cycle, sides = _labels(root, grid, g1, mover, triple, form, 2)
+    sd = sign(form[3])  # N_z of the lifted plane: orient2d of the static triple
     if sd:
         # Four distinct concyclic points are in convex position.
-        return Event(seg, root, GammaGen(cycle), GGen(subset), sides.count(sd))
+        return Event(seg, root, _letter(GammaGen, cycle), _letter(GGen, subset), sides.count(sd))
 
     # Collinear wall: a, b, c collinear make incircle linear in the mover,
     # so the root is rational and the mover crosses the line ab there.
     # Order along the line, closed up projectively; distinct points, as
     # validate rejects a collision.
     t = root.exact
+    a, b = (grid[k - 1] for k in triple[:2])
 
     def along(k):
         # (P_k(t) - a) . (b - a)
@@ -543,7 +558,8 @@ def _build_event(seg, grid, mover, g0, g1, root, triple):
             subsets=[subset],
             window=f"{{{t}}}",
         )
-    return Event(seg, root, GammaGen(cycle), GGen(subset), inside, collinear_wall=True)
+    quad = _letter(GammaGen, cycle)
+    return Event(seg, root, quad, _letter(GGen, subset), inside, collinear_wall=True)
 
 
 def events_to_word(events, target: str, r: int = 1):

@@ -8,12 +8,13 @@ exact rational.
 
 The segment loop (integer grid, static degeneracy scan, root isolation,
 grouping by time) is `geom2d.wall_crossings`, shared with the planar tracer.
-Its wall is the orient3d determinant `geom2d._orient3d_raw`; in space the
-lift is the identity (`tuple`), and this module supplies the event builder,
-which classifies each event as special or not.  Its labels come from the
-one labeller of both tracers, `geom2d._labels`, read at the root on the
-segment's integer grid: every orientation that involves the mover is
-linear in t, and the bystanders' sides are static quadruples.
+Its wall is each static triple's plane, one linear form per segment
+(`geom2d._plane`); in space the lift is the identity (`tuple`), and this
+module supplies the event builder, which classifies each event as special
+or not.  Its labels come from the one labeller of both tracers,
+`geom2d._labels`, read at the root on the segment's integer grid: every
+orientation that involves the mover is linear in t, and the bystanders'
+sides are signs of the plane's form.
 
 A mover that crosses the line through two other points a, b leaves the
 restricted space there and is reported as a collinear triple through the
@@ -42,8 +43,8 @@ from fractions import Fraction
 
 from .errors import CollinearTripleError, ValidationError
 from .exact import sign
-from .generators import GammaGen, GGen, Record, _set
-from .geom2d import Choreography, _labels, _on_grid, _orient3d_raw, _sub, events_to_word
+from .generators import GammaGen, GGen, Record, _letter, _set
+from .geom2d import Choreography, _labels, _on_grid, _orient3d_raw, _plane, events_to_word
 from .geom2d import wall_crossings
 from .words import GammaWord
 
@@ -64,21 +65,9 @@ def pt3(x, y, z) -> Pt3:
     return Pt3(Fraction(x), Fraction(y), Fraction(z))
 
 
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def orient3d_sign(a: Pt3, b: Pt3, c: Pt3, d: Pt3) -> int:
     """Sign of det with rows (x, y, z, 1); zero iff the points are coplanar."""
     return sign(_orient3d_raw(*_on_grid((a, b, c, d))))
-
-
-def _collinear(a, b, c) -> bool:
-    return _cross(_sub(b, a), _sub(c, a)) == (0, 0, 0)
 
 
 def require_no_collinear_triple(cfg, where: str, mover: int | None = None) -> None:
@@ -86,7 +75,8 @@ def require_no_collinear_triple(cfg, where: str, mover: int | None = None) -> No
     (Pt3 points or integer grid tuples); with `mover`, of the triples
     through that point only."""
     for t in itertools.combinations(range(1, len(cfg) + 1), 3):
-        if (mover is None or mover in t) and _collinear(*(cfg[k - 1] for k in t)):
+        # collinear: the normal (b - a) x (c - a) of their plane is 0
+        if (mover is None or mover in t) and _plane(*(cfg[k - 1] for k in t))[1:] == (0, 0, 0):
             raise CollinearTripleError(f"points {t} collinear {where}")
 
 
@@ -129,11 +119,11 @@ def trace3(ch: Choreography) -> list[Event3]:
         events = []
         for group in groups:
             root = group[0][0]
-            triples = [triple for _, triple in group]
+            triples = [item[1] for item in group]
             _require_no_collinear_pair(
                 grid, root, g1, mover, triples, f"at event time t={root.exact} of segment {seg}"
             )
-            events.extend(_build_event3(seg, grid, g1, mover, root, triple) for triple in triples)
+            events.extend(_build_event3(seg, grid, g1, mover, *item) for item in group)
         return events
 
     return wall_crossings(ch, tuple, ("coplanar", "plane"), build)
@@ -153,28 +143,25 @@ def _require_no_collinear_pair(grid, root, g1, mover, triples, where: str) -> No
     need = len(grid) - 3
     g0 = grid[mover - 1]
     for a, b in sorted(pair for pair, k in count.items() if k == need):
-        pa = grid[a - 1]
-        # (b - a) x (M(t) - a), linear in t, vanishes at the root
-        u = _sub(grid[b - 1], pa)
-        c0, c1 = _cross(u, _sub(g0, pa)), _cross(u, _sub(g1, pa))
+        # the normal (b - a) x (M(t) - a) of the plane (a, b, M(t)), linear
+        # in t, vanishes at the root
+        c0, c1 = (_plane(grid[a - 1], grid[b - 1], m)[1:] for m in (g0, g1))
         if not any(root.linear_sign(x, y - x) for x, y in zip(c0, c1)):
             raise CollinearTripleError(f"points {tuple(sorted((a, b, mover)))} collinear {where}")
 
 
-def _build_event3(seg, grid, g1, mover, root, triple) -> Event3:
-    # Dropping the dominant coordinate of the plane's normal maps the plane
+def _build_event3(seg, grid, g1, mover, root, triple, form) -> Event3:
+    # Dropping the dominant coordinate of the plane's normal N maps the plane
     # onto a coordinate plane bijectively and affinely, which keeps convex
     # position.  No three event points are collinear: validate checked the
     # static triple, and trace3 the triples through the mover.
-    a, b, c = (grid[k - 1] for k in triple)
-    normal = _cross(_sub(b, a), _sub(c, a))
-    axis = max(range(3), key=lambda k: abs(normal[k]))
-    subset, cycle, sides = _labels(root, grid, g1, mover, triple, tuple, axis)
+    axis = max(range(3), key=lambda k: abs(form[k + 1]))
+    subset, cycle, sides = _labels(root, grid, g1, mover, triple, form, axis)
     side_signs = set(sides)
     one_sided = len(side_signs) == 1
     side = side_signs.pop() if one_sided else 0
-    quad = GammaGen(cycle) if cycle else None
-    return Event3(seg, root.exact, GGen(subset), quad, cycle is not None, one_sided, side)
+    quad = _letter(GammaGen, cycle) if cycle else None
+    return Event3(seg, root.exact, _letter(GGen, subset), quad, cycle is not None, one_sided, side)
 
 
 def loop_word(ch: Choreography) -> GammaWord:

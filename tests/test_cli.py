@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from braidgamma import cli, homs
 from braidgamma.braids import parse_braid
 from braidgamma.cli import main
 from braidgamma.errors import IndexRangeError
+from braidgamma.exact import rat_to_str
 from braidgamma.geom2d import (
     Choreography,
     Move,
@@ -93,6 +95,13 @@ def test_trace_2d(capsys, choreo_path):
     for e in data["events"]:
         assert "exact" in e["time"] or "poly" in e["time"]
     assert data["word"] == "d(1,2,4,3) d(1,2,3,4)"
+
+
+def test_dyadic_cells_print_as_reduced_fractions():
+    # an irrational time's cell ends m / 2^k print reduced, without a Fraction
+    for k in range(1, 71):
+        for m in range(301):
+            assert cli._dyadic_str(m, k) == rat_to_str(Fraction(m, 1 << k)), (m, k)
 
 
 def test_trace_3d(capsys, choreo3_path):

@@ -2,8 +2,9 @@
 
 `geom2d.cyclic_order` finds the crossing diagonals of four points.  It is
 held here to a brute-force oracle over the three 4-cycles of a point set,
-and the planar collinear-wall branch, which sorts along the line instead, is
-held to the plan's own Fraction positions at each crossing time.
+and so is every traced event at a rational time, on the plan's own Fraction
+positions at that time; the planar collinear-wall branch, which sorts along
+the line instead, is held to those positions too.
 """
 
 import random
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from braidgamma.errors import DegenerateError, ValidationError
-from braidgamma.generators import GammaGen
+from braidgamma.errors import BraidGammaError, DegenerateError, ValidationError
+from braidgamma.generators import GammaGen, GGen
 from braidgamma.geom2d import Choreography, Move, cyclic_order, orient2d, pt2, trace
+from braidgamma.geom3d import pt3, trace3
 
 SEEDED = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -129,3 +131,72 @@ def test_collinear_wall_quads_follow_the_line():
         plans += 1
         events += len(walls)
     assert plans >= 100 and events >= 200
+
+
+def small_plan(rng, dim):
+    """n = 4..7 distinct points and 1..3 moves, coordinates p/q with
+    |p/q| <= 5 and q = 1..3, so that walls are often hit at rational times."""
+    n = rng.randrange(4, 8)
+
+    def point():
+        q = rng.randrange(1, 4)
+        return (pt2 if dim == 2 else pt3)(
+            *(Fraction(rng.randrange(-5 * q, 5 * q + 1), q) for _ in range(dim))
+        )
+
+    pts = []
+    while len(pts) < n:
+        p = point()
+        if p not in pts:
+            pts.append(p)
+    moves = tuple(Move(rng.randrange(1, n + 1), point()) for _ in range(rng.randrange(1, 4)))
+    return Choreography(n, tuple(pts), moves)
+
+
+def projected(e, ch):
+    """The four event points at the event time, as the event builder sees
+    them: planar as they are; spatial with the dominant coordinate of the
+    static triple's normal dropped, the first one on a tie."""
+    t = e.time if ch.dim == 3 else e.time.exact
+    at = ch.position(e.segment + t)
+    pts = {k: tuple(at[k - 1]) for k in e.subset.members}
+    if ch.dim == 3:
+        mover = ch.moves[e.segment].point
+        a, b, c = (pts[k] for k in e.subset.members if k != mover)
+        u, v = [q - p for p, q in zip(a, b)], [q - p for p, q in zip(a, c)]
+        normal = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+        axis = max(range(3), key=lambda k: abs(normal[k]))
+        pts = {k: p[:axis] + p[axis + 1 :] for k, p in pts.items()}
+    return pts
+
+
+@pytest.mark.filterwarnings("ignore::braidgamma.errors.UnstableWarning")
+@pytest.mark.parametrize("dim, plans, least", [(2, 1200, 150), (3, 300, 1000)])
+def test_traced_quads_match_the_oracle_at_rational_times(dim, plans, least):
+    # Every event at a rational time, but a collinear wall's (which has no
+    # crossing diagonals), is held to the oracle on the plan's own Fraction
+    # positions.  Its letters are the interned letters of its cycle and
+    # subset.  In space a non-convex event has neither cycle nor quad.
+    rng = random.Random(20261020 + dim)
+    checked = convex = 0
+    for _ in range(plans):
+        ch = small_plan(rng, dim)
+        try:
+            events = (trace if dim == 2 else trace3)(ch)
+        except BraidGammaError:
+            continue  # a degenerate contact or a collision
+        for e in events:
+            assert e.subset is GGen(e.subset.members)
+            if dim == 2 and (e.time.exact is None or e.collinear_wall):
+                continue
+            pts = projected(e, ch)
+            want = oracle_cycle(list(pts.values()))
+            checked += 1
+            if want is None:
+                assert dim == 3 and e.quad is None and not e.convex
+                continue
+            ids_of = {p: k for k, p in pts.items()}
+            assert e.quad is GammaGen(tuple(ids_of[p] for p in want))
+            convex += 1
+    assert checked >= least and convex > 0
+    assert dim == 2 or convex < checked  # space has non-convex events too

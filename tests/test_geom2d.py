@@ -22,6 +22,7 @@ from braidgamma.geom2d import (
     Pt2,
     _lift,
     _orient3d_raw,
+    _plane,
     _wall_coeffs,
     base_config,
     braid_choreography,
@@ -129,7 +130,7 @@ def test_wall_coeffs_are_linear_on_a_spatial_segment(pts):
     # a spatial mover runs along a line, so orient3d is linear in t: c2 == 0
     a, b, c, m0, m1 = ((2 * x, 2 * y, 2 * z) for x, y, z in pts)
     mh = tuple((u + w) // 2 for u, w in zip(m0, m1))
-    c0, c1, c2 = _wall_coeffs(a, b, c, m0, mh, m1)
+    c0, c1, c2 = _wall_coeffs(_plane(a, b, c), m0, mh, m1)
     assert c2 == 0
     assert (c0, c0 + c1) == (_orient3d_raw(a, b, c, m0), _orient3d_raw(a, b, c, m1))
 

@@ -9,7 +9,9 @@ the tracers rely on: scaling a plan by a positive rational changes no byte of
 
 import contextlib
 import io
+import itertools
 import json
+import math
 import os
 import random
 import tempfile
@@ -28,7 +30,9 @@ from braidgamma.geom2d import (
     _hits_inside,
     _lift,
     _on_grid,
+    _at,
     _orient3d_raw,
+    _plane,
     _wall_coeffs,
     choreography_to_json,
     incircle_sign,
@@ -60,11 +64,37 @@ def test_grid_incircle_signs_match_incircle_sign(pts, t):
     assert (s if orient2d(*grid[:3]) >= 0 else -s) == incircle_sign(*pts[:4])
     # the coefficients in t, interpolated through the lifted grid midpoint
     mh = _lift([(u + w) // 2 for u, w in zip(grid[3], grid[4])])
-    c0, c1, c2 = _wall_coeffs(a, b, c, m0, mh, m1)
+    c0, c1, c2 = _wall_coeffs(_plane(a, b, c), m0, mh, m1)
     moved = lerp(pts[3], pts[4], t)
     assert sign(c0 + c1 * t + c2 * t * t) == sign(
         _orient3d_raw(*map(_lift, pts[:3]), _lift(moved))
     )
+
+
+def det4(rows):
+    """The Leibniz expansion of a 4x4 determinant: a signed product per
+    permutation, the sign that of its inversion count."""
+    total = 0
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(4), 2))
+        total += (-1) ** inversions * math.prod(rows[r][c] for r, c in enumerate(perm))
+    return total
+
+
+GRID = st.tuples(*[st.integers(-10**6, 10**6)] * 3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(GRID, min_size=4, max_size=4), st.booleans())
+def test_plane_form_is_the_orient3d_determinant(pts, lifted):
+    # the form h - N . d of the plane of a, b, c is det with rows (x, y, z, 1)
+    # of a, b, c, d, on int points and on planar int points lifted
+    if lifted:
+        pts = [_lift(p[:2]) for p in pts]
+    a, b, c, d = pts
+    want = det4([(*p, 1) for p in pts])
+    assert _at(_plane(a, b, c), d) == _orient3d_raw(a, b, c, d) == want
+    assert _at(_plane(a, b, c), a) == 0  # a, b and c lie on their plane
 
 
 @SEEDED
