@@ -35,15 +35,15 @@ gives a planar triple's orient2d (N_z) and the spatial projection axis.
 Plans hold rationals, but each segment is traced on one integer grid: its
 configuration and the mover's target scaled by twice the lcm of all their
 coordinate denominators (`_on_grid`; the factor 2 puts the midpoint sample
-of `_wall_coeffs` on the grid).  Every determinant is
-homogeneous, so the positive scale keeps its sign; `AlgebraicRoot` divides
-the content out of each polynomial, so roots and their printed dyadic cells
-are those of the rational plan; and the sign of alpha + beta * t at a root
-does not change when alpha and beta are scaled alike.  `validate` builds
-these grids and decides coincidence, waypoint collinearity and collisions
-on them; `wall_crossings` reuses them, and the public predicates decide on
-a grid of their own.  Fractions remain only in the JSON codec and the
-order along a collinear wall.
+of `_wall_coeffs` on the grid).  Every determinant is homogeneous, so the
+positive scale keeps its sign; `AlgebraicRoot` divides the content out of
+each polynomial, so roots and their printed dyadic cells are those of the
+rational plan; and the sign of alpha + beta * t at a root does not change
+when alpha and beta are scaled alike.  `validate` builds these grids and
+decides coincidence, waypoint collinearity and collisions on them;
+`wall_crossings` reuses them, and the public predicates decide on a grid of
+their own.  Fractions remain only in the JSON codec and the order along a
+collinear wall.
 
 On a collinear wall (three static points on one line) the incircle
 determinant is linear in the mover, so the event time is rational, the

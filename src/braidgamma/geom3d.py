@@ -119,7 +119,7 @@ def trace3(ch: Choreography) -> list[Event3]:
         events = []
         for group in groups:
             root = group[0][0]
-            triples = [item[1] for item in group]
+            triples = [triple for _, triple, _ in group]
             _require_no_collinear_pair(
                 grid, root, g1, mover, triples, f"at event time t={root.exact} of segment {seg}"
             )
