@@ -180,8 +180,8 @@ def _cmd_trace(args) -> int:
     cap = _max_n()
     if ch.n > cap:
         raise BraidGammaError(f"choreography has n={ch.n} above the cap {cap}")
-    if ch.dim == 3 and args.target == "gammar":
-        raise BraidGammaError("target gammar needs inside counts; spatial traces have none")
+    if args.target == "gammar":  # before tracing, even if no event would be special
+        geom2d.require_inside_counts(ch.dim == 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UnstableWarning)
         events = (geom3d.trace3 if ch.dim == 3 else geom2d.trace)(ch)

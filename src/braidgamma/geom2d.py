@@ -28,20 +28,20 @@ The segment loop, `wall_crossings`, serves the spatial tracer too, with one
 wall: lifting (x, y) to (x, y, x^2 + y^2) on the paraboloid (`_lift`;
 Edelsbrunner and Seidel 1986) makes orient3d of four lifted points their
 incircle determinant, so each dimension passes a lift into 3-space and an
-event builder.  A static triple's wall is its plane, built once per segment
-as the linear form orient3d(a, b, c, d) = h - N . d (`_plane`): the static
-scan, the wall coefficients and the bystanders' sides are its values, and N
-gives a planar triple's orient2d (N_z) and the spatial projection axis.
-Plans hold rationals, but each segment is traced on one integer grid: its
-configuration and the mover's target scaled by twice the lcm of all their
-coordinate denominators (`_on_grid`; the factor 2 puts the midpoint sample
-of `_wall_coeffs` on the grid).  Every determinant is homogeneous, so the
-positive scale keeps its sign; `AlgebraicRoot` divides the content out of
-each polynomial, so roots and their printed dyadic cells are those of the
+event builder.  A static triple's wall is its plane, the linear form
+orient3d(a, b, c, d) = h - N . d (`_plane`), kept until one of its points
+moves: the static scan, the wall coefficients (read off the lifted mover
+p0 + t e + t^2 f, `_wall_coeffs`) and the bystanders' sides are its values,
+and N gives a planar triple's orient2d (N_z) and the spatial projection
+axis.  Plans hold rationals, but a plan is traced on one integer grid: its
+points scaled by the lcm of all their coordinate denominators (`_on_grid`).
+Every determinant is homogeneous, so the positive scale keeps its sign;
+`AlgebraicRoot` divides the content out of each irrational root's
+polynomial, so roots and their printed dyadic cells are those of the
 rational plan; and the sign of alpha + beta * t at a root does not change
-when alpha and beta are scaled alike.  `validate` builds these grids and
-decides coincidence, waypoint collinearity and collisions on them;
-`wall_crossings` reuses them, and the public predicates decide on a grid of
+when alpha and beta are scaled alike.  `validate` builds the grid and
+decides coincidence, waypoint collinearity and collisions on it;
+`wall_crossings` reuses it, and the public predicates decide on a grid of
 their own.  Fractions remain only in the JSON codec and the order along a
 collinear wall.
 
@@ -61,6 +61,8 @@ import json
 import math
 import warnings
 from fractions import Fraction
+from functools import cmp_to_key
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -140,9 +142,8 @@ def _lift(p):
 
 
 def _on_grid(points) -> list[tuple[int, ...]]:
-    """Rational points scaled by 2 * lcm of all their coordinate denominators,
-    as int tuples.  The coordinates are even, so midpoints stay on the grid."""
-    den = 2 * math.lcm(*(v.denominator for p in points for v in p))
+    """Rational points scaled by the lcm of their denominators, as int tuples."""
+    den = math.lcm(*(v.denominator for p in points for v in p))
     return [tuple(v.numerator * (den // v.denominator) for v in p) for p in points]
 
 
@@ -298,40 +299,36 @@ class Choreography(Record):
         cur[m.point - 1] = lerp(cur[m.point - 1], m.to, t - seg)
         return tuple(cur)
 
-    def validate(self) -> list[list[tuple[int, ...]]]:
-        """Check the plan; return each segment's integer grid, `_on_grid` of
-        its configuration and the mover's target, which the tracers reuse.
-        Waypoint k >= 1 is segment k - 1's grid with the mover at its target:
-        a positive scale keeps coincidence and collinearity."""
-        configs = self.configs()
-        kind = type(self.start[0])
-        if any(type(p) is not kind for p in self.start + tuple(m.to for m in self.moves)):
+    def validate(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Check the plan; return its start points and move targets on one integer
+        grid (`_on_grid`): a positive scale keeps coincidence and collinearity."""
+        self.configs()  # checks n, the start points and the movers
+        points = self.start + tuple(m.to for m in self.moves)
+        if len({type(p) for p in points}) > 1:
             raise ValidationError("points of one choreography must all be Pt2 or all Pt3")
-        grids = [_on_grid(cfg + (m.to,)) for cfg, m in zip(configs, self.moves)]
-        dim3 = self.dim == 3
-        if dim3:
-            from .geom3d import require_no_collinear_triple
-        for which, cfg in enumerate(configs):
-            if which == 0:
-                mover, at = None, grids[0][:-1] if grids else _on_grid(cfg)
-            else:
-                mover, (*at, target) = self.moves[which - 1].point, grids[which - 1]
-                at[mover - 1] = target
+        points = _on_grid(points)
+        start, targets = points[: self.n], points[self.n :]
+        at = list(start)
+        for which, mover in enumerate((None, *(m.point for m in self.moves))):
+            if mover:
+                at[mover - 1] = targets[which - 1]
             if len(set(at)) != self.n:
                 raise ValidationError(f"coincident points at waypoint {which}")
-            if dim3:
-                # only triples through the last mover can have become collinear
+            if len(at[0]) == 3:  # only triples through the mover can have become collinear
+                from .geom3d import require_no_collinear_triple
                 require_no_collinear_triple(at, f"at waypoint {which}", mover)
-        for seg, (m, grid) in enumerate(zip(self.moves, grids)):
-            g0, g1 = grid[m.point - 1], grid[-1]
-            for k, s in enumerate(grid[:-1], start=1):
+        at = list(start)
+        for seg, (m, g1) in enumerate(zip(self.moves, targets)):
+            g0 = at[m.point - 1]
+            for k, s in enumerate(at, start=1):
                 if k != m.point and _hits_inside(g0, g1, s):
                     raise ValidationError(
                         f"point {m.point} collides with point {k} inside segment {seg}"
                     )
-        if self.loop and configs[-1] != self.start:
+            at[m.point - 1] = g1
+        if self.loop and at != start:
             raise ValidationError("loop flag set but final configuration differs from start")
-        return grids
+        return start, targets
 
 
 def concat(ch1: Choreography, ch2: Choreography) -> Choreography:
@@ -392,42 +389,45 @@ class Event(Record):
         _set(self, "collinear_wall", collinear_wall)
 
 
-def _wall_coeffs(form, m0, mh, m1):
-    """Integer coefficients (c0, c1, c2) in t of a plane's form at the mover
-    M(t), from M at t = 0, 1/2 and 1.  The form is affine in M, and M runs
-    along a line in space (c2 = 0) or, lifted from the plane, a parabola:
-    the degree is at most two, so the interpolation is exact."""
-    p0, p1 = _at(form, m0), _at(form, m1)
-    c2 = 2 * (p1 + p0 - 2 * _at(form, mh))
-    return (p0, p1 - p0 - c2, c2)
+def _wall_coeffs(form, p0, e, fz):
+    """The coefficients in t of a plane's form h - N . d at the lifted mover
+    p0 + t e + t^2 (0, 0, fz): form(p0), -N . e and -N_z fz."""
+    _, nx, ny, nz = form
+    return (_at(form, p0), -nx * e[0] - ny * e[1] - nz * e[2], -nz * fz)
 
 
 def wall_crossings(ch: Choreography, lift, nouns, build) -> list:
     """The one wall-crossing loop of both tracers, segment by segment.
 
-    Each segment runs on the integer grid `validate` built for it (`_on_grid`
-    of its configuration and the mover's target), so every determinant is
-    taken on ints.  lift maps a grid point into 3-space, where the wall is
-    orient3d = 0: `_lift` onto the paraboloid in the plane, `tuple` in space.
-    The grid, each static triple's plane (`_plane`) and the mover at t = 0,
-    1/2 and 1 for `_wall_coeffs` are lifted or built once per segment.
+    The plan runs on the integer grid `validate` builds for it, which lift
+    maps into 3-space, where the wall is orient3d = 0: `_lift` onto the
+    paraboloid in the plane, `tuple` in space.  The lifted points and each
+    static triple's plane (`_plane`) are kept across segments, a plane until
+    one of its points moves.  Lifted, a mover g0 -> g1 runs along
+    p0 + t e + t^2 (0, 0, fz), fz = |g1 - g0|^2 in the plane and 0 in space.
     nouns = (how four static points sit on a wall, the wall) word the errors.
-    build(seg, grid, mover, g0, g1, groups) makes the events of a segment
-    from its crossings, grouped by equal time and ordered by time, each group
-    a list of (root, static triple, plane) ordered by triple; grid is the
-    lifted grid, g0 and g1 the mover's lifted start and target.
+    build(seg, grid, mover, g1, groups) makes the events of a segment from
+    its crossings, grouped by equal time and ordered by time, each group a
+    list of (root, static triple, plane) ordered by triple; grid is the
+    lifted grid, with the mover at its start, and g1 its lifted target.
     """
     static_wall, wall = nouns
+    start, targets = ch.validate()
+    lifted = [lift(p) for p in start]
+    planes = {}  # static triple -> its plane
     events = []
     moved = None  # the previous segment's mover
-    for seg, (move, (*grid, g1)) in enumerate(zip(ch.moves, ch.validate())):
+    for seg, (move, g1) in enumerate(zip(ch.moves, targets)):
         mover = move.point
         others = [k for k in range(1, ch.n + 1) if k != mover]
-        lifted = [lift(p) for p in grid]
-        planes = {t: _plane(*(lifted[k - 1] for k in t)) for t in itertools.combinations(others, 3)}
+        # the last segment's planes leave out its mover, so a triple through
+        # it is built afresh; one through this mover is dropped
+        planes = {
+            t: planes.get(t) or _plane(*(lifted[k - 1] for k in t))
+            for t in itertools.combinations(others, 3)
+        }
         # A static quadruple without the previous mover kept its points, and
-        # the previous segment cleared it (a grid only rescales, so a zero
-        # determinant stays zero).  Same order, so the same first failure.
+        # the previous segment cleared it.  Same order, same first failure.
         for quad in itertools.combinations(others, 4):
             if moved is not None and moved not in quad:
                 continue
@@ -436,52 +436,47 @@ def wall_crossings(ch: Choreography, lift, nouns, build) -> list:
                     f"four static points are {static_wall}", segment=seg, subsets=[quad]
                 )
         moved = mover
-        g0 = grid[mover - 1]
-        if g0 == g1:
+        p0, p1 = lifted[mover - 1], lift(g1)
+        if p0 == p1:
             continue
-        path = [lifted[mover - 1], lift([(u + w) // 2 for u, w in zip(g0, g1)]), lift(g1)]
+        # in the plane p0 starts with g0, which zip pairs with g1
+        fz = sum((w - u) * (w - u) for u, w in zip(p0, g1)) if len(g1) == 2 else 0
+        e = (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2] - fz)
         found = []
         for triple, form in planes.items():
             try:
-                roots, tangencies = isolate_unit_roots(_wall_coeffs(form, *path))
-            except ConstantZero:
-                raise DegenerateError(
-                    f"tuple rides a common {wall} for a whole segment",
-                    segment=seg,
-                    subsets=[tuple(sorted(triple + (mover,)))],
-                ) from None
-            except EndpointZero as exc:
-                raise DegenerateError(
-                    "wall contact exactly at a waypoint",
-                    segment=seg,
-                    subsets=[tuple(sorted(triple + (mover,)))],
-                    window=f"t={exc.where}",
-                ) from None
+                roots, tangencies = isolate_unit_roots(_wall_coeffs(form, p0, e, fz))
+            except (ConstantZero, EndpointZero) as exc:
+                subset = tuple(sorted(triple + (mover,)))
+                if isinstance(exc, ConstantZero):
+                    what, window = f"tuple rides a common {wall} for a whole segment", None
+                else:
+                    what, window = "wall contact exactly at a waypoint", f"t={exc.where}"
+                raise DegenerateError(what, segment=seg, subsets=[subset], window=window) from None
             for tau in tangencies:
-                warnings.warn(
-                    UnstableWarning(
-                        "tangential wall contact crosses nothing and emits nothing",
-                        segment=seg,
-                        subset=tuple(sorted(triple + (mover,))),
-                        time=tau,
-                    )
-                )
+                subset = tuple(sorted(triple + (mover,)))
+                what = "tangential wall contact crosses nothing and emits nothing"
+                warnings.warn(UnstableWarning(what, segment=seg, subset=subset, time=tau))
             found.extend((root, triple, form) for root in roots)
         if found:
-            events.extend(build(seg, lifted, mover, path[0], path[2], _group_by_time(found)))
+            events.extend(build(seg, lifted, mover, p1, _group_by_time(found)))
+        lifted[mover - 1] = p1
     return events
 
 
 def _group_by_time(found):
-    if all(item[0].exact is not None for item in found):
-        # all rational, as always in space: stable, so the compare sort's order
-        found.sort(key=lambda item: item[0].exact)
-    else:
-        found.sort(key=functools.cmp_to_key(lambda u, v: u[0].compare(v[0])))
-    return [
-        sorted(group, key=lambda item: item[1])
-        for _, group in itertools.groupby(found, key=lambda item: time_key(item[0]))
-    ]
+    """Items (root, triple, ...) grouped by equal time in time order, each
+    group ordered by triple.  Sorted by floor(2^32 t), and by `compare` only
+    within a run of equal floors: the order of one stable sort by `compare`."""
+    groups = []
+    keyed = sorted(((item[0].refine(32), item) for item in found), key=itemgetter(0))
+    for _, run in itertools.groupby(keyed, key=itemgetter(0)):
+        run = sorted((item for _, item in run), key=cmp_to_key(lambda u, v: u[0].compare(v[0])))
+        groups += (
+            sorted(group, key=itemgetter(1))
+            for _, group in itertools.groupby(run, key=lambda item: time_key(item[0]))
+        )
+    return groups
 
 
 def trace(ch: Choreography) -> list[Event]:
@@ -489,8 +484,8 @@ def trace(ch: Choreography) -> list[Event]:
     if ch.dim != 2:
         raise ValidationError("trace needs a planar choreography; use geom3d.trace3")
 
-    def build(seg, grid, mover, g0, g1, groups):
-        return [_build_event(seg, grid, mover, g0, g1, *item) for group in groups for item in group]
+    def build(seg, grid, mover, g1, groups):
+        return [_build_event(seg, grid, mover, g1, *item) for group in groups for item in group]
 
     return wall_crossings(ch, _lift, ("concyclic or collinear", "circle"), build)
 
@@ -527,7 +522,7 @@ def _labels(root, grid, g1, mover, triple, form, axis):
     return subset, cyclic_order(subset, side), sides
 
 
-def _build_event(seg, grid, mover, g0, g1, root, triple, form):
+def _build_event(seg, grid, mover, g1, root, triple, form):
     subset, cycle, sides = _labels(root, grid, g1, mover, triple, form, 2)
     sd = sign(form[3])  # N_z of the lifted plane: orient2d of the static triple
     if sd:
@@ -539,7 +534,7 @@ def _build_event(seg, grid, mover, g0, g1, root, triple, form):
     # Order along the line, closed up projectively; distinct points, as
     # validate rejects a collision.
     t = root.exact
-    a, b = (grid[k - 1] for k in triple[:2])
+    a, b, g0 = (grid[k - 1] for k in (*triple[:2], mover))
 
     def along(k):
         # (P_k(t) - a) . (b - a)
@@ -578,9 +573,14 @@ def events_to_word(events, target: str, r: int = 1):
 
 
 def _slot_letter(e, r: int):
-    if not isinstance(e, Event):
-        raise ValidationError("spatial traces have no inside counts")
+    require_inside_counts(isinstance(e, Event))
     return (e.inside % r, e.quad)
+
+
+def require_inside_counts(planar: bool) -> None:
+    """`gammar`'s one rule on a trace: only planar events have inside counts."""
+    if not planar:
+        raise ValidationError("spatial traces have no inside counts")
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ exact rational.
 
 The segment loop (integer grid, static degeneracy scan, root isolation,
 grouping by time) is `geom2d.wall_crossings`, shared with the planar tracer.
-Its wall is each static triple's plane, one linear form per segment
+Its wall is each static triple's plane, one linear form kept across segments
 (`geom2d._plane`); in space the lift is the identity (`tuple`), and this
 module supplies the event builder, which classifies each event as special
 or not.  Its labels come from the one labeller of both tracers,
-`geom2d._labels`, read at the root on the segment's integer grid: every
+`geom2d._labels`, read at the root on the plan's integer grid: every
 orientation that involves the mover is linear in t, and the bystanders'
 sides are signs of the plane's form.
 
@@ -115,7 +115,7 @@ def trace3(ch: Choreography) -> list[Event3]:
     if ch.dim != 3:
         raise ValidationError("trace3 needs a spatial choreography; use geom2d.trace")
 
-    def build(seg, grid, mover, g0, g1, groups):
+    def build(seg, grid, mover, g1, groups):
         events = []
         for group in groups:
             root = group[0][0]

@@ -46,8 +46,8 @@ class AlgebraicRoot:
     __slots__ = ("poly", "exact", "sigma")
 
     def __init__(self, poly, *, exact=None, sigma=0):
-        self.poly = _normalize(tuple(map(int, poly)))
-        self.exact = Fraction(exact) if exact is not None else None
+        self.poly = poly if exact is not None else _normalize(tuple(map(int, poly)))
+        self.exact = exact
         self.sigma = sigma
 
     def is_rational(self) -> bool:

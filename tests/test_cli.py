@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidgamma import cli, homs
+from braidgamma import cli, geom3d, homs
 from braidgamma.braids import parse_braid
 from braidgamma.cli import main
 from braidgamma.errors import IndexRangeError
@@ -117,6 +117,23 @@ def test_trace_3d(capsys, choreo3_path):
     )
     assert code == 0
     assert len(forgetful["word"].split()) == len(forgetful["events"])
+
+
+@pytest.mark.parametrize("moves", [True, False])
+def test_gammar_on_a_spatial_plan_exits_3_before_tracing(tmp_path, capsys, monkeypatch, moves):
+    # the library's rule and message; a plan without moves has no events,
+    # so only the check before tracing can refuse it
+    ch = Choreography(4, (pt3(0, 0, 0), pt3(4, 0, 0), pt3(0, 4, 0), pt3(1, 1, 5)),
+                      (Move(4, pt3(1, 1, -5)),) if moves else ())
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(choreography_to_json(ch)))
+
+    def untraced(ch):
+        raise AssertionError("traced")
+
+    monkeypatch.setattr(geom3d, "trace3", untraced)
+    assert main(["trace", "--target", "gammar", "--r", "2", str(path)]) == 3
+    assert capsys.readouterr() == ("", "error: spatial traces have no inside counts\n")
 
 
 @pytest.mark.parametrize("point", [0, 7])

@@ -127,10 +127,11 @@ def test_orient3d_of_lifts_is_the_incircle_determinant(quad):
 @SEEDED
 @given(st.lists(st.tuples(*[st.integers(-40, 40)] * 3), min_size=5, max_size=5))
 def test_wall_coeffs_are_linear_on_a_spatial_segment(pts):
-    # a spatial mover runs along a line, so orient3d is linear in t: c2 == 0
-    a, b, c, m0, m1 = ((2 * x, 2 * y, 2 * z) for x, y, z in pts)
-    mh = tuple((u + w) // 2 for u, w in zip(m0, m1))
-    c0, c1, c2 = _wall_coeffs(_plane(a, b, c), m0, mh, m1)
+    # a spatial mover runs along a line m0 + t e, so orient3d is linear in
+    # t: c2 == 0
+    a, b, c, m0, m1 = pts
+    e = tuple(w - u for u, w in zip(m0, m1))
+    c0, c1, c2 = _wall_coeffs(_plane(a, b, c), m0, e, 0)
     assert c2 == 0
     assert (c0, c0 + c1) == (_orient3d_raw(a, b, c, m0), _orient3d_raw(a, b, c, m1))
 

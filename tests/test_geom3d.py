@@ -200,7 +200,8 @@ def full_scan_outcome(ch):
     mover on the whole grid scaled by its denominator: the error's class and
     message, or None."""
 
-    def build(seg, grid, mover, g0, g1, groups):
+    def build(seg, grid, mover, g1, groups):
+        g0 = grid[mover - 1]
         for group in groups:
             tau = group[0][0].exact
             p, q = tau.numerator, tau.denominator

@@ -4,7 +4,7 @@ Every planar `generator_choreography` with n = 4..6, 100 seeded
 small-integer plans (half planar, half spatial; about a third of them are
 rejected with exit code 3, so error messages are pinned too) and 40 seeded
 plans whose coordinates have denominators 1..7 (half planar, half spatial;
-the tracers rescale each segment onto one integer grid, and these rows pin
+the tracers rescale each plan onto one integer grid, and these rows pin
 that rescaling) are traced through `cli.main` with targets g and gamma.
 The SHA-256 of stdout followed by stderr, and the exit code, must match the
 stored table.  An irrational event time prints its canonical dyadic cell,

@@ -1,9 +1,11 @@
 """Property tests for the integer grid the tracers compute on.
 
-Both tracers scale each segment onto one integer grid (`geom2d._on_grid`)
-and take every wall determinant there.  These tests hold the integer results to
-the Fraction predicates on random rational input, and check the consequence
-the tracers rely on: scaling a plan by a positive rational changes no byte of
+Both tracers scale the whole plan onto one integer grid (`geom2d._on_grid`)
+and take every wall determinant there, keeping each static triple's plane
+across segments until one of its points moves.  These tests hold the integer
+results to the Fraction predicates on random rational input, hold the traced
+events to a fresh trace of each segment alone, and check the consequence the
+tracers rely on: scaling a plan by a positive rational changes no byte of
 `trace` output.
 """
 
@@ -22,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidgamma import cli
+from braidgamma.errors import BraidGammaError
 from braidgamma.exact import sign
 from braidgamma.geom2d import (
     Choreography,
@@ -38,8 +41,10 @@ from braidgamma.geom2d import (
     incircle_sign,
     lerp,
     orient2d,
+    trace,
 )
-from braidgamma.geom3d import Pt3, orient3d_sign
+from braidgamma.geom3d import Event3, Pt3, orient3d_sign, trace3
+from braidgamma.roots import time_key
 
 SEEDED = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 COORD = st.fractions(min_value=-4, max_value=4, max_denominator=7)
@@ -57,14 +62,17 @@ def points(kind, count):
 @given(points(Pt2, 5), UNIT)
 def test_grid_incircle_signs_match_incircle_sign(pts, t):
     grid = _on_grid(pts)
-    assert all(type(v) is int and v % 2 == 0 for p in grid for v in p)
+    assert all(type(v) is int for p in grid for v in p)
     a, b, c, m0, m1 = map(_lift, grid)
     s = sign(_orient3d_raw(a, b, c, m0))
     assert s == sign(_orient3d_raw(*map(_lift, pts[:4])))
     assert (s if orient2d(*grid[:3]) >= 0 else -s) == incircle_sign(*pts[:4])
-    # the coefficients in t, interpolated through the lifted grid midpoint
-    mh = _lift([(u + w) // 2 for u, w in zip(grid[3], grid[4])])
-    c0, c1, c2 = _wall_coeffs(_plane(a, b, c), m0, mh, m1)
+    # the coefficients in t, read off the lifted path m0 + t e + t^2 f with
+    # f = lift(g1 - g0) - (g1 - g0, 0) = (0, 0, |g1 - g0|^2)
+    d = tuple(w - u for u, w in zip(grid[3], grid[4]))
+    f = _lift(d)[2]
+    e = (m1[0] - m0[0], m1[1] - m0[1], m1[2] - m0[2] - f)
+    c0, c1, c2 = _wall_coeffs(_plane(a, b, c), m0, e, f)
     moved = lerp(pts[3], pts[4], t)
     assert sign(c0 + c1 * t + c2 * t * t) == sign(
         _orient3d_raw(*map(_lift, pts[:3]), _lift(moved))
@@ -200,3 +208,52 @@ def test_integer_collision_test_matches_the_fraction_one():
             seen[case, expected] += 1
     assert seen["inside", True] > 100 and seen["null", False] > 100
     assert seen["end", False] > 100 and seen["outside", False] > 100
+
+
+def revisiting_plan(rng, dim):
+    """A seeded plan of n = 5..7 integer points and 6..9 moves in which the
+    first mover moves again after others have, and so does the last: its
+    static planes through those points go stale and must be built again."""
+    kind = Pt2 if dim == 2 else Pt3
+    n = rng.randrange(5, 8)
+
+    def point():
+        return kind(*(Fraction(rng.randrange(-30, 31)) for _ in range(dim)))
+
+    start = []
+    while len(start) < n:
+        p = point()
+        if p not in start:
+            start.append(p)
+    movers = [rng.randrange(1, n + 1) for _ in range(rng.randrange(4, 7))]
+    movers = [movers[0], *movers, movers[0], movers[-1]]
+    return Choreography(n, tuple(start), tuple(Move(k, point()) for k in movers))
+
+
+def event_key(e):
+    if isinstance(e, Event3):
+        return e
+    return (e.segment, time_key(e.time), e.quad, e.subset, e.inside, e.collinear_wall)
+
+
+def test_planes_carried_across_segments_match_a_fresh_trace_per_segment():
+    # Each segment traced alone, as a one-move plan from its own start
+    # configuration, builds every plane afresh; a plane kept past a move of
+    # one of its points shows as a different event list.
+    rng = random.Random(2611)
+    for dim, tracer in ((2, trace), (3, trace3)):
+        traced = events = 0
+        while traced < 40:
+            ch = revisiting_plan(rng, dim)
+            try:
+                got = tracer(ch)
+            except BraidGammaError:
+                continue
+            traced += 1
+            want = []
+            for seg, (cfg, move) in enumerate(zip(ch.configs(), ch.moves)):
+                alone = tracer(Choreography(ch.n, cfg, (move,)))
+                want += [e.__class__(seg, *(getattr(e, f) for f in e._fields[1:])) for e in alone]
+            assert list(map(event_key, got)) == list(map(event_key, want)), ch
+            events += len(got)
+        assert events > 10 * traced, (dim, events)  # the plans cross many walls

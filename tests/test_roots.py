@@ -1,5 +1,6 @@
 import decimal
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from braidgamma.roots import (
     ConstantZero,
     EndpointZero,
     dyadic_level,
+    time_key,
     isolate_unit_roots,
 )
 
@@ -392,3 +394,45 @@ def test_equal_times_from_different_polynomials_share_a_group():
         [(1, 2, 3), (2, 3, 4)], [(1, 2, 3), (2, 3, 4)], [(1, 2, 3)]
     ]
     assert [group[0][0] for group in groups] == [irr, third, half]  # 1 - 1/sqrt(2) < 1/3
+
+
+def _group_by_one_compare_sort(found):
+    """_group_by_time as it sorted a segment with an irrational time: one
+    stable sort by `compare`, then runs of equal `time_key`."""
+    found.sort(key=functools.cmp_to_key(lambda u, v: u[0].compare(v[0])))
+    return [
+        sorted(group, key=lambda item: item[1])
+        for _, group in itertools.groupby(found, key=lambda item: time_key(item[0]))
+    ]
+
+
+def test_group_by_time_sorts_by_key_as_one_compare_sort_does():
+    # Irrational roots of distinct quadratics near 1/sqrt(2), about 0.35/k^2
+    # apart, so many share refine(32); rationals in and near their cells;
+    # and equal times from scaled and from different polynomials.
+    rng = random.Random(2612)
+    pool = []
+    for k in range(10**5, 10**5 + 40):
+        for c0 in (-(k * k + 1), -(k * k - 1)):
+            for scale in (1, 3):
+                pool += isolate_unit_roots((scale * c0, 0, scale * 2 * k * k))[0]
+    pool += isolate_unit_roots((-1, 0, 2))[0]
+    cell = pool[0].refine(32)
+    for v in (Fraction(cell, 1 << 32), Fraction(2 * cell + 1, 1 << 33), Fraction(cell + 1, 1 << 32),
+              Fraction(70711, 100000), Fraction(1, 3)):
+        p, q = v.numerator, v.denominator
+        pool += isolate_unit_roots((-p, q, 0))[0]  # q t - p
+        pool += isolate_unit_roots((-p, q - p, q))[0]  # (q t - p)(t + 1)
+    irrational = [t for t in pool if not t.is_rational()]
+    assert len(irrational) > 100
+    keys = {}
+    for t in irrational:
+        keys.setdefault(t.refine(32), set()).add(time_key(t))
+    assert max(len(v) for v in keys.values()) > 10  # distinct times under one key
+    assert sum(t.is_rational() and t.refine(32) in keys for t in pool) >= 2
+    for _ in range(400):
+        times = rng.sample(pool, rng.randrange(2, 14))
+        times += rng.choices(times, k=rng.randrange(0, 3))  # a time crossed twice
+        found = [(t, tuple(sorted(rng.sample(range(1, 8), 3)))) for t in times]
+        rng.shuffle(found)
+        assert _group_by_time(list(found)) == _group_by_one_compare_sort(list(found))
