@@ -175,12 +175,10 @@ def isolate_unit_roots(coeffs) -> tuple[list[AlgebraicRoot], list[Fraction]]:
         raise EndpointZero(1)
 
     if c2 == 0:
-        if c1 == 0:
+        # c0 and c0 + c1 are nonzero, so a root in (0, 1) is a sign change
+        if (c0 > 0) == (c0 + c1 > 0):
             return [], []
-        root = Fraction(-c0, c1)
-        if 0 < root < 1:
-            return [AlgebraicRoot((c0, c1), exact=root)], []
-        return [], []
+        return [AlgebraicRoot((c0, c1), exact=Fraction(-c0, c1))], []
 
     disc = c1 * c1 - 4 * c0 * c2
     if disc < 0:
