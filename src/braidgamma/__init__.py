@@ -56,7 +56,6 @@ from .words import (
     GWord,
     InvariantClass,
     MultiWord,
-    commute_normalize,
     free_reduce,
     gamma_columns,
     invariant,

@@ -225,17 +225,22 @@ def lerp(p, q, t):
     return type(p)(*(a + t * (b - a) for a, b in zip(p, q)))
 
 
-def _hits_inside(g0, g1, s) -> bool:
-    """Whether the segment g0 -> g1 of integer grid points, in any dimension,
-    passes through s strictly between its ends: s - g0 = t d with d = g1 - g0
-    and 0 < t < 1.  That is 0 < (s - g0) . d < d . d, and s - g0 parallel to
-    d, which by Lagrange's identity |u x d|^2 = |u|^2 |d|^2 - (u . d)^2 is
-    equality in Cauchy-Schwarz.  A null move (d = 0) hits nothing."""
+def _first_hit_inside(g0, g1, points) -> int:
+    """The first of `points`, numbered from 1, that the segment g0 -> g1 of
+    integer grid points, in any dimension, passes through strictly between
+    its ends, or 0 if none: s - g0 = t d with d = g1 - g0 and 0 < t < 1.
+    That is 0 < (s - g0) . d < d . d, and s - g0 parallel to d, which by
+    Lagrange's identity |u x d|^2 = |u|^2 |d|^2 - (u . d)^2 is equality in
+    Cauchy-Schwarz.  Neither g0 itself nor anything on a null move (d = 0)
+    is hit."""
     d = [b - a for a, b in zip(g0, g1)]
-    u = [c - a for a, c in zip(g0, s)]
-    ud = sum(x * y for x, y in zip(u, d))
     dd = sum(x * x for x in d)
-    return 0 < ud < dd and ud * ud == dd * sum(x * x for x in u)
+    for k, s in enumerate(points, start=1):
+        u = [c - a for a, c in zip(g0, s)]
+        ud = sum(x * y for x, y in zip(u, d))
+        if 0 < ud < dd and ud * ud == dd * sum(x * x for x in u):
+            return k
+    return 0
 
 
 class Move(Record):
@@ -319,12 +324,11 @@ class Choreography(Record):
                 require_no_collinear_triple(at, f"at waypoint {which}", mover)
         at = list(start)
         for seg, (m, g1) in enumerate(zip(self.moves, targets)):
-            g0 = at[m.point - 1]
-            for k, s in enumerate(at, start=1):
-                if k != m.point and _hits_inside(g0, g1, s):
-                    raise ValidationError(
-                        f"point {m.point} collides with point {k} inside segment {seg}"
-                    )
+            k = _first_hit_inside(at[m.point - 1], g1, at)
+            if k:
+                raise ValidationError(
+                    f"point {m.point} collides with point {k} inside segment {seg}"
+                )
             at[m.point - 1] = g1
         if self.loop and at != start:
             raise ValidationError("loop flag set but final configuration differs from start")
@@ -352,6 +356,8 @@ def reverse(ch: Choreography) -> Choreography:
 
 def subdivide(ch: Choreography, seg: int, at: Fraction = Fraction(1, 2)) -> Choreography:
     """Split segment `seg` at local parameter `at` (event words are unchanged)."""
+    if not 0 <= seg < len(ch.moves):
+        raise ValidationError(f"no segment {seg} in a plan of {len(ch.moves)} moves")
     if not 0 < Fraction(at) < 1:
         raise ValidationError("subdivision parameter must be strictly inside (0,1)")
     m = ch.moves[seg]

@@ -15,26 +15,19 @@ word its `InvariantClass` in `_class`, which `invariant` returns for the
 same n.  A memo is no field, so equality, hash, repr, copy and pickle ignore
 it, and a reduced word never points at itself (a reference cycle would
 leave every image to the cyclic GC).
-Equality of group elements is not decidable here in general; the package
-commits to two certificates:
-
-  * `invariant` — the GF(2) occurrence-parity vector of a word, reduced
-    modulo the row space spanned by the pentagon relations (for cyclic
-    quadruples) or by nothing (for 4-subset generators, whose 5-term
-    relation is a square and dies under abelianization); gammar's slots are
-    copies, each reduced on its own.  Equal invariants are a *necessary*
-    condition for equality in the group, never sufficient.
-  * `commute_normalize` — the exact normal form modulo the involution and
-    far-commutation relations alone, a right-angled Coxeter group.  Equal
-    normal forms certify equality; unequal ones certify nothing, since the
-    pentagon and five-term relations are not used.
+Equality of group elements is not decidable here in general.  The one
+certificate is `invariant`: the GF(2) occurrence-parity vector of a word,
+reduced modulo the row space spanned by the pentagon relations (for cyclic
+quadruples) or by nothing (for 4-subset generators, whose 5-term relation
+is a square and dies under abelianization); gammar's slots are copies, each
+reduced on its own.  Equal invariants are a *necessary* condition for
+equality in the group, never sufficient.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-import heapq
 import itertools
 
 from . import gf2
@@ -206,61 +199,6 @@ def free_reduce(w: Word) -> Word:
 def invert(w: Word) -> Word:
     """Group inverse: reversal, since all letters are involutions."""
     return _rebuild(w, reversed(w.letters))
-
-
-def _commute(x, y) -> bool:
-    """Far commutation: letters in different slots, or sharing at most 2 indices."""
-    if type(x) is tuple:
-        if x[0] != y[0]:
-            return True
-        x, y = x[1], y[1]
-    return len(set(x.subset).intersection(y.subset)) < 3
-
-
-def commute_normalize(w: Word, n: int | None = None) -> Word:
-    """Exact normal form modulo involution and far commutation, which alone
-    present a right-angled Coxeter group (Tits 1969).
-
-    First each letter cancels the last earlier letter it does not commute
-    with, if the two are equal: the result is reduced, and reduced words of
-    one element differ only by swaps of commuting letters.  Then the least
-    letter that waits on no earlier letter it does not commute with is
-    emitted, until none is left.  Equal forms certify equality in the
-    target; unequal ones certify nothing, as pentagon relations are unused.
-    """
-    if n is not None:
-        _check_letters(w, n)
-    distinct = set(w.letters)
-    clash = {x: {y for y in distinct if not _commute(x, y)} for x in distinct}
-    kept = []
-    for x in w.letters:
-        k = len(kept) - 1
-        while k >= 0 and kept[k] not in clash[x]:
-            k -= 1
-        if k >= 0 and kept[k] == x:
-            del kept[k]
-        else:
-            kept.append(x)
-    # y waits on the last earlier place of each letter it does not commute
-    # with; that letter's earlier places come before that place anyway
-    waits, blocked, last = [], [[] for _ in kept], {}
-    for j, y in enumerate(kept):
-        before = [last[z] for z in clash[y] if z in last]
-        waits.append(len(before))
-        for i in before:
-            blocked[i].append(j)
-        last[y] = j
-    ready = [(x, i) for i, x in enumerate(kept) if not waits[i]]
-    heapq.heapify(ready)
-    out = []
-    while ready:
-        x, i = heapq.heappop(ready)
-        out.append(x)
-        for j in blocked[i]:
-            waits[j] -= 1
-            if not waits[j]:
-                heapq.heappush(ready, (kept[j], j))
-    return _rebuild(w, out)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,17 @@ def test_reverse_subdivide_and_position(dim):
     assert ch.position(Fraction(4, 3)) == subdivide(ch, 1, Fraction(1, 3)).configs()[2]
 
 
+def test_subdivide_rejects_a_segment_outside_the_plan():
+    # a negative segment must not wrap round to the last move
+    ch = generator_choreography(4, 1, 2)
+    assert len(ch.moves) == 12 and len(subdivide(ch, 11).moves) == 13
+    empty = Choreography(4, ch.start)
+    for plan, seg in ((ch, -1), (ch, 12), (empty, 0), (empty, -1)):
+        message = f"^no segment {seg} in a plan of {len(plan.moves)} moves$"
+        with pytest.raises(ValidationError, match=message):
+            subdivide(plan, seg)
+
+
 def test_concat_endpoint_check():
     ch = generator_choreography(4, 1, 2)
     with pytest.raises(EndpointMismatchError):

@@ -30,7 +30,7 @@ from braidgamma.geom2d import (
     Choreography,
     Move,
     Pt2,
-    _hits_inside,
+    _first_hit_inside,
     _lift,
     _on_grid,
     _at,
@@ -204,7 +204,9 @@ def test_integer_collision_test_matches_the_fraction_one():
                 if case == "null" and rng.random() < 0.5:
                     s = tuple(coord() for _ in range(dim))
             expected = fraction_hits_inside(p0, p1, s)
-            assert _hits_inside(*_on_grid([p0, p1, s])) == expected, (p0, p1, s)
+            g0, g1, g = _on_grid([p0, p1, s])
+            # the ends are never hit, and the hit is numbered from 1
+            assert _first_hit_inside(g0, g1, [g0, g1, g]) == 3 * expected, (p0, p1, s)
             seen[case, expected] += 1
     assert seen["inside", True] > 100 and seen["null", False] > 100
     assert seen["end", False] > 100 and seen["outside", False] > 100

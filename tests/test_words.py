@@ -15,7 +15,6 @@ from braidgamma.words import (
     MultiWord,
     TARGETS,
     check_target,
-    commute_normalize,
     free_reduce,
     g_columns,
     gamma_columns,
@@ -159,12 +158,10 @@ def test_invariant_additivity_and_symmetries():
         assert invariant(w1 * w2, 6) == invariant(w1, 6) + invariant(w2, 6)
         assert invariant(invert(w1), 6) == invariant(w1, 6)
         assert invariant(free_reduce(w1), 6) == invariant(w1, 6)
-        assert invariant(commute_normalize(w1), 6) == invariant(w1, 6)
     for _ in range(30):
         mw = random_multi_word(rng, 6, 3, rng.randrange(10))
         assert invariant(invert(mw), 6) == invariant(mw, 6)
         assert invariant(free_reduce(mw), 6) == invariant(mw, 6)
-        assert invariant(commute_normalize(mw), 6) == invariant(mw, 6)
 
 
 def test_reduction_is_idempotent_and_row_order_free():
@@ -353,41 +350,6 @@ def test_nonzero_letters_name_no_letter_for_bits_past_the_columns():
 
 
 # ---------------------------------------------------------------------------
-# commute-normalize
-# ---------------------------------------------------------------------------
-
-
-def test_commute_normalize_examples():
-    w = GammaWord((D(1, 2, 3, 4), D(5, 6, 7, 8), D(1, 2, 3, 4)))
-    assert commute_normalize(w) == GammaWord((D(5, 6, 7, 8),))
-    sticky = GammaWord((D(1, 2, 3, 4), D(1, 2, 3, 5)))
-    assert commute_normalize(sticky) == sticky
-    # sharing 3 indices blocks the swap even when the key order says otherwise
-    blocked = GammaWord((D(1, 2, 3, 5), D(1, 2, 3, 4)))
-    assert commute_normalize(blocked) == blocked
-
-
-def test_commute_normalize_idempotent_and_invariant_safe():
-    rng = random.Random(23)
-    for _ in range(80):
-        w = random_gamma_word(rng, 8, rng.randrange(12))
-        nf = commute_normalize(w)
-        assert commute_normalize(nf) == nf
-        assert invariant_equal(nf, w, 8)
-    for _ in range(40):
-        mw = random_multi_word(rng, 6, 3, rng.randrange(10))
-        nf = commute_normalize(mw)
-        assert commute_normalize(nf) == nf
-        assert invariant_equal(nf, mw, 6)
-
-
-def test_commute_normalize_crosses_slots():
-    x, y = D(1, 2, 3, 4), D(1, 2, 3, 5)
-    mw = MultiWord(2, ((0, x), (1, y), (0, x)))
-    assert commute_normalize(mw) == MultiWord(2, ((1, y),))
-
-
-# ---------------------------------------------------------------------------
 # text forms
 # ---------------------------------------------------------------------------
 
@@ -515,118 +477,6 @@ def test_parse_errors_carry_positions():
         parse_word("[5]d(1,2,3,4)", 2, "gammar")
     with pytest.raises(WordSyntaxError):
         parse_word("d(1,2,,4)", target="gamma")
-
-
-# ---------------------------------------------------------------------------
-# the normal form against an independent oracle
-# ---------------------------------------------------------------------------
-
-
-def _oracle_commute(x, y):
-    """Far commutation, written out apart from the package: letters in
-    different slots, or on 4-subsets sharing fewer than 3 indices."""
-    if isinstance(x, tuple):
-        if x[0] != y[0]:
-            return True
-        x, y = x[1], y[1]
-    members = lambda g: set(g.members if isinstance(g, GGen) else g.cycle)
-    return len(members(x) & members(y)) < 3
-
-
-def _oracle_reduce(letters, rng):
-    """Tits deletion in a random order: drop two equal letters while every
-    letter between them commutes with them, until no such pair is left."""
-    letters = list(letters)
-    while True:
-        pairs = [
-            (i, j)
-            for i, j in itertools.combinations(range(len(letters)), 2)
-            if letters[i] == letters[j]
-            and all(_oracle_commute(letters[i], z) for z in letters[i + 1 : j])
-        ]
-        if not pairs:
-            return tuple(letters)
-        i, j = rng.choice(pairs)
-        del letters[j], letters[i]
-
-
-def _oracle_class(letters):
-    """Every word reached by swapping adjacent commuting letters (BFS)."""
-    seen = {letters}
-    todo = [letters]
-    while todo:
-        w = todo.pop()
-        for k in range(len(w) - 1):
-            if w[k] != w[k + 1] and _oracle_commute(w[k], w[k + 1]):
-                v = w[:k] + (w[k + 1], w[k]) + w[k + 2 :]
-                if v not in seen:
-                    seen.add(v)
-                    todo.append(v)
-    return seen
-
-
-def _perturb(rng, w, pool, moves):
-    """A word equal to w modulo involution and far commutation: random xx
-    insertions and swaps of adjacent commuting letters."""
-    letters = list(w.letters)
-    for _ in range(moves):
-        if rng.random() < 0.4:
-            x = rng.choice(pool)
-            pos = rng.randrange(len(letters) + 1)
-            letters[pos:pos] = [x, x]
-        elif len(letters) > 1:
-            k = rng.randrange(len(letters) - 1)
-            if _oracle_commute(letters[k], letters[k + 1]):
-                letters[k], letters[k + 1] = letters[k + 1], letters[k]
-    if isinstance(w, MultiWord):
-        return MultiWord(w.r, tuple(letters))
-    return type(w)(tuple(letters))
-
-
-def _pools():
-    """Small alphabets with both commuting and non-commuting pairs."""
-    gammas = [D(1, 2, 3, 4), D(1, 2, 4, 3), D(1, 2, 3, 5), D(3, 4, 5, 6), D(1, 2, 5, 6)]
-    gs = [A(1, 2, 3, 4), A(1, 2, 3, 5), A(3, 4, 5, 6), A(1, 2, 5, 6), A(2, 3, 4, 6)]
-    multis = [(s, g) for s in range(2) for g in gammas[:3]]
-    return (
-        (lambda ls: GammaWord(tuple(ls)), gammas),
-        (lambda ls: GWord(tuple(ls)), gs),
-        (lambda ls: MultiWord(2, tuple(ls)), multis),
-    )
-
-
-def test_commute_normalize_matches_tits_oracle():
-    rng = random.Random(2024)
-    equal_pairs = 0
-    for make, pool in _pools():
-        for _ in range(150):
-            w1 = make(rng.choice(pool) for _ in range(rng.randrange(7)))
-            if rng.random() < 0.5:
-                w2 = _perturb(rng, w1, pool, rng.randrange(1, 4))
-            else:
-                w2 = make(rng.choice(pool) for _ in range(rng.randrange(7)))
-            reduced1 = _oracle_reduce(w1.letters, rng)
-            reduced2 = _oracle_reduce(w2.letters, rng)
-            cls = _oracle_class(reduced1)
-            nf1, nf2 = commute_normalize(w1), commute_normalize(w2)
-            assert type(nf1) is type(w1)
-            # the form is a reduced word of the element, the least one
-            assert nf1.letters in cls and nf1.letters == min(cls)
-            assert (nf1 == nf2) == (reduced2 in cls)
-            equal_pairs += nf1 == nf2
-    assert 100 < equal_pairs < 400
-
-
-def test_commute_normalize_equal_words_get_equal_forms():
-    rng = random.Random(1500)
-    cols = gamma_columns(6)
-    for _ in range(300):
-        w = random_gamma_word(rng, 6, rng.randrange(4, 14))
-        assert commute_normalize(_perturb(rng, w, cols, 12)) == commute_normalize(w)
-    for _ in range(100):
-        mw = random_multi_word(rng, 6, 2, rng.randrange(4, 14))
-        pool = [(s, g) for s in range(2) for g in cols]
-        assert commute_normalize(_perturb(rng, mw, pool, 12)) == commute_normalize(mw)
 
 
 # ---------------------------------------------------------------------------
