@@ -10,11 +10,11 @@ each `(slot, GammaGen)` pair by `MultiWord`, which swaps it for the one
 tuple per distinct pair.  So the word layer compares letters by identity:
 `free_reduce` tests `is`, and `invariant` counts letters in a `Counter`.
 A word from `homs.map_braid` carries two memo slots: an unreduced image
-its reduced word in `_reduced`, which `free_reduce` returns, and the reduced
-word its `InvariantClass` in `_class`, which `invariant` returns for the
-same n.  A memo is no field, so equality, hash, repr, copy and pickle ignore
-it, and a reduced word never points at itself (a reference cycle would
-leave every image to the cyclic GC).
+holds its reduced word in `_reduced`, which `free_reduce` returns, and the
+reduced word its `InvariantClass` in `_class`, which `invariant` returns
+for the same n.  A memo is no field, so equality, hash, repr, copy and
+pickle ignore it, and a reduced word never points at itself (a reference
+cycle would leave every image to the cyclic GC).
 Equality of group elements is not decidable here in general.  The one
 certificate is `invariant`: the GF(2) occurrence-parity vector of a word,
 reduced modulo the row space spanned by the pentagon relations (for cyclic
