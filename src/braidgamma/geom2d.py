@@ -176,43 +176,20 @@ def circumcenter(a: Pt2, b: Pt2, c: Pt2) -> Pt2:
 # ---------------------------------------------------------------------------
 
 
-# the largest base that base_config tries
-MAX_BASE = 1 << 20
-
-
 @functools.lru_cache(maxsize=None)
 def base_config(n: int) -> tuple[Pt2, ...]:
-    """n points on the squaring parabola at geometrically growing abscissae.
+    """The standard configuration: P_k = (4^k, 16^k) on y = x^2, k = 1..n.
 
-    The base B (a power of two, starting at 4) is accepted only after two
-    exact checks: no four points concyclic, and for every sorted triple
-    (j, p, q) the points strictly inside the circle through P_j, P_p, P_q are
-    exactly P_1..P_{j-1} and P_{p+1}..P_{q-1}.
+    A circle meets y = x^2 where a quartic with no x^3 term vanishes, so its
+    four meeting abscissae sum to 0.  The circle through P_j, P_p, P_q
+    (j < p < q) meets the parabola a fourth time at x = -(x_j + x_p + x_q) < 0:
+    no fourth P_k lies on it.  The parabola runs inside it exactly on
+    (-(x_j + x_p + x_q), x_j) and (x_p, x_q), so it holds exactly P_1..P_{j-1}
+    and P_{p+1}..P_{q-1}, for any increasing positive abscissae.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    B = 4
-    while B <= MAX_BASE:
-        t = [Fraction(B) ** k for k in range(1, n + 1)]
-        pts = tuple(Pt2(v, v * v) for v in t)
-        if _base_config_ok(pts):
-            return pts
-        B *= 2
-    raise ValidationError(f"no admissible base found up to {MAX_BASE}")
-
-
-def _base_config_ok(pts) -> bool:
-    # s == 0 below, for a sorted triple and a fourth point, is four concyclic
-    n = len(pts)
-    for j, p, q in itertools.combinations(range(1, n + 1), 3):
-        for k in range(1, n + 1):
-            if k in (j, p, q):
-                continue
-            expected = k < j or p < k < q
-            s = incircle_sign(pts[j - 1], pts[p - 1], pts[q - 1], pts[k - 1])
-            if s == 0 or (s > 0) != expected:
-                return False
-    return True
+    return tuple(Pt2(Fraction(4) ** k, Fraction(16) ** k) for k in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -638,14 +615,13 @@ def braid_choreography(w) -> Choreography:
     from .braids import BraidWord
 
     assert isinstance(w, BraidWord)
-    ch = Choreography(w.n, base_config(w.n), (), loop=True)
-    for g in w.letters:
+    moves = []
+    for g in w.letters:  # each loop, and its reverse, starts and ends at base_config
         piece = generator_choreography(w.n, g.i, g.j)
         if g.exponent < 0:
             piece = reverse(piece)
-        for _ in range(abs(g.exponent)):
-            ch = concat(ch, piece)
-    return ch
+        moves += piece.moves * abs(g.exponent)
+    return Choreography(w.n, base_config(w.n), tuple(moves), loop=True)
 
 
 # ---------------------------------------------------------------------------

@@ -119,3 +119,20 @@ def test_relation3_inverted_variant():
     assert len(printed) == len(inverted) == 1
     assert print_braid(printed[0].lhs) == "b(1,3) b(2,3) b(2,4) b(2,3)"
     assert print_braid(inverted[0].lhs) == "b(1,3) b(2,3) b(2,4) b(2,3)^-1"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: parse_braid("b(1,2", 4), WordSyntaxError, "expected ')' (at position 5)"),
+        (lambda: BraidGen(0, 2), IndexRangeError,
+         "strand index must be a positive integer, got 0"),
+        (lambda: BraidWord(3, (BraidGen(1, 4),)), IndexRangeError,
+         "letter b(1,4) exceeds strand count n=3"),
+        (lambda: relation_instances(1), IndexRangeError, "need n >= 2 strands, got 1"),
+    ],
+)
+def test_bad_braid_input_raises_its_error_class_and_message(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message

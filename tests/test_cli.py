@@ -119,6 +119,37 @@ def test_trace_3d(capsys, choreo3_path):
     assert len(forgetful["word"].split()) == len(forgetful["events"])
 
 
+@pytest.mark.parametrize(
+    "plan",
+    [
+        # planar: a tangential touch, then two crossings of the same circle
+        {"n": 4, "dim": 2, "points": [["0", "0"], ["4", "0"], ["0", "4"], ["2", "6"]],
+         "moves": [{"point": 4, "to": ["6", "2"]}, {"point": 4, "to": ["1", "1"]},
+                   {"point": 4, "to": ["2", "6"]}], "loop": True},
+        {"n": 5, "dim": 3, "points": [["0", "0", "0"], ["4", "0", "0"], ["0", "4", "0"],
+                                      ["3", "3", "-1"], ["1", "1", "5"]],
+         "moves": [{"point": 4, "to": ["3", "3", "1"]}]},
+    ],
+)
+def test_trace_text_prints_the_json_run_line_by_line(tmp_path, capsys, plan):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    code, data = run_json(capsys, ["trace", "--format", "json", str(path)])
+    assert code == 0 and data["events"]
+    assert bool(data["warnings"]) == (plan["dim"] == 2)
+    inv = data["invariant"]
+    expected = [
+        f"{len(data['events'])} events",
+        *(f"  {json.dumps(e, sort_keys=True)}" for e in data["events"]),
+        f"word:      {data['word']}",
+        f"reduced:   {data['reduced']}",
+        f"invariant: {' + '.join(inv['coords']) or '0'}",
+        *(f"warning: {w}" for w in data["warnings"]),
+    ]
+    assert main(["trace", str(path)]) == 0
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
 @pytest.mark.parametrize("moves", [True, False])
 def test_gammar_on_a_spatial_plan_exits_3_before_tracing(tmp_path, capsys, monkeypatch, moves):
     # the library's rule and message; a plan without moves has no events,
@@ -409,6 +440,30 @@ def test_map_traced_mode(capsys):
     assert code == 0
     assert data["mode"] == "traced"
     assert data["word"] == "d(1,2,4,3) d(1,2,3,4)"
+
+
+@pytest.mark.parametrize(
+    "cap, argv, message",
+    [
+        ("abc", ["map", "-n", "4", "b(1,2)"], "BRAIDGAMMA_MAX_N must be an integer, got 'abc'"),
+        ("3", ["trace", "PLAN"], "choreography has n=4 above the cap 3"),
+        (None, ["map", "-n", "4"], "provide a word argument or --in FILE"),
+        (None, ["render", "PLAN", "--t", "1/2", "--circle", "1,2,9", "--out", "OUT"],
+         "circle index 9 outside 1..4"),
+    ],
+)
+def test_bad_input_at_the_cli_boundary_exits_3(
+    tmp_path, capsys, monkeypatch, choreo_path, cap, argv, message
+):
+    if cap is None:
+        monkeypatch.delenv("BRAIDGAMMA_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("BRAIDGAMMA_MAX_N", cap)
+    out = tmp_path / "frame.svg"
+    argv = [{"PLAN": choreo_path, "OUT": str(out)}.get(a, a) for a in argv]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_render_rejects_spatial_input(tmp_path, choreo3_path):

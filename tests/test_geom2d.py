@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidgamma.braids import parse_braid
+from braidgamma.braids import BraidWord, parse_braid
 from braidgamma.errors import (
     BraidGammaError,
     DegenerateError,
@@ -15,7 +15,7 @@ from braidgamma.errors import (
     ValidationError,
 )
 from braidgamma.exact import rat_from_str
-from braidgamma.generators import GammaGen
+from braidgamma.generators import BraidGen, GammaGen
 from braidgamma.geom2d import (
     Choreography,
     Move,
@@ -137,8 +137,9 @@ def test_wall_coeffs_are_linear_on_a_spatial_segment(pts):
 
 
 def test_base_config_properties():
-    for n in (4, 5, 6, 7):
+    for n in range(1, 13):
         pts = base_config(n)
+        assert pts == tuple(pt2(4**k, 16**k) for k in range(1, n + 1))
         for quad in itertools.combinations(range(n), 4):
             assert incircle_sign(*(pts[k] for k in quad)) != 0
         for j, p, q in itertools.combinations(range(1, n + 1), 3):
@@ -569,7 +570,44 @@ def test_traced_relation_spot_checks():
         assert invariant_equal(lw, rw, 4), (inst.family, inst.indices)
 
 
+def test_braid_choreography_is_the_fold_of_its_generator_loops():
+    rng = random.Random(28)
+    for trial in range(60):
+        n = rng.randint(2, 6)
+        letters = []
+        for _ in range(0 if trial == 0 else rng.randint(1, 5)):
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
+            letters.append(BraidGen(i, j, rng.choice((-3, -2, -1, 1, 2, 3))))
+        w = BraidWord(n, tuple(letters))
+        folded = Choreography(n, base_config(n), (), loop=True)
+        for g in w.letters:
+            piece = generator_choreography(n, g.i, g.j)
+            for _ in range(abs(g.exponent)):
+                folded = concat(folded, piece if g.exponent > 0 else reverse(piece))
+        assert braid_choreography(w) == folded
+
+
 def test_braid_choreography_inverse_pairs():
     w = parse_braid("b(1,3) b(1,3)^-1", 4)
     word = events_to_word(trace(braid_choreography(w)), "gamma")
     assert free_reduce(word) == GammaWord()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: base_config(0), ValidationError, "need n >= 1, got 0"),
+        (lambda: generator_choreography(4, 1, 2).position(99), ValidationError,
+         "time 99 outside [0, 12]"),
+        (lambda: subdivide(generator_choreography(4, 1, 2), 0, at=1), ValidationError,
+         "subdivision parameter must be strictly inside (0,1)"),
+        (lambda: circumcenter(pt2(0, 0), pt2(1, 1), pt2(2, 2)), ValidationError,
+         "circumcenter of collinear points"),
+        (lambda: concat(generator_choreography(4, 1, 2), generator_choreography(5, 1, 2)),
+         EndpointMismatchError, "choreographies have different n"),
+    ],
+)
+def test_bad_plan_input_raises_its_error_class_and_message(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message

@@ -600,3 +600,18 @@ def test_a_conjugate_of_one_letter_folds_like_an_involution():
     finally:  # the made-up images must not outlive the test
         homs._record.cache_clear()
         homs._generator_class.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: HomConfig(0), IndexRangeError, "need n >= 1, got 0"),
+        (lambda: HomConfig(4, assembly="x"), IndexRangeError, "unknown assembly 'x'"),
+        (lambda: letter_slot(1, 1, 2, 3, 2), IndexRangeError,
+         "indices must be distinct, got (1, 1, 2, 3)"),
+    ],
+)
+def test_bad_hom_input_raises_its_error_class_and_message(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message

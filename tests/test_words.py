@@ -524,3 +524,22 @@ def test_multi_word_rejects_malformed_letters(letter, text):
     with pytest.raises(GroupMismatchError) as info:
         MultiWord(2, ((1, D(1, 2, 3, 5)), letter))
     assert str(info.value) == f"a MultiWord cannot hold the letter {text}"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: parse_word("[1"), WordSyntaxError, "expected ']' (at position 2)"),
+        (lambda: parse_word("[1]a{1,2,3,4}"), WordSyntaxError,
+         "expected 'd(' after slot tag (at position 3)"),
+        (lambda: MultiWord(2, ((2, GammaGen((1, 2, 3, 4))),)), IndexRangeError,
+         "slot 2 out of range for r=2"),
+        (lambda: invariant(GWord((GGen((1, 2, 3, 4)),)), 4)
+         + invariant(GammaWord((GammaGen((1, 2, 3, 4)),)), 4),
+         GroupMismatchError, "cannot add invariant classes of different targets"),
+    ],
+)
+def test_bad_word_input_raises_its_error_class_and_message(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
