@@ -13,11 +13,25 @@ relation families:
 Family (3) is implemented exactly as printed in the source presentation; some
 presentations conjugate by b(j,k)^-1 instead of b(j,k).  The inverted variant
 is available behind `family3_inverted` so callers can check both and report.
+
+Text form: terms `b(i,j)` or `b(i,j)^e`, separated by optional blanks.
+`parse_braid` matches one term at a time with one regular expression, compiled
+on first use so that an import compiles nothing.  Its blanks are `str.isspace`
+and its digits are ASCII only, as in `words.parse_uint`.  Each term's letter
+comes from a bounded cache keyed on the matched strings, so equal terms share
+one `BraidGen` within and across calls.  The cache builds letters only through
+`BraidGen`, which refuses an index 0, i >= j and a zero exponent; a refused
+letter is never cached.  A term the pattern does not match (a `^` with no
+integer after it fails the pattern's lookahead), a refused letter, an integer
+too long for `int`, or j > n goes to the one-term scanner, which raises the
+error with its position.  The scanner is the only error path.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import re
 
 from .errors import IndexRangeError, WordSyntaxError
 from .generators import BraidGen, Record, _set
@@ -115,42 +129,68 @@ def relation_instances(n: int, *, family3_inverted: bool = False) -> list[Relati
 # Text form:  term := "b(" i "," j ")" ("^" int)?   terms separated by ws
 # ---------------------------------------------------------------------------
 
+_TERM = r"\s*b\(([0-9]+),([0-9]+)\)(?:\^(-?[0-9]+)|(?!\^))"
+_INTERNED_LETTERS = 4096
+
+
+@functools.lru_cache(maxsize=_INTERNED_LETTERS)
+def _interned(i: str, j: str, e: str | None) -> BraidGen:
+    return BraidGen(int(i), int(j), 1 if e is None else int(e))
+
 
 def parse_braid(text: str, n: int) -> BraidWord:
+    match = re.compile(_TERM).match  # compiled on first use, then from re's cache
     letters = []
     i = 0
     while True:
-        while i < len(text) and text[i].isspace():
-            i += 1
-        if i >= len(text):
-            break
-        start = i
-        if not text.startswith("b(", i):
-            raise WordSyntaxError("expected 'b('", i)
-        a, i = parse_uint(text, i + 2)
-        if i >= len(text) or text[i] != ",":
-            raise WordSyntaxError("expected ','", i)
-        b, i = parse_uint(text, i + 1)
-        if i >= len(text) or text[i] != ")":
-            raise WordSyntaxError("expected ')'", i)
-        i += 1
-        exponent = 1
-        if i < len(text) and text[i] == "^":
-            i += 1
-            sign = 1
-            if i < len(text) and text[i] == "-":
-                sign = -1
-                i += 1
-            mag, i = parse_uint(text, i)
-            exponent = sign * mag
-            if exponent == 0:
-                raise WordSyntaxError("exponent must be nonzero", start)
-        if a >= b:
-            raise IndexRangeError(f"braid letter needs i < j, got b({a},{b})")
-        if b > n:
-            raise IndexRangeError(f"letter b({a},{b}) exceeds strand count n={n}")
-        letters.append(BraidGen(a, b, exponent))
+        m = match(text, i)
+        try:
+            g = _interned(*m.groups()) if m else None
+        except (ValueError, IndexRangeError):  # an int() too long, or a refused letter
+            g = None
+        if g is None or g.j > n:
+            g, i = _scan_term(text, i, n)  # raises, or None past trailing blanks
+            if g is None:
+                break
+        else:
+            i = m.end()
+        letters.append(g)
     return BraidWord(n, tuple(letters))
+
+
+def _scan_term(text: str, i: int, n: int) -> tuple[BraidGen | None, int]:
+    """The term at text[i:], after blanks, and the offset past it; None at
+    the end of the text.  A malformed or out-of-range term raises."""
+    while i < len(text) and text[i].isspace():
+        i += 1
+    if i >= len(text):
+        return None, i
+    start = i
+    if not text.startswith("b(", i):
+        raise WordSyntaxError("expected 'b('", i)
+    a, i = parse_uint(text, i + 2)
+    if i >= len(text) or text[i] != ",":
+        raise WordSyntaxError("expected ','", i)
+    b, i = parse_uint(text, i + 1)
+    if i >= len(text) or text[i] != ")":
+        raise WordSyntaxError("expected ')'", i)
+    i += 1
+    exponent = 1
+    if i < len(text) and text[i] == "^":
+        i += 1
+        sign = 1
+        if i < len(text) and text[i] == "-":
+            sign = -1
+            i += 1
+        mag, i = parse_uint(text, i)
+        exponent = sign * mag
+        if exponent == 0:
+            raise WordSyntaxError("exponent must be nonzero", start)
+    if a >= b:
+        raise IndexRangeError(f"braid letter needs i < j, got b({a},{b})")
+    if b > n:
+        raise IndexRangeError(f"letter b({a},{b}) exceeds strand count n={n}")
+    return BraidGen(a, b, exponent), i
 
 
 def print_braid(w: BraidWord) -> str:

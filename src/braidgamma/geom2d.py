@@ -614,7 +614,8 @@ def braid_choreography(w) -> Choreography:
     """Concatenated generator loops realizing a braid word (inverses reversed)."""
     from .braids import BraidWord
 
-    assert isinstance(w, BraidWord)
+    if not isinstance(w, BraidWord):
+        raise ValidationError(f"braid_choreography needs a BraidWord, got {type(w).__name__}")
     moves = []
     for g in w.letters:  # each loop, and its reverse, starts and ends at base_config
         piece = generator_choreography(w.n, g.i, g.j)

@@ -261,7 +261,9 @@ def map_braid(cfg: HomConfig, w: BraidWord, *, reduced: bool = True):
     if not reduced:
         letters = []
         for g, rec in zip(w.letters, records):
-            letters.extend((rec[0] if g.exponent > 0 else rec[1]) * abs(g.exponent))
+            image = rec[0] if g.exponent > 0 else rec[1]
+            for _ in range(abs(g.exponent)):  # no temporary image * |e|
+                letters.extend(image)
         out = _rebuild(out, letters)
         del letters
     stack, bits = [], 0

@@ -605,6 +605,9 @@ def test_braid_choreography_inverse_pairs():
          "circumcenter of collinear points"),
         (lambda: concat(generator_choreography(4, 1, 2), generator_choreography(5, 1, 2)),
          EndpointMismatchError, "choreographies have different n"),
+        # a raise, not an assert, so the check stays under `python -O`
+        (lambda: braid_choreography("b(1,2)"), ValidationError,
+         "braid_choreography needs a BraidWord, got str"),
     ],
 )
 def test_bad_plan_input_raises_its_error_class_and_message(call, error, message):
