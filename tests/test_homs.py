@@ -148,14 +148,15 @@ def test_phi_doubles_the_last_passage():
 def test_map_braid_is_the_concatenation_of_letter_images():
     rng = random.Random(53)
     for n in range(2, 8):
-        for target, r in (("g", 1), ("gamma", 1), ("gammar", 3)):
+        for target, r in (("g", 1), ("gamma", 1), ("gammar", 2), ("gammar", 3)):
             for assembly in ("flip", "doubled"):
                 cfg = HomConfig(n, target=target, r=r, assembly=assembly)
                 for _ in range(4):
                     letters = []
                     for _ in range(rng.randrange(1, 7)):
                         i, j = sorted(rng.sample(range(1, n + 1), 2))
-                        letters.append(BraidGen(i, j, rng.choice([-3, -2, -1, 1, 2, 3])))
+                        e = rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
+                        letters.append(BraidGen(i, j, e))
                     w = BraidWord(n, tuple(letters))
                     expected = ()
                     for g in w.letters:
@@ -170,24 +171,6 @@ def test_map_braid_is_the_concatenation_of_letter_images():
                     assert map_braid(cfg, w) == free_reduce(got)
                     if target == "gammar":
                         assert got.r == r
-
-
-@pytest.mark.parametrize("target, r", [("g", 1), ("gamma", 1), ("gammar", 2)])
-def test_the_raw_image_is_each_letter_image_repeated_its_exponent_times(target, r):
-    rng = random.Random(29)
-    for n in range(5, 8):
-        cfg = HomConfig(n, target=target, r=r)
-        for _ in range(6):
-            letters = []
-            for _ in range(rng.randrange(1, 9)):
-                i, j = sorted(rng.sample(range(1, n + 1), 2))
-                letters.append(BraidGen(i, j, rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])))
-            w = BraidWord(n, tuple(letters))
-            expected = []
-            for g in w.letters:
-                image = list(generator_image(cfg, g.i, g.j).letters)
-                expected += (image if g.exponent > 0 else image[::-1]) * abs(g.exponent)
-            assert list(map_braid(cfg, w, reduced=False).letters) == expected
 
 
 def test_cached_images_share_letters():
