@@ -2,10 +2,12 @@
 
 Every planar `generator_choreography` with n = 4..6, 100 seeded
 small-integer plans (half planar, half spatial; about a third of them are
-rejected with exit code 3, so error messages are pinned too) and 40 seeded
+rejected with exit code 3, so error messages are pinned too), 40 seeded
 plans whose coordinates have denominators 1..7 (half planar, half spatial;
 the tracers rescale each plan onto one integer grid, and these rows pin
-that rescaling) are traced through `cli.main` with targets g and gamma.
+that rescaling) and 8 seeded loops at the largest sizes the benchmark
+traces (planar n = 7, spatial n = 7 and 8) are traced through `cli.main`
+with targets g and gamma.
 The SHA-256 of stdout followed by stderr, and the exit code, must match the
 stored table.  An irrational event time prints its canonical dyadic cell,
 which depends on the root alone, so one table serves every supported Python.
@@ -82,6 +84,26 @@ def rational_plan(rng, dim):
     return {"n": n, "dim": dim, "points": pts, "moves": moves, "loop": False}
 
 
+def loop_plan(rng, dim, n):
+    """n distinct integer points in a wide box and two excursions: a point
+    goes out to two waypoints and back home, so the plan is a loop."""
+    span = 40 if dim == 2 else 20
+
+    def point():
+        return [str(rng.randrange(-span, span + 1)) for _ in range(dim)]
+
+    pts = []
+    while len(pts) < n:
+        p = point()
+        if p not in pts:
+            pts.append(p)
+    moves = []
+    for mover in rng.sample(range(1, n + 1), 2):
+        moves += [{"point": mover, "to": point()} for _ in range(2)]
+        moves.append({"point": mover, "to": pts[mover - 1]})
+    return {"n": n, "dim": dim, "points": pts, "moves": moves, "loop": True}
+
+
 def plans():
     for n in range(4, 7):
         for i, j in itertools.combinations(range(1, n + 1), 2):
@@ -94,6 +116,9 @@ def plans():
     for k in range(40):
         dim = 2 if k % 2 == 0 else 3
         yield f"rational{dim}d-{k:03d}", rational_plan(rng, dim)
+    rng = random.Random(2030)
+    for k, (dim, n) in enumerate(((2, 7), (3, 7), (3, 8), (2, 7)) * 2):
+        yield f"loop{dim}d-{n}-{k:03d}", loop_plan(rng, dim, n)
 
 
 def outputs(workdir: Path) -> dict:
