@@ -155,7 +155,11 @@ def parse_braid(text: str, n: int) -> BraidWord:
         else:
             i = m.end()
         letters.append(g)
-    return BraidWord(n, tuple(letters))
+    # every term was checked against n: build the word without its letter scan
+    out = object.__new__(BraidWord)
+    _set(out, "n", n)
+    _set(out, "letters", tuple(letters))
+    return out
 
 
 def _scan_term(text: str, i: int, n: int) -> tuple[BraidGen | None, int]:

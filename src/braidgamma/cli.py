@@ -65,32 +65,29 @@ class _Parser(argparse.ArgumentParser):
 
 def _json_text(value, pad: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, without
-    the pure-Python encoder that an indent selects: dicts (str keys), lists
-    and tuples nest here, strings go through the C string encoder, and any
-    other scalar than int, bool and None through json.dumps."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if type(value) is int:
-        return repr(value)
+    the pure-Python encoder that an indent selects.  Dicts (str keys), lists
+    and tuples nest here, one call per container: its loop prints its str,
+    int, bool and None members inline, strings through the C string
+    encoder.  Any other scalar goes through json.dumps."""
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    keys = sorted(value) if isinstance(value, dict) else None
+    if not value:
+        return "[]" if keys is None else "{}"
     inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + f",{inner}".join([_json_text(v, inner) for v in value]) + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}" for k in sorted(value)
-        ]
-        return "{" + inner + f",{inner}".join(items) + pad + "}"
-    return json.dumps(value)
+    parts = [
+        encode_basestring_ascii(v) if (t := type(v)) is str
+        else repr(v) if t is int
+        else "null" if v is None
+        else ("true" if v else "false") if t is bool
+        else _json_text(v, inner) if isinstance(v, (dict, list, tuple))
+        else json.dumps(v)
+        for v in (value if keys is None else [value[k] for k in keys])
+    ]
+    if keys is None:
+        return "[" + inner + f",{inner}".join(parts) + pad + "]"
+    items = [f"{encode_basestring_ascii(k)}: {text}" for k, text in zip(keys, parts)]
+    return "{" + inner + f",{inner}".join(items) + pad + "}"
 
 
 def _emit(args, payload, text_lines):

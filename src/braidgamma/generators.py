@@ -98,11 +98,14 @@ def _letter(cls, idxs: tuple[int, int, int, int]):
     """The one GammaGen or GGen (cls) on four indices already checked to be
     distinct positive ints, built on first use: a cycle, canonicalized here,
     or an ascending subset.  The constructors check, then call this."""
-    table, key = (_GAMMA_GENS, _canonical_cycle(idxs)) if cls is GammaGen else (_G_GENS, idxs)
-    self = table.get(key)
+    table = _GAMMA_GENS if cls is GammaGen else _G_GENS
+    self = table.get(idxs)  # a key is canonical, so a hit needs no canonicalizing
     if self is None:
-        self = table[key] = object.__new__(cls)
-        _set(self, cls._fields[0], key)
+        key = _canonical_cycle(idxs) if cls is GammaGen else idxs
+        self = table.get(key)
+        if self is None:
+            self = table[key] = object.__new__(cls)
+            _set(self, cls._fields[0], key)
     return self
 
 

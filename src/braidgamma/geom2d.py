@@ -19,10 +19,13 @@ A cyclic quadruple is fixed by which pairs of its points are opposite, so
 `cyclic_order` reads the circular order off the one pair of crossing
 diagonals.  By Radon's theorem four points, no three collinear, have either
 exactly one such pair (convex position) or none (one point inside the
-triangle of the other three); in space None means not convex.  One
-labeller, `_labels`, reads the event labels of both tracers at the root:
-that order, whose orientations are linear in t as only the mover moves and
-are each read once, and the side of the wall of each bystander.
+triangle of the other three); in space None means not convex.  Which pair
+crosses depends on the four triple orientations alone, the chirotope (Knuth
+1992, "Axioms and Hulls"), so the order is a lookup of the four signs in a
+16-entry table (`_CYCLES`).  One labeller, `_labels`, reads the event labels
+of both tracers at the root: the four signs, each read once (the static
+triple's off its plane, the three through the mover as linear signs in t,
+as only the mover moves), and the side of the wall of each bystander.
 
 The segment loop, `wall_crossings`, serves the spatial tracer too, with one
 wall: lifting (x, y) to (x, y, x^2 + y^2) on the paraboloid (`_lift`;
@@ -101,17 +104,33 @@ def orient2d(a: Pt2, b: Pt2, c: Pt2) -> int:
     return sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
 
 
-def cyclic_order(ids, side):
+def _cycle_table() -> dict:
+    """Positions (0, y, x, z) of the circular order of four points by the
+    signs (s012, s013, s023, s123) of their triples: diagonals 0-x and y-z
+    cross, read for x = 1, 2, 3 in turn, each crossing as two sign tests.  A
+    pattern with no crossing is absent.  For ascending ids each order is canonical."""
+    table = {}
+    for key in itertools.product((1, -1), repeat=4):
+        s012, s013, s023, s123 = key
+        if s012 != s013 and s023 != s123:
+            table[key] = itemgetter(0, 2, 1, 3)
+        elif s012 == s023 and s013 == s123:
+            table[key] = itemgetter(0, 1, 2, 3)
+        elif s013 != s023 and s012 != s123:
+            table[key] = itemgetter(0, 1, 3, 2)
+    return table
+
+
+_CYCLES = _cycle_table()
+
+
+def cyclic_order(ids, signs):
     """The circular order (a, y, x, z) of four point ids, no three of the
     points collinear: a = ids[0], and the diagonals a-x and y-z cross.  None
-    if no two diagonals cross.  side(p, q, r) is the orientation sign of
-    three of the points."""
-    a, *rest = ids
-    for x in rest:
-        y, z = (k for k in rest if k != x)
-        if side(a, x, y) != side(a, x, z) and side(y, z, a) != side(y, z, x):
-            return (a, y, x, z)
-    return None
+    if no two diagonals cross.  signs are the orientation signs of the
+    triples of ids at positions (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)."""
+    pick = _CYCLES.get(signs)
+    return pick(ids) if pick else None
 
 
 def _plane(a, b, c):
@@ -479,30 +498,29 @@ def _labels(root, grid, g1, mover, triple, form, axis):
     paraboloid's), and the sign of the static triple's plane form at each
     lifted bystander; g1 is the mover's lifted target."""
     subset = tuple(sorted(triple + (mover,)))
-    flat = {k: grid[k - 1][:axis] + grid[k - 1][axis + 1 :] for k in subset}
-    (x0, y0), (x1, y1) = flat[mover], g1[:axis] + g1[axis + 1 :]
-    ex, ey = x1 - x0, y1 - y0
-    memo = {}  # triple sum, which no other triple of the subset has -> sign
-
-    def side(i, j, k):
-        # one read per triple, kept as its sign in ascending order: odd orders flip it
-        odd = (i > j) ^ (i > k) ^ (j > k)
-        s = memo.get(i + j + k)
-        if s is None:
-            # a rotation keeps the orientation: with the mover last it is
-            # o + (dx ey - dy ex) t, as only the mover moves
-            i, j, k = (j, k, i) if i == mover else (k, i, j) if j == mover else (i, j, k)
-            (ax, ay), (bx, by), (cx, cy) = flat[i], flat[j], flat[k]
-            dx, dy = bx - ax, by - ay
-            o = dx * (cy - ay) - dy * (cx - ax)
-            s = root.linear_sign(o, dx * ey - dy * ex) if k == mover else sign(o)
-            s = memo[i + j + k] = -s if odd else s
-        return -s if odd else s
-
+    p, q, r = triple
+    # N_axis of the static plane is the static triple's orientation with
+    # coordinate axis dropped; dropping y swaps the terms of N_y
+    static = sign(form[axis + 1])
+    signs = {mover: -static if axis == 1 else static}  # left-out point -> sign
+    i, j = (1, 2) if axis == 0 else (0, 2) if axis == 1 else (0, 1)  # the kept coordinates
+    g0 = grid[mover - 1]
+    x0, y0 = g0[i], g0[j]
+    ex, ey = g1[i] - x0, g1[j] - y0
+    for out, u, v in ((r, p, q), (q, p, r), (p, q, r)):
+        # with the mover last the orientation of (u, v, mover) is
+        # o + (dx ey - dy ex) t, as only the mover moves; the mover between
+        # u and v makes the ascending order an odd permutation of it
+        gu, gv = grid[u - 1], grid[v - 1]
+        ux, uy = gu[i], gu[j]
+        dx, dy = gv[i] - ux, gv[j] - uy
+        s = root.linear_sign(dx * (y0 - uy) - dy * (x0 - ux), dx * ey - dy * ex)
+        signs[out] = -s if u < mover < v else s
     # No bystander lies on the wall: it would make four static points sit on
     # a wall, which the static scan of wall_crossings rejects first.
-    sides = [sign(_at(form, p)) for k, p in enumerate(grid, 1) if k not in subset]
-    return subset, cyclic_order(subset, side), sides
+    sides = [sign(_at(form, g)) for k, g in enumerate(grid, 1) if k not in subset]
+    a, b, c, d = subset
+    return subset, cyclic_order(subset, (signs[d], signs[c], signs[b], signs[a])), sides
 
 
 def _build_event(seg, grid, mover, g1, root, triple, form):

@@ -31,9 +31,10 @@ plane; in the cyclic targets only special events give letters
 (`geom2d.events_to_word`): the cyclic order of the convex quadrilateral,
 which the dihedral canonicalization makes independent of the side from
 which the plane is viewed.  Convexity and the order are read together, as
-in the plane, off the crossing diagonals (`geom2d.cyclic_order`): by
-Radon's theorem the four points are in convex position exactly when one
-pair of diagonals crosses.  Every event stays in the trace, classified.
+in the plane, off the crossing diagonals: `geom2d.cyclic_order` looks the
+four projected triple signs up, each read once, and by Radon's theorem the
+points are in convex position exactly when one pair of diagonals crosses.
+Every event stays in the trace, classified.
 """
 
 from __future__ import annotations

@@ -6,12 +6,13 @@ Every root is either an explicit rational or a quadratic irrational
 
 carried as its content-free polynomial (c0, c1, c2), with c2 > 0, and its
 branch sigma in {-1, +1}: the root left or right of the vertex.  A root is
-immutable, and every operation on it is exact:
+immutable but for one memo, and every operation on it is exact:
 
   * the sign of alpha + beta * root is that of a + b sqrt(D) for integers
     a, b, read off the signs of a and b, or else by comparing a^2 with
     b^2 D; comparing with a rational is such a sign;
-  * refine(k) = floor(2^k * root), by math.isqrt;
+  * refine(k) = floor(2^k * root), by math.isqrt; for k <= 32 it shifts
+    the memo floor(2^32 * root), computed on first use and no field;
   * two quadratic irrationals are equal iff their content-free polynomials
     coincide and they are the same branch (a shared irrational root forces
     proportionality); otherwise refine(k) at growing k tells them apart.
@@ -27,11 +28,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import ValidationError
 from .exact import sign
 
 
 def _normalize(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """coeffs divided by their content, signed to make the leading one positive."""
+    """coeffs, each of type exactly int (so that no conversion truncates one),
+    divided by their content, signed to make the leading one positive."""
+    for c in coeffs:
+        if type(c) is not int:
+            raise ValidationError(f"polynomial coefficients must be ints, got {c!r}")
     g = math.gcd(*coeffs)
     if g == 0:
         return coeffs
@@ -43,18 +49,26 @@ def _normalize(coeffs: tuple[int, ...]) -> tuple[int, ...]:
 class AlgebraicRoot:
     """One real root of an integer polynomial of degree <= 2."""
 
-    __slots__ = ("poly", "exact", "sigma")
+    __slots__ = ("poly", "exact", "sigma", "_floor32")
 
     def __init__(self, poly, *, exact=None, sigma=0):
-        self.poly = poly if exact is not None else _normalize(tuple(map(int, poly)))
+        self.poly = poly if exact is not None else _normalize(tuple(poly))
         self.exact = exact
         self.sigma = sigma
+        self._floor32 = None  # refine(32), once read
 
     def is_rational(self) -> bool:
         return self.exact is not None
 
     def refine(self, k: int) -> int:
-        """floor(2^k * root)."""
+        """floor(2^k * root); for k <= 32 a shift of the memo floor(2^32 * root)."""
+        if k > 32:
+            return self._floor(k)
+        if self._floor32 is None:
+            self._floor32 = self._floor(32)
+        return self._floor32 >> (32 - k)
+
+    def _floor(self, k: int) -> int:
         if self.exact is not None:
             return (self.exact.numerator << k) // self.exact.denominator
         c0, c1, c2 = self.poly
@@ -166,7 +180,9 @@ def isolate_unit_roots(coeffs) -> tuple[list[AlgebraicRoot], list[Fraction]]:
     roots) produce no AlgebraicRoot.  Raises ConstantZero / EndpointZero for
     the degenerate cases the tracer must reject.
     """
-    c0, c1, c2 = (int(c) for c in coeffs)
+    c0, c1, c2 = coeffs
+    if type(c0) is not int or type(c1) is not int or type(c2) is not int:
+        _normalize(coeffs)  # raises, naming the first coefficient that is no int
     if c0 == 0 and c1 == 0 and c2 == 0:
         raise ConstantZero()
     if c0 == 0:

@@ -36,7 +36,7 @@ from .errors import (
     IndexRangeError,
     WordSyntaxError,
 )
-from .generators import GammaGen, GGen, Record, _set
+from .generators import GammaGen, GGen, Record, _letter, _set
 
 
 class _Word(Record):
@@ -209,11 +209,11 @@ def invert(w: Word) -> Word:
 @functools.lru_cache(maxsize=None)
 def gamma_columns(n: int) -> tuple[GammaGen, ...]:
     """All canonical cyclic quadruples on indices <= n, lexicographic order."""
-    return tuple(map(GammaGen, sorted(  # canonical cycles: tuples compare in C
+    return tuple(_letter(GammaGen, cycle) for cycle in sorted(  # tuples compare in C
         cycle
         for i, j, k, l in itertools.combinations(range(1, n + 1), 4)
-        for cycle in ((i, j, k, l), (i, j, l, k), (i, k, j, l))
-    )))
+        for cycle in ((i, j, k, l), (i, j, l, k), (i, k, j, l))  # canonical, checked
+    ))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,12 +1,15 @@
 """The one rule both tracers read an event's circular order by.
 
-`geom2d.cyclic_order` finds the crossing diagonals of four points.  It is
-held here to a brute-force oracle over the three 4-cycles of a point set,
-and so is every traced event at a rational time, on the plan's own Fraction
-positions at that time; the planar collinear-wall branch, which sorts along
-the line instead, is held to those positions too.
+`geom2d.cyclic_order` finds the crossing diagonals of four points by
+looking their four triple signs up in a table.  On every sign pattern the
+table is held to the crossing-diagonal loop it was derived from.  On point
+sets it is held to a brute-force oracle over the three 4-cycles, and so is
+every traced event at a rational time, on the plan's own Fraction positions
+at that time; the planar collinear-wall branch, which sorts along the line
+instead, is held to those positions too.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -64,7 +67,8 @@ COORD = st.integers(min_value=-6, max_value=6)
 @example([(0, 0), (4, 0), (0, 4), (1, 1)], [3, 1, 4, 2])  # one point inside
 def test_cyclic_order_matches_the_oracle(pts, ids):
     at = dict(zip(ids, map(pt2, *zip(*pts))))
-    got = cyclic_order(ids, lambda i, j, k: orient2d(at[i], at[j], at[k]))
+    signs = tuple(orient2d(at[i], at[j], at[k]) for i, j, k in itertools.combinations(ids, 3))
+    got = cyclic_order(ids, signs)
     want = oracle_cycle(pts)
     if want is None:
         assert got is None
@@ -72,6 +76,50 @@ def test_cyclic_order_matches_the_oracle(pts, ids):
     assert got[0] == ids[0] and sorted(got) == [1, 2, 3, 4]
     ids_of = dict(zip(pts, ids))
     assert edge_set(got) == edge_set(tuple(ids_of[p] for p in want))
+
+
+def crossing_diagonal_order(ids, side):
+    """The circular order by the crossing-diagonal rule that the sign table
+    was derived from, kept verbatim: the first x of ids[1:] whose diagonal
+    a-x crosses the other, y-z."""
+    a, *rest = ids
+    for x in rest:
+        y, z = (k for k in rest if k != x)
+        if side(a, x, y) != side(a, x, z) and side(y, z, a) != side(y, z, x):
+            return (a, y, x, z)
+    return None
+
+
+def pattern_side(ids, pattern):
+    """side(p, q, r) of four ids whose triples at positions (0, 1, 2),
+    (0, 1, 3), (0, 2, 3), (1, 2, 3) have the orientation signs `pattern`:
+    the sign of the ascending positions, flipped by an odd permutation."""
+    pos = {k: i for i, k in enumerate(ids)}
+
+    def side(*triple):
+        at = [pos[k] for k in triple]
+        odd = (at[0] > at[1]) ^ (at[0] > at[2]) ^ (at[1] > at[2])
+        s = pattern[3 - (6 - sum(at))]  # the pattern lists triples by the missing position, 3 first
+        return -s if odd else s
+
+    return side
+
+
+def test_the_sign_table_is_the_crossing_diagonal_rule_on_every_pattern():
+    for pattern in itertools.product((1, -1), repeat=4):
+        for ids in itertools.permutations((1, 2, 3, 4)):
+            got = cyclic_order(ids, pattern)
+            want = crossing_diagonal_order(ids, pattern_side(ids, pattern))
+            assert (got is None) == (want is None), (pattern, ids)
+            if got is None:
+                continue
+            assert got[0] == ids[0] and edge_set(got) == edge_set(want), (pattern, ids)
+            if ids == (1, 2, 3, 4):
+                assert GammaGen(got).cycle == got  # canonical for ascending ids
+    # a zero sign (a planar collinear wall, which never reads the cycle) has no order
+    for pattern in itertools.product((1, 0, -1), repeat=4):
+        if 0 in pattern:
+            assert cyclic_order((1, 2, 3, 4), pattern) is None
 
 
 def collinear_wall_plan(rng):

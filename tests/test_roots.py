@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from braidgamma.errors import ValidationError
 from braidgamma.geom2d import _group_by_time
 from braidgamma.roots import (
     AlgebraicRoot,
@@ -436,3 +437,53 @@ def test_group_by_time_sorts_by_key_as_one_compare_sort_does():
         found = [(t, tuple(sorted(rng.sample(range(1, 8), 3)))) for t in times]
         rng.shuffle(found)
         assert _group_by_time(list(found)) == _group_by_one_compare_sort(list(found))
+
+
+def _isqrt_floor(root, k: int) -> int:
+    """floor(2^k * root) of an irrational root straight from its polynomial."""
+    c0, c1, c2 = root.poly
+    s = math.isqrt((c1 * c1 - 4 * c0 * c2) << (2 * k))
+    return ((-c1 << k) + (s if root.sigma > 0 else -s - 1)) // (2 * c2)
+
+
+def test_refine_matches_the_isqrt_formula_in_any_call_order():
+    # refine(k <= 32) shifts a memo of floor(2^32 t): the first call of any
+    # level fills it, and each level must give the formula's value before
+    # and after that, and past 32 where no memo is read
+    rng = random.Random(3030)
+    polys = 0
+    while polys < 60:
+        bits = rng.choice((8, 64, 200))
+        c2 = rng.randrange(1, 1 << bits)
+        c1, c0 = (rng.randrange(-(1 << bits), 1 << bits) for _ in range(2))
+        disc = c1 * c1 - 4 * c0 * c2
+        if disc <= 0 or math.isqrt(disc) ** 2 == disc:
+            continue
+        polys += 1
+        for sigma in (-1, 1):
+            levels = list(range(1, 65))
+            rng.shuffle(levels)
+            root = AlgebraicRoot((c0, c1, c2), sigma=sigma)
+            assert [root.refine(k) for k in levels] == [_isqrt_floor(root, k) for k in levels]
+            assert [root.refine(k) for k in range(1, 65)] == [
+                _isqrt_floor(root, k) for k in range(1, 65)
+            ]
+    for v in (Fraction(1, 3), Fraction(-7, 5), Fraction(2**40 + 1, 2**41)):
+        root = AlgebraicRoot((-v.numerator, v.denominator), exact=v)
+        for k in (40, 7, 32, 1, 64, 31):
+            assert root.refine(k) == math.floor(v * 2**k)
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda: isolate_unit_roots((0.5, -1.5, 0)), "0.5"),  # root 1/3: int() made it 0
+        (lambda: isolate_unit_roots((Fraction(7, 2), -9, 0)), "Fraction(7, 2)"),  # root 7/18
+        (lambda: isolate_unit_roots((1, True, 2)), "True"),
+        (lambda: AlgebraicRoot((Fraction(1, 2), 3, 2), sigma=1), "Fraction(1, 2)"),
+    ],
+)
+def test_coefficients_that_are_not_ints_are_refused(call, bad):
+    with pytest.raises(ValidationError) as caught:
+        call()
+    assert str(caught.value) == f"polynomial coefficients must be ints, got {bad}"
