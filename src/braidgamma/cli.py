@@ -63,31 +63,29 @@ class _Parser(argparse.ArgumentParser):
         raise BraidGammaError(message)
 
 
+# the members a container prints inline, each through one C call
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__}
+
+
 def _json_text(value, pad: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, without
     the pure-Python encoder that an indent selects.  Dicts (str keys), lists
     and tuples nest here, one call per container: its loop prints its str,
-    int, bool and None members inline, strings through the C string
-    encoder.  Any other scalar goes through json.dumps."""
-    if not isinstance(value, (dict, list, tuple)):
+    int, bool and None members inline (`_SCALARS`).  Any other value, and an
+    empty container, goes through json.dumps."""
+    if not value or not isinstance(value, (dict, list, tuple)):
         return json.dumps(value)
-    keys = sorted(value) if isinstance(value, dict) else None
-    if not value:
-        return "[]" if keys is None else "{}"
-    inner = pad + "  "
-    parts = [
-        encode_basestring_ascii(v) if (t := type(v)) is str
-        else repr(v) if t is int
-        else "null" if v is None
-        else ("true" if v else "false") if t is bool
-        else _json_text(v, inner) if isinstance(v, (dict, list, tuple))
-        else json.dumps(v)
-        for v in (value if keys is None else [value[k] for k in keys])
-    ]
-    if keys is None:
-        return "[" + inner + f",{inner}".join(parts) + pad + "]"
-    items = [f"{encode_basestring_ascii(k)}: {text}" for k, text in zip(keys, parts)]
-    return "{" + inner + f",{inner}".join(items) + pad + "}"
+    inner, get = pad + "  ", _SCALARS.get
+    if isinstance(value, dict):
+        items = [
+            f"{encode_basestring_ascii(k)}: "
+            f"{f(v) if (f := get(type(v := value[k]))) else _json_text(v, inner)}"
+            for k in sorted(value)
+        ]
+        return "{" + inner + f",{inner}".join(items) + pad + "}"
+    parts = [f(v) if (f := get(type(v))) else _json_text(v, inner) for v in value]
+    return "[" + inner + f",{inner}".join(parts) + pad + "]"
 
 
 def _emit(args, payload, text_lines):

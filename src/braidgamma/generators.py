@@ -100,12 +100,11 @@ def _letter(cls, idxs: tuple[int, int, int, int]):
     or an ascending subset.  The constructors check, then call this."""
     table = _GAMMA_GENS if cls is GammaGen else _G_GENS
     self = table.get(idxs)  # a key is canonical, so a hit needs no canonicalizing
+    if self is None and cls is GammaGen:
+        self = table.get(idxs := _canonical_cycle(idxs))
     if self is None:
-        key = _canonical_cycle(idxs) if cls is GammaGen else idxs
-        self = table.get(key)
-        if self is None:
-            self = table[key] = object.__new__(cls)
-            _set(self, cls._fields[0], key)
+        self = table[idxs] = object.__new__(cls)
+        _set(self, cls._fields[0], idxs)
     return self
 
 
