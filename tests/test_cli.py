@@ -1,15 +1,18 @@
+import itertools
 import json
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from braidgamma import cli, geom3d, homs
+from braidgamma import cli, geom2d, geom3d, homs
 from braidgamma.braids import parse_braid
 from braidgamma.cli import main
-from braidgamma.errors import IndexRangeError
+from braidgamma.errors import BraidGammaError, IndexRangeError, UnstableWarning
 from braidgamma.exact import rat_to_str
+from braidgamma.roots import dyadic_level
 from braidgamma.geom2d import (
     Choreography,
     Move,
@@ -18,6 +21,7 @@ from braidgamma.geom2d import (
 )
 from braidgamma.geom3d import pt3
 from braidgamma.words import MAX_R
+from test_golden_trace import PLANAR_TARGETS, TARGETS, plans
 
 
 @pytest.fixture()
@@ -711,3 +715,103 @@ def test_image_length_is_capped(capsys, monkeypatch):
         homs.map_braid(cfg, parse_braid("b(1,2) b(1,2)^-1000", 4))
     assert main(["map", "-n", "4", "b(1,2)^1000"]) == 3
     assert capsys.readouterr().err == "error: image longer than the cap of 40 letters\n"
+
+
+# ---------------------------------------------------------------------------
+# the trace event printer against the dict builder it replaced
+# ---------------------------------------------------------------------------
+
+_dyadic_str = cli._dyadic_str  # pinned against rat_to_str above
+
+
+def _time_payload(root, k: int) -> dict:
+    """An exact time, or an irrational one with its dyadic cell of width 2^-k."""
+    if root.is_rational():
+        return {"exact": rat_to_str(root.exact)}
+    m = root.refine(k)
+    return {
+        "poly": list(root.poly),
+        "interval": [_dyadic_str(m, k), _dyadic_str(m + 1, k)],
+        "branch": root.sigma,
+    }
+
+
+def _event_payload(e, level: dict | None) -> dict:
+    """The JSON of a planar or spatial event: its fields, letters as text.  A
+    planar time prints in the dyadic cell of its segment's level (`level`,
+    segment -> k); a spatial time (level None) as p/q, beside the event's
+    special flag."""
+    payload = {field: getattr(e, field) for field in e._fields}
+    payload["subset"] = str(e.subset)
+    payload["quad"] = None if e.quad is None else str(e.quad)
+    if level is None:
+        payload["time"] = rat_to_str(e.time)
+        payload["special"] = e.special
+    else:
+        payload["time"] = _time_payload(e.time, level[e.segment])
+    return payload
+
+
+def oracle_trace(path: str) -> tuple:
+    """The choreography, events, event payloads and warnings of a trace, as
+    the dict-building `trace` made them."""
+    ch = geom2d.load_choreography(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UnstableWarning)
+        events = (geom3d.trace3 if ch.dim == 3 else geom2d.trace)(ch)
+    level = None
+    if ch.dim == 2:
+        level = {
+            seg: dyadic_level([e.time for e in group])
+            for seg, group in itertools.groupby(events, key=lambda e: e.segment)
+        }
+    return ch, events, [_event_payload(e, level) for e in events], [str(w.message) for w in caught]
+
+
+def oracle_trace_payload(traced: tuple, target: str, r: int) -> dict:
+    ch, events, ev_payload, warned = traced
+    image, _ = cli._image(geom2d.events_to_word(events, target, r), ch.n)
+    payload = {"n": ch.n, "dim": ch.dim, "loop": ch.loop, "target": target}
+    return payload | {"events": ev_payload, **image, "warnings": warned}
+
+
+_NO_EVENTS = {
+    "quiet2d": {"n": 4, "dim": 2, "points": [["0", "0"], ["4", "0"], ["0", "4"], ["1", "1"]],
+                "moves": [{"point": 4, "to": ["2", "1"]}]},
+    "quiet3d": {"n": 4, "dim": 3,
+                "points": [["0", "0", "0"], ["4", "0", "0"], ["0", "4", "0"], ["1", "1", "1"]],
+                "moves": [{"point": 4, "to": ["1", "1", "2"]}]},
+}
+
+
+def test_trace_prints_what_the_event_dicts_printed(tmp_path, capsys):
+    """Every golden plan, in every target it is golden for, and two plans
+    with no event: the JSON output is json.dumps of the old payload, and the
+    text output's event lines are the old compact dumps."""
+    calls = no_events = 0
+    for name, data in [*plans(), *_NO_EVENTS.items()]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        try:
+            traced = oracle_trace(str(path))
+        except BraidGammaError:
+            traced = None
+        for target, flags in (PLANAR_TARGETS if data["dim"] == 2 else TARGETS).items():
+            code = main(["trace", "--format", "json", *flags, str(path)])
+            json_out = capsys.readouterr().out
+            assert main(["trace", *flags, str(path)]) == code
+            text_out = capsys.readouterr().out
+            if traced is None:
+                assert code == 3 and json_out == text_out == "", (name, target)
+                continue
+            calls += 1
+            no_events += not traced[1]
+            payload = oracle_trace_payload(traced, flags[1], int(flags[-1]) if "--r" in flags else 1)
+            expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            assert (code, json_out) == (0, expected), (name, target)
+            lines = text_out.split("\n")
+            assert lines[0] == f"{len(payload['events'])} events", (name, target)
+            assert lines[1:1 + len(payload["events"])] == [
+                f"  {json.dumps(e, sort_keys=True)}" for e in payload["events"]
+            ], (name, target)
+    assert calls > 350 and no_events >= 2

@@ -7,7 +7,8 @@ plans whose coordinates have denominators 1..7 (half planar, half spatial;
 the tracers rescale each plan onto one integer grid, and these rows pin
 that rescaling) and 8 seeded loops at the largest sizes the benchmark
 traces (planar n = 7, spatial n = 7 and 8) are traced through `cli.main`
-with targets g and gamma.
+with targets g and gamma, and the planar ones with gammar at r = 2 too
+(spatial traces have no inside counts).
 The SHA-256 of stdout followed by stderr, and the exit code, must match the
 stored table.  An irrational event time prints its canonical dyadic cell,
 which depends on the root alone, so one table serves every supported Python.
@@ -34,7 +35,9 @@ from braidgamma import cli
 from braidgamma.geom2d import choreography_to_json, generator_choreography
 
 GOLDEN = Path(__file__).with_name("data") / "golden_trace.json"
-TARGETS = ("g", "gamma")
+# the key suffix and the target flags of every golden call
+TARGETS = {"g": ["--target", "g"], "gamma": ["--target", "gamma"]}
+PLANAR_TARGETS = {**TARGETS, "gammar-r2": ["--target", "gammar", "--r", "2"]}
 
 
 def small_plan(rng, dim):
@@ -127,10 +130,10 @@ def outputs(workdir: Path) -> dict:
     for name, data in plans():
         path = workdir / f"{name}.json"
         path.write_text(json.dumps(data), encoding="utf-8")
-        for target in TARGETS:
+        for target, flags in (PLANAR_TARGETS if data["dim"] == 2 else TARGETS).items():
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main(["trace", "--format", "json", "--target", target, str(path)])
+                code = cli.main(["trace", "--format", "json", *flags, str(path)])
             out[f"{name}/{target}"] = (code, stdout.getvalue() + stderr.getvalue())
     return out
 
