@@ -4,8 +4,9 @@ Exact event times never print as floats: a rational root prints as "p/q",
 an irrational one as its integer polynomial, its branch and a dyadic cell
 [m/2^k, (m+1)/2^k].  Per planar segment, k is the least k >= 1 at which every
 cell isolates its root and consecutive distinct times do not overlap, so the
-printout depends on the roots alone and certifies their order.  Planar and
-spatial events print through one printer, their JSON keys their fields.
+printout depends on the roots alone and certifies their order.  Each planar
+or spatial event prints its JSON text straight from its fields, keys sorted
+(`_event_json`); the text format prints that text compact, one event a line.
 `invariant` and `canon` leave r to `parse_word`: without --r it is one more
 than the largest slot tag.  Set BRAIDGAMMA_MAX_N to lift or lower the
 strand-count cap (default 10).  Each subcommand takes only the flags it
@@ -63,16 +64,22 @@ class _Parser(argparse.ArgumentParser):
         raise BraidGammaError(message)
 
 
+class _JSON(str):
+    """JSON text that `_json_text` prints as it stands."""
+
+
+_BOOL = ("false", "true")
 # the members a container prints inline, each through one C call
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
-            bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__}
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, _JSON: str.__str__,
+            bool: _BOOL.__getitem__, type(None): {None: "null"}.__getitem__}
 
 
 def _json_text(value, pad: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, without
     the pure-Python encoder that an indent selects.  Dicts (str keys), lists
     and tuples nest here, one call per container: its loop prints its str,
-    int, bool and None members inline (`_SCALARS`).  Any other value, and an
+    int, bool and None members inline and a `_JSON` member (the text of
+    trace's event list) as it stands (`_SCALARS`).  Any other value, and an
     empty container, goes through json.dumps."""
     if not value or not isinstance(value, (dict, list, tuple)):
         return json.dumps(value)
@@ -89,11 +96,7 @@ def _json_text(value, pad: str = "\n") -> str:
 
 
 def _emit(args, payload, text_lines):
-    body = (
-        _json_text(payload) + "\n"
-        if args.fmt == "json"
-        else "\n".join(text_lines) + "\n"
-    )
+    body = (_json_text(payload) if args.fmt == "json" else "\n".join(text_lines)) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body)
@@ -142,32 +145,29 @@ def _dyadic_str(m: int, k: int) -> str:
     return f"{m >> z}/{1 << (k - z)}"
 
 
-def _time_payload(root, k: int) -> dict:
-    """An exact time, or an irrational one with its dyadic cell of width 2^-k."""
-    if root.is_rational():
-        return {"exact": rat_to_str(root.exact)}
-    m = root.refine(k)
-    return {
-        "poly": list(root.poly),
-        "interval": [_dyadic_str(m, k), _dyadic_str(m + 1, k)],
-        "branch": root.sigma,
-    }
-
-
-def _event_payload(e, level: dict | None) -> dict:
-    """The JSON of a planar or spatial event: its fields, letters as text.  A
-    planar time prints in the dyadic cell of its segment's level (`level`,
-    segment -> k); a spatial time (level None) as p/q, beside the event's
-    special flag."""
-    payload = {field: getattr(e, field) for field in e._fields}
-    payload["subset"] = str(e.subset)
-    payload["quad"] = None if e.quad is None else str(e.quad)
+def _event_json(e, level: dict | None, pad: str) -> str:
+    """An event's JSON text as `_json_text` prints the dict of its fields at
+    `pad`, letters as text (nothing in a letter or time needs escaping).  A
+    planar time prints exact or in the dyadic cell of its segment's level
+    (`level`: segment -> k); a spatial one (level None) as p/q."""
+    i = pad + "  "
+    quad = "null" if e.quad is None else f'"{e.quad}"'
     if level is None:
-        payload["time"] = rat_to_str(e.time)
-        payload["special"] = e.special
+        return (f'{{{i}"convex": {_BOOL[e.convex]},{i}"one_sided": {_BOOL[e.one_sided]},'
+                f'{i}"quad": {quad},{i}"segment": {e.segment},{i}"side": {e.side},'
+                f'{i}"special": {_BOOL[e.special]},{i}"subset": "{e.subset}",'
+                f'{i}"time": "{rat_to_str(e.time)}"{pad}}}')
+    t, j = e.time, i + "  "
+    if t.is_rational():
+        time = f'{{{j}"exact": "{rat_to_str(t.exact)}"{i}}}'
     else:
-        payload["time"] = _time_payload(e.time, level[e.segment])
-    return payload
+        k, l, (c0, c1, c2) = level[e.segment], j + "  ", t.poly
+        m = t.refine(k)
+        time = (f'{{{j}"branch": {t.sigma},{j}"interval": [{l}"{_dyadic_str(m, k)}",'
+                f'{l}"{_dyadic_str(m + 1, k)}"{j}],{j}"poly": [{l}{c0},{l}{c1},{l}{c2}{j}]{i}}}')
+    return (f'{{{i}"collinear_wall": {_BOOL[e.collinear_wall]},{i}"inside": {e.inside},'
+            f'{i}"quad": {quad},{i}"segment": {e.segment},{i}"subset": "{e.subset}",'
+            f'{i}"time": {time}{pad}}}')
 
 
 def _cmd_trace(args) -> int:
@@ -182,19 +182,19 @@ def _cmd_trace(args) -> int:
         events = (geom3d.trace3 if ch.dim == 3 else geom2d.trace)(ch)
     level = None
     if ch.dim == 2:  # one cell width per segment, fixed by its distinct times alone
-        level = {
-            seg: dyadic_level([e.time for e in group])
-            for seg, group in itertools.groupby(events, key=lambda e: e.segment)
-        }
-    ev_payload = [_event_payload(e, level) for e in events]
+        level = {seg: dyadic_level([e.time for e in group])
+                 for seg, group in itertools.groupby(events, key=lambda e: e.segment)}
+    # the events member sits at depth 1 of the payload, each event at depth 2
+    texts = [_event_json(e, level, "\n    ") for e in events]
     image, image_lines = _image(geom2d.events_to_word(events, args.target, args.r), ch.n)
     warned = [str(w.message) for w in caught]
     payload = {"n": ch.n, "dim": ch.dim, "loop": ch.loop, "target": args.target}
-    payload |= {"events": ev_payload, **image, "warnings": warned}
+    listed = _JSON("[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]")
+    payload |= {"events": listed, **image, "warnings": warned}
     lines = []  # json output prints the payload alone
     if args.fmt != "json":
-        lines = [f"{len(ev_payload)} events"]
-        lines += [f"  {json.dumps(e, sort_keys=True)}" for e in ev_payload]
+        lines = [f"{len(texts)} events"]
+        lines += [f"  {json.dumps(json.loads(t), sort_keys=True)}" for t in texts]
         lines += image_lines + [f"warning: {w}" for w in warned]
     _emit(args, payload, lines)
     return 0

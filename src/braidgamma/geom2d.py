@@ -473,7 +473,11 @@ def _group_by_time(found):
     groups = []
     keyed = sorted(((item[0].refine(32), item) for item in found), key=itemgetter(0))
     for _, run in itertools.groupby(keyed, key=itemgetter(0)):
-        run = sorted((item for _, item in run), key=cmp_to_key(lambda u, v: u[0].compare(v[0])))
+        run = [item for _, item in run]
+        if len(run) == 1:  # nearly every run: its one item is its group
+            groups.append(run)
+            continue
+        run.sort(key=cmp_to_key(lambda u, v: u[0].compare(v[0])))
         groups += (
             sorted(group, key=itemgetter(1))
             for _, group in itertools.groupby(run, key=lambda item: time_key(item[0]))

@@ -806,7 +806,8 @@ def test_trace_prints_what_the_event_dicts_printed(tmp_path, capsys):
                 continue
             calls += 1
             no_events += not traced[1]
-            payload = oracle_trace_payload(traced, flags[1], int(flags[-1]) if "--r" in flags else 1)
+            r = int(flags[-1]) if "--r" in flags else 1
+            payload = oracle_trace_payload(traced, flags[1], r)
             expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
             assert (code, json_out) == (0, expected), (name, target)
             lines = text_out.split("\n")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from braidgamma import geom2d
 from braidgamma.errors import ValidationError
 from braidgamma.geom2d import _group_by_time
 from braidgamma.roots import (
@@ -437,6 +438,46 @@ def test_group_by_time_sorts_by_key_as_one_compare_sort_does():
         found = [(t, tuple(sorted(rng.sample(range(1, 8), 3)))) for t in times]
         rng.shuffle(found)
         assert _group_by_time(list(found)) == _group_by_one_compare_sort(list(found))
+
+
+def _rational_time(v: Fraction, scale: int = 1) -> AlgebraicRoot:
+    """The time v as the root of scale * (q t - p)."""
+    return AlgebraicRoot((-scale * v.numerator, scale * v.denominator), exact=v)
+
+
+def test_group_by_time_takes_one_item_runs_as_groups_and_others_as_one_compare_sort(
+    monkeypatch,
+):
+    # singleton runs (times at least 2^-20 apart), one time on distinct
+    # triples from scaled polynomials, and distinct times 2^-40 apart that
+    # share floor(2^32 t); items carry a third member, as the tracers' do
+    rng = random.Random(3131)
+    for _ in range(300):
+        found = []
+        for _ in range(rng.randrange(1, 10)):
+            kind = rng.randrange(3)
+            base = Fraction(rng.randrange(1, 1 << 20), 1 << 20) + Fraction(1, 3 << 30)
+            if kind == 0:
+                times = [_rational_time(base)]
+            elif kind == 1:
+                times = [_rational_time(base, scale) for scale in rng.sample((1, 2, 3, 5), 3)]
+            else:
+                steps = rng.sample(range(8), 3)
+                times = [_rational_time(base + Fraction(j, 1 << 40)) for j in steps]
+                assert len({t.refine(32) for t in times}) == 1
+            found += [(t, tuple(sorted(rng.sample(range(1, 8), 3))), rng.random()) for t in times]
+        rng.shuffle(found)
+        assert _group_by_time(list(found)) == _group_by_one_compare_sort(list(found))
+    # with no two floors equal, no time is compared or keyed
+    calls = []
+    compare = AlgebraicRoot.compare
+    monkeypatch.setattr(AlgebraicRoot, "compare", lambda u, v: calls.append(1) or compare(u, v))
+    monkeypatch.setattr(geom2d, "time_key", lambda t: calls.append(2) or time_key(t))
+    found = [(_rational_time(Fraction(k, 97)), (1, 2, 3)) for k in range(96, 0, -1)]
+    assert _group_by_time(found) == [[item] for item in reversed(found)]
+    assert calls == []
+    found.append((_rational_time(Fraction(1, 97), 2), (1, 2, 4)))
+    assert len(_group_by_time(found)) == 96 and calls
 
 
 def _isqrt_floor(root, k: int) -> int:
